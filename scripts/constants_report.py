@@ -20,7 +20,8 @@ def main():
     ap.add_argument("--constants", default="theory",
                     choices=["theory", "practical"])
     ap.add_argument("--delta", type=float, default=0.1)
-    ap.add_argument("--phi", type=float, default=1.5)
+    ap.add_argument("--phi", type=float, default=None,
+                    help="perturbation-growth exponent (default: phi_bar(delta))")
     ap.add_argument("--tau-star-form", default="proof",
                     choices=["proof", "statement"])
     args = ap.parse_args()

@@ -55,7 +55,7 @@ class ExperimentConfig:
     criterion: str = "det_double"
     constants: str = "practical"
     delta: float = 0.1
-    phi: float = 1.5
+    phi: float | None = None  # None: phi_bar(delta)
     lambda_scale: float = 1.0
     noise_scale: float | None = None
     beta: float = 1.0
@@ -351,6 +351,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
             "epochs": len(history),
             "n_updates": ledger.n_updates(),
             "synthesis_failures": rec.diagnostics["synthesis_failures"],
+            "barrier_fallbacks": rec.diagnostics["barrier_fallbacks"],
             "containment": [[int(t), bool(ok)]
                             for t, ok in rec.diagnostics["containment"]],
             "epoch_starts": [[int(p.tau), float(p.est_error)] for p in history],
@@ -371,6 +372,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
             "final_cum_regret": float(rr[-1]),
             "max_x_norm": rec.max_state_norm(),
             "segment_bounds": rec.diagnostics["segment_bounds"],
+            "barrier_fallbacks": sum(d.get("barrier_fallbacks", 0)
+                                     for d in rec.diagnostics["segments"]),
         })
 
     rows = []

@@ -34,7 +34,7 @@ class TrajectoryRecord:
     """Per-step arrays of one trajectory plus run metadata."""
 
     mode: str
-    seed: int
+    seed: int                # a doubling segment holds its SeedSequence child
     x: np.ndarray            # (T+1, n), states
     u: np.ndarray            # (T, m), applied inputs
     eta: np.ndarray          # (T, m), injected perturbation (nu during warm-up)
@@ -64,7 +64,6 @@ class PolicyEpoch:
     epoch_index: int
     tau: int
     K: np.ndarray
-    Sigma_star: np.ndarray
     P_dual: np.ndarray
     mu: float
     r: float
@@ -76,27 +75,33 @@ class PolicyEpoch:
     est_error: float
 
 
-def _streams(seed: int):
-    children = np.random.SeedSequence(seed).spawn(3)
-    return (np.random.default_rng(children[0]),   # process noise omega
-            np.random.default_rng(children[1]),   # ASLO perturbation eta
-            np.random.default_rng(children[2]))   # warm-up perturbation nu
+def _streams(seed):
+    """Process-noise, ASLO-perturbation and warm-up-perturbation generators.
 
-
-def sample_perturbation(t: int, params: schedules.ScheduleParams, rng) -> np.ndarray:
-    """eta_t ~ N(0, 2 sigma^2 kappa^2 p_bar_t / sqrt(t) * noise_scale * I)."""
-    if t < 1:
-        raise ConfigurationError("t must be >= 1", field="t")
-    var = (2.0 * params.sigma_w**2 * params.kappa**2
-           * schedules.p_bar(t, params.delta, params.phi) / math.sqrt(t)
-           * params.noise_scale)
-    return math.sqrt(var) * rng.standard_normal(params.m)
+    ``seed`` is an int or a SeedSequence; the streams are its first three
+    children, built without advancing its spawn counter, so a child handed
+    down by a caller yields streams of its own.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return tuple(
+        np.random.default_rng(np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (k,), pool_size=seed.pool_size))
+        for k in range(3))
 
 
 def perturbation_variance(t: int, params: schedules.ScheduleParams) -> float:
+    """2 sigma^2 kappa^2 p_bar_t / sqrt(t) * noise_scale."""
     return (2.0 * params.sigma_w**2 * params.kappa**2
             * schedules.p_bar(t, params.delta, params.phi) / math.sqrt(t)
             * params.noise_scale)
+
+
+def sample_perturbation(t: int, params: schedules.ScheduleParams, rng) -> np.ndarray:
+    """eta_t ~ N(0, perturbation_variance(t) * I)."""
+    if t < 1:
+        raise ConfigurationError("t must be >= 1", field="t")
+    return math.sqrt(perturbation_variance(t, params)) * rng.standard_normal(params.m)
 
 
 def replay_states(record: TrajectoryRecord, model: SystemModel) -> np.ndarray:
@@ -108,7 +113,7 @@ def replay_states(record: TrajectoryRecord, model: SystemModel) -> np.ndarray:
     return x
 
 
-def run_warmup(model: SystemModel, K0, T0: int, seed: int, x0=None,
+def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
                rho: float | None = None):
     """Warm-up identification under u = K0 x + nu, nu ~ N(0, 2 sigma^2 kappa0^2 I).
 
@@ -172,14 +177,16 @@ def _mu_cap(params: schedules.ScheduleParams, V) -> float:
 
 
 def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
-             params: schedules.ScheduleParams, seed: int, x0=None,
+             params: schedules.ScheduleParams, seed, x0=None,
              checkpoints=(), mu_override: float | None = None,
              lambda_override: float | None = None, solver_tol: float = 1e-9):
     """Adaptive SDP-based control for T steps from an anchored estimate.
 
     Policy updates fire on the determinant criterion in force; synthesis
-    failures fall back to the previous policy and are counted.  Returns
-    (record, policy_history, ledger).
+    failures fall back to the previous policy and are counted, as are the
+    policies the barrier solves produced because the Riccati path declined.
+    ``seed`` is an int or a SeedSequence.  Returns (record, policy_history,
+    ledger).
     """
     if T < 1:
         raise ConfigurationError("T must be >= 1", field="T")
@@ -221,6 +228,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     checkpoints = sorted(set(int(c) for c in checkpoints))
     containment = []
     failures = 0
+    fallbacks = 0
     anynum_all = []
     current: PolicyEpoch | None = None
     beta_in_force = params.beta
@@ -251,6 +259,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     theta_hat, synth_model, mu_t, V, tol=solver_tol,
                     epoch_index=(0 if current is None else current.epoch_index + 1),
                     tau=t)
+                fallbacks += policy.path == "barrier"
                 A_hat = theta_hat[:n, :].T
                 B_hat = theta_hat[n:, :].T
                 if spectral_radius(A_hat + B_hat @ policy.K) >= 1.0:
@@ -259,7 +268,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     beta_in_force = schedules.adaptive_beta(t, r, params)
                 current = PolicyEpoch(
                     epoch_index=policy.epoch_index, tau=t, K=policy.K,
-                    Sigma_star=policy.Sigma_star, P_dual=policy.P_dual,
+                    P_dual=policy.P_dual,
                     mu=mu_t, r=r, beta=beta_in_force, lambda_tau=lam,
                     logdet_V_tau=logdetV, normV_tau=spectral_norm(V),
                     theta_hat=theta_hat,
@@ -317,6 +326,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr,
         diagnostics={
             "synthesis_failures": failures,
+            "barrier_fallbacks": fallbacks,
             "containment": containment,
             "anynum_condition": anynum_all,
             "anchor_eps": float(anchor_eps),
@@ -398,7 +408,8 @@ def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
 
     Each segment spends ceil(sqrt(T_i)) steps on warm-up and the remainder on
     the SDP loop with the regularizer frozen at its horizon value
-    lambda = G log(T_i/delta).  The plant state carries across restarts.
+    lambda = G log(T_i/delta).  The plant state carries across restarts;
+    every warm-up and ASLO segment draws from its own child of the seed.
     """
     if base_horizon < 1:
         raise ConfigurationError("base_horizon must be >= 1", field="base_horizon")
@@ -410,8 +421,7 @@ def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
     while done < total_T:
         Ti = min(base_horizon * 2**i, total_T - done)
         w_i = min(Ti, max(1, math.ceil(math.sqrt(Ti))))
-        seg_seed = seeds[2 * i].entropy if hasattr(seeds[2 * i], "entropy") else seed + i
-        Theta_0, wrec = run_warmup(model, K0, w_i, seed=int(seg_seed) % 2**32, x0=x_cur)
+        Theta_0, wrec = run_warmup(model, K0, w_i, seed=seeds[2 * i], x0=x_cur)
         parts.append(wrec)
         x_cur = wrec.x[-1]
         rest = Ti - w_i
@@ -420,7 +430,7 @@ def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
             arec, _, _ = run_aslo(
                 model, Theta_0,
                 anchor_eps=2.0 * model.theta_bound, T=rest, params=params,
-                seed=int(seeds[2 * i + 1].entropy) % 2**32, x0=x_cur,
+                seed=seeds[2 * i + 1], x0=x_cur,
                 lambda_override=lam_fix)
             parts.append(arec)
             x_cur = arec.x[-1]

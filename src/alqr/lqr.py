@@ -139,10 +139,14 @@ def step(model: SystemModel, x, u, w):
     return model.A @ x + model.B @ u + w
 
 
-def _riccati_residual(A, B, Q, R, P):
+def _riccati_residual(A, B, Q, R, P, S=None):
+    """DARE residual norm; S is the cross weight of a cost x'Qx + 2x'Su + u'Ru."""
     G = B.T @ P @ A
-    S = B.T @ P @ B + R
-    return spectral_norm(Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(S, G) - P)
+    F = A.T @ P @ B
+    if S is not None:
+        G, F = G + S.T, F + S
+    H = B.T @ P @ B + R
+    return spectral_norm(Q + A.T @ P @ A - F @ np.linalg.solve(H, G) - P)
 
 
 def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
@@ -164,11 +168,29 @@ def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
             if not (np.all(np.isfinite(An)) and np.all(np.isfinite(Gn))
                     and np.all(np.isfinite(Hn))):
                 raise NotStabilizableError("doubling iteration diverged")
-            delta = spectral_norm(Hn - Hk)
+            # largest-entry norms: the test needs no SVD, and the quadratic
+            # convergence leaves the returned iterate unchanged
+            delta = float(np.max(np.abs(Hn - Hk)))
             Ak, Gk, Hk = An, sym(Gn), sym(Hn)
-            if delta <= tol * max(1.0, spectral_norm(Hk)):
+            if delta <= tol * max(1.0, float(np.max(np.abs(Hk)))):
                 return Hk
     raise NotStabilizableError("doubling iteration did not converge")
+
+
+def _dare_cross(A, B, C):
+    """Stabilising DARE solution and gain for the joint cost weight C.
+
+    C = [[Q, S], [S', R]] weighs (x, u); the cross term is removed by the
+    substitution u = v - R^{-1} S' x, which leaves the standard DARE of
+    (A - B R^{-1} S', B) with cost Q - S R^{-1} S' on x and R on v.  Returns
+    (P, K) with K = -(R + B'PB)^{-1}(B'PA + S').
+    """
+    n = A.shape[0]
+    Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
+    RiSt = np.linalg.solve(R, S.T)
+    P = _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R)
+    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
+    return P, K
 
 
 def _dare_value_iteration(A, B, Q, R, tol=1e-10, max_iter=10_000):
@@ -237,7 +259,7 @@ def exact_sdp(model: SystemModel, tol=1e-9):
         Sigma = solve_relaxed_primal(problem, tol=tol)
     except Exception as exc:  # solver-level failure => model invariant broken
         raise ModelInvariantError(f"exact SDP failed: {exc}") from exc
-    K = extract_policy(Sigma)
+    K = extract_policy(Sigma, n)
     return Sigma, K
 
 

@@ -270,12 +270,15 @@ def _alpha_under(kappa, gamma, sigma_w, n, m, theta_bound, chi, lambda1):
     return lead ** (2.0 * e_chi) * base**e_chi + 10.0 * sigma_w**2 * kappa**2 * m
 
 
-def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=1.5,
+def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
                    criterion="det_double", constants_mode="practical",
                    lambda_scale=1.0, noise_scale=None, beta=1.0, chi=0.0,
                    mu_mode="lemma", radius_variant="anchored", mu_clamp=True,
                    tau_star_form="proof") -> ScheduleParams:
-    """Assemble ScheduleParams from a model plus either nu or an initial cert."""
+    """Assemble ScheduleParams from a model plus either nu or an initial cert.
+
+    ``phi=None`` means phi_bar(delta); a larger phi is clipped to it.
+    """
     from .lqr import kappa_gamma, nu_bound
 
     if criterion not in CRITERIA:
@@ -288,7 +291,9 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=1.5,
         nu = nu_bound(model, cert0)
     kappa, gamma = kappa_gamma(nu, model.alpha0, model.sigma_w)
     pb = phi_bar(delta)
-    if phi > pb:
+    if phi is None:
+        phi = pb
+    elif phi > pb:
         log.warning("phi=%.4g clipped to phi_bar(delta)=%.6g", phi, pb)
         phi = pb
     lo = 1.0 / (1.0 - chi) if criterion == "relaxed_sequential" else 1.0

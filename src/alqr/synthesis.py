@@ -5,11 +5,16 @@ Sigma, partitioned as [[Sigma_xx, Sigma_xu], [Sigma_ux, Sigma_uu]]; the
 relaxation inflates the covariance constraint by mu (Sigma . V^{-1}) I to
 absorb parameter uncertainty, and the linear policy is read off as
 K = Sigma_ux Sigma_xx^{-1}.
+
+With W = sigma^2 I the relaxed problem has an exact Riccati solution (see
+``solve_relaxed_riccati``), which ``synthesize_policy`` uses; the barrier
+primal and dual solves remain as its certified fallback and as test oracle.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,7 @@ from .exceptions import (
     CertificateError,
     DegenerateSolutionError,
     InvalidSampleError,
+    NotStabilizableError,
     SynthesisError,
 )
 from .linalg import (
@@ -31,8 +37,13 @@ from .linalg import (
     spectral_radius,
     sym,
 )
+from .lqr import SystemModel, _dare_cross, _riccati_residual, solve_dare
 
 log = logging.getLogger(__name__)
+
+# Relative accuracy the Riccati path must certify, and its Newton budget.
+RICCATI_TOL = 1e-8
+RICCATI_MAX_ITER = 30
 
 
 @dataclass
@@ -79,14 +90,18 @@ class RelaxedPrimalProblem:
 
 @dataclass
 class ControlPolicy:
-    """Gain and SDP certificates for one epoch's policy."""
+    """Gain and dual value matrix for one epoch's policy.
+
+    ``path`` names the solver that produced them: "riccati" or, when the
+    Riccati path could not certify its result, "barrier".
+    """
 
     K: np.ndarray
-    Sigma_star: np.ndarray
     P_dual: np.ndarray
     mu_used: float
     epoch_index: int = 0
     tau: int = 0
+    path: str = "riccati"
 
 
 def mu(r_t: float, theta_bound: float, V_t, mode: str = "lemma") -> float:
@@ -129,8 +144,6 @@ def _split_theta(theta_hat, n):
 
 def _primal_warm_start(problem: RelaxedPrimalProblem):
     """Strictly feasible Sigma from the nominal closed loop, if one exists."""
-    from .lqr import SystemModel, solve_dare
-
     n, m = problem.n, problem.m
     A, B = _split_theta(problem.theta_hat, n)
     try:
@@ -168,12 +181,9 @@ def solve_relaxed_primal(problem: RelaxedPrimalProblem, tol: float = 1e-9):
     return sym(Sigma)
 
 
-def extract_policy(Sigma_star, n: int | None = None):
-    """K = Sigma_ux Sigma_xx^{-1}; n defaults to the square split if omitted."""
+def extract_policy(Sigma_star, n: int):
+    """K = Sigma_ux Sigma_xx^{-1}, splitting Sigma after the first n rows."""
     Sigma_star = np.atleast_2d(np.asarray(Sigma_star, dtype=float))
-    p = Sigma_star.shape[0]
-    if n is None:
-        n = p // 2
     Sxx = Sigma_star[:n, :n]
     Sux = Sigma_star[n:, :n]
     if min_eig(Sxx) < 1e-10:
@@ -224,15 +234,88 @@ def solve_relaxed_dual(theta_hat, model, mu, V_t, tol: float = 1e-9):
     return sym(P)
 
 
+def solve_relaxed_riccati(theta_hat, model, mu, V_t):
+    """Relaxed optimum from cross-term DAREs; returns the certified (K, P).
+
+    For fixed s = tr P the relaxed dual constraint is the Riccati LMI of the
+    cost C(s) = diag(Q, R) - mu s V^{-1}, whose maximal solution is the
+    stabilising DARE solution P*(s).  tr P*(s) is concave and decreasing in
+    s, so the optimum is the fixed point tr P*(s) = s, reached by Newton
+    steps (d tr P*/ds = -mu tr X with X = M'XM + [I; K]' V^{-1} [I; K],
+    M = A + BK) kept inside the bracket [s with tr P* > s, s with tr P* <= s].
+    The gain is the same solve's K = -(R~ + B'PB)^{-1}(B'PA + S').
+
+    Raises CertificateError when a check of the result fails and
+    NotStabilizableError when the doubling iteration does.
+    """
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
+    n, m = model.n, model.m
+    A, B = _split_theta(theta_hat, n)
+    V_inv = sym(chol_solve(V_t, np.eye(n + m)))
+    C0 = np.zeros((n + m, n + m))
+    C0[:n, :n] = sym(model.Q)
+    C0[n:, n:] = sym(model.R)
+
+    def solve_at(s):
+        C = C0 - mu * s * V_inv
+        if min_eig(C[n:, n:]) <= 0:
+            raise CertificateError(f"R~(s) is not PD at s = {s:.6g}")
+        return (C, *_dare_cross(A, B, C))
+
+    s, lo, hi = 0.0, 0.0, math.inf
+    C, P, K = solve_at(s)
+    for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
+        tr = float(np.trace(P))
+        f = tr - s
+        if f > 0:
+            lo = s
+        else:
+            hi = s
+        IK = np.vstack([np.eye(n), K])
+        X = solve_discrete_lyapunov((A + B @ K).T, IK.T @ V_inv @ IK)
+        slope = mu * float(np.trace(X))  # -d tr P*/ds
+        step = f / (1.0 + slope)
+        if not math.isfinite(step):
+            raise CertificateError("Newton step on s is not finite")
+        # done once s is a tenth of the certificate from the fixed point and
+        # the step would move tr P by under 1e-12 relative
+        if (abs(f) <= 0.1 * RICCATI_TOL * max(1.0, s)
+                and slope * abs(step) <= 1e-12 * max(1.0, tr)):
+            break
+        s_next = s + step
+        s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
+        C, P, K = solve_at(s)
+
+    if min_eig(C[n:, n:] + B.T @ P @ B) <= 0:
+        raise CertificateError("R~ + B'PB is not PD")
+    if min_eig(P) < 0:
+        raise CertificateError(f"P is not PSD (min eig {min_eig(P):.3g})")
+    res = _riccati_residual(A, B, C[:n, :n], C[n:, n:], P, S=C[:n, n:])
+    if not res <= RICCATI_TOL * max(1.0, spectral_norm(P)):
+        raise CertificateError(f"Riccati residual {res:.3g} too large")
+    if mu > 0 and not abs(float(np.trace(P)) - s) <= RICCATI_TOL * max(1.0, s):
+        raise CertificateError(f"tr P = {np.trace(P):.12g} misses s = {s:.12g}")
+    if not spectral_radius(A + B @ K) < 1.0:
+        raise CertificateError("Riccati gain does not stabilise the estimate")
+    return K, sym(P)
+
+
 def synthesize_policy(theta_hat, model, mu_t, V_t, tol=1e-9,
                       epoch_index=0, tau=0) -> ControlPolicy:
-    """Primal + dual solve for one epoch; the dual P backs stability accounting."""
-    problem = build_relaxed_primal(theta_hat, model, mu_t, V_t)
-    Sigma = solve_relaxed_primal(problem, tol=tol)
-    K = extract_policy(Sigma, model.n)
-    P = solve_relaxed_dual(theta_hat, model, mu_t, V_t, tol=tol)
-    return ControlPolicy(K=K, Sigma_star=Sigma, P_dual=P, mu_used=float(mu_t),
-                         epoch_index=epoch_index, tau=tau)
+    """One epoch's gain and dual P, from the Riccati path when it certifies
+    its result and from the barrier primal + dual solves otherwise."""
+    try:
+        K, P = solve_relaxed_riccati(theta_hat, model, mu_t, V_t)
+        path = "riccati"
+    except (CertificateError, NotStabilizableError, np.linalg.LinAlgError) as exc:
+        log.info("Riccati path declined at tau=%d (%s); using barrier solves", tau, exc)
+        problem = build_relaxed_primal(theta_hat, model, mu_t, V_t)
+        K = extract_policy(solve_relaxed_primal(problem, tol=tol), model.n)
+        P = solve_relaxed_dual(theta_hat, model, mu_t, V_t, tol=tol)
+        path = "barrier"
+    return ControlPolicy(K=K, P_dual=P, mu_used=float(mu_t),
+                         epoch_index=epoch_index, tau=tau, path=path)
 
 
 def sequential_gap(P_prev, P_next) -> float:

@@ -59,8 +59,8 @@ def adaptive_runs(bench2x2, bench2x2_params, bench2x2_anchor):
     """Matched-seed runs under the adaptive-beta criterion (for comparison).
 
     With practical-scale constants the formula beta is ~1e-11, so the
-    criterion fires every step and each step costs two SDP solves; the
-    comparison is therefore sized small (reported, never asserted).
+    criterion fires every step and each step costs one policy synthesis;
+    the comparison is therefore sized small (reported, never asserted).
     """
     params = bench2x2_params.with_criterion("adaptive_beta")
     return _run_batch(bench2x2, params, bench2x2_anchor, seeds=range(2), T=400)

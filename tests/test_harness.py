@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -174,6 +175,13 @@ class TestRunExperiment:
         cov = np.mean([c for rep in report.per_seed
                        for _, c in rep["containment"]])
         assert cov == pytest.approx(report.aggregate["coverage_frequency"])
+
+    def test_default_run_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            report = run_experiment(ExperimentConfig())
+        assert [r.getMessage() for r in caplog.records] == []
+        assert report.per_seed[0]["barrier_fallbacks"] == 0
+        assert report.constants["phi"] == report.constants["phi_bar"]
 
     def test_doubling_mode_smoke(self, tmp_path):
         cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",

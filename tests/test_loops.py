@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from alqr import synthesis
 from alqr.benchmarks import bench_2x2
-from alqr.exceptions import BlowUpError, ConfigurationError
+from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
 from alqr.loops import (
     perturbation_variance,
     replay_states,
@@ -148,6 +149,50 @@ class TestRunAslo:
                      seed=0, x0=[2e6, 0.0])
         assert "x_norm" in exc.value.diagnostics
 
+    def test_synthesis_failure_keeps_previous_policy(self, bench2x2, bench2x2_params,
+                                                     bench2x2_anchor, monkeypatch):
+        theta0, eps = bench2x2_anchor
+        real = synthesis.synthesize_policy
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            # the first firing from t = 50 on fails; early epochs fire every step
+            calls.append(kwargs["tau"])
+            if kwargs["tau"] >= 50 and sum(c >= 50 for c in calls) == 1:
+                raise SynthesisError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "synthesize_policy", fail_once)
+        rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=400,
+                                params=bench2x2_params, seed=3)
+        k = sum(c < 50 for c in calls)
+        assert len(calls) >= k + 2
+        t_fail, t_next = calls[k], calls[k + 1]
+        assert rec.diagnostics["synthesis_failures"] == 1
+        assert [p.tau for p in hist[:k + 1]] == calls[:k] + [t_next]
+        # the previous gain stays in force from the failure until the next firing
+        prev = hist[k - 1]
+        s = np.arange(t_fail - 1, t_next - 1)
+        assert np.all(rec.policy_id[s] == prev.epoch_index)
+        assert np.allclose(rec.u[s] - rec.eta[s], rec.x[s] @ prev.K.T, rtol=0, atol=1e-9)
+        # the epoch clock restarts at the failure step: the next firing is the
+        # first step whose log det V clears the failure step's by log(1+beta)
+        limit = rec.logdet_V[t_fail - 1] + math.log1p(bench2x2_params.beta)
+        assert t_next == t_fail + 1 + int(np.argmax(rec.logdet_V[t_fail:] > limit))
+        assert t_next > t_fail + 1  # timed from the last success it would fire at once
+
+    def test_barrier_fallbacks_counted(self, bench2x2, bench2x2_params,
+                                       bench2x2_anchor, monkeypatch):
+        def decline(*args, **kwargs):
+            raise CertificateError("declined for the test")
+
+        monkeypatch.setattr(synthesis, "solve_relaxed_riccati", decline)
+        theta0, eps = bench2x2_anchor
+        rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=20,
+                                params=bench2x2_params, seed=2)
+        assert rec.diagnostics["synthesis_failures"] == 0
+        assert rec.diagnostics["barrier_fallbacks"] == len(hist) >= 1
+
     def test_no_blowup_over_fifty_seeds(self, bench2x2, bench2x2_params,
                                         bench2x2_anchor, p5_runs):
         # default practical scaling keeps the benchmark stable over T = 1e4;
@@ -184,6 +229,15 @@ class TestRunDoubling:
         # warm-up and control sub-records both appear; segment ends must match
         assert set(cumulative) <= set(bounds)
         assert rec.T == 32 * (2**4 - 1)
+
+    def test_segments_draw_independent_noise(self, bench2x2, bench2x2_params,
+                                             bench2x2_gain):
+        rec = run_doubling(bench2x2, bench2x2_gain, 16, 16 * 7,
+                           params=bench2x2_params, seed=4)
+        starts = [0] + rec.diagnostics["segment_bounds"][:-1]
+        assert len(starts) == 6  # three warm-up and three ASLO segments
+        first = {tuple(w) for w in rec.omega[starts]}
+        assert len(first) == len(starts)
 
     def test_fixed_seed_determinism(self, bench2x2, bench2x2_params, bench2x2_gain):
         r1 = run_doubling(bench2x2, bench2x2_gain, 16, 100,

@@ -147,6 +147,13 @@ class TestExactSdp:
         assert np.min(np.linalg.eigvalsh(slack)) >= -1e-9
         assert spectral_norm(slack) <= 1e-4
 
+    def test_non_square_plant_splits_at_n(self):
+        from alqr.benchmarks import bench_3x2
+        m = bench_3x2()
+        _, K = exact_sdp(m)
+        assert K.shape == (2, 3)
+        assert np.max(np.abs(K - solve_dare(m).K_star)) <= 1e-4
+
     def test_unstabilizable_plant_rejected(self):
         from alqr.exceptions import ModelInvariantError
         m = SystemModel(A=[[2.0]], B=[[0.0]], Q=[[1.0]], R=[[1.0]],

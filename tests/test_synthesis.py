@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alqr.benchmarks import bench_2x2
 from alqr.exceptions import CertificateError, DegenerateSolutionError, InvalidSampleError
 from alqr.lqr import SystemModel, solve_dare
 from alqr.synthesis import (
@@ -11,6 +12,8 @@ from alqr.synthesis import (
     sequential_gap,
     solve_relaxed_dual,
     solve_relaxed_primal,
+    solve_relaxed_riccati,
+    synthesize_policy,
 )
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -164,6 +167,57 @@ class TestSolveRelaxedDual:
         m = random_stable_model(rng)
         P = solve_relaxed_dual(m.theta_star, m, 0.5, 10.0 * np.eye(4))
         assert np.min(np.linalg.eigvalsh(P)) >= -1e-10
+
+
+def barrier_oracle(theta, model, mu_t, V):
+    Sigma = solve_relaxed_primal(build_relaxed_primal(theta, model, mu_t, V))
+    return extract_policy(Sigma, model.n), solve_relaxed_dual(theta, model, mu_t, V)
+
+
+def rel_err(X, ref):
+    return float(np.max(np.abs(X - ref)) / max(1.0, np.max(np.abs(ref))))
+
+
+class TestSolveRelaxedRiccati:
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 1)])
+    def test_matches_barrier_oracle(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        model = random_stable_model(rng, n, m)
+        theta = model.theta_star + 0.05 * rng.standard_normal(model.theta_star.shape)
+        G = rng.standard_normal((n + m, n + m))
+        # scalar V keeps C(s) block-diagonal; the full V exercises the cross term
+        for V in (np.eye(n + m), 10.0 * np.eye(n + m), G @ G.T + np.eye(n + m)):
+            for mu_t in (0.0, 0.01, 0.1):
+                K, P = solve_relaxed_riccati(theta, model, mu_t, V)
+                K_ref, P_ref = barrier_oracle(theta, model, mu_t, V)
+                assert K.shape == (m, n)
+                assert rel_err(K, K_ref) <= 1e-7
+                assert rel_err(P, P_ref) <= 1e-7
+
+    def test_fixed_point_and_policy_path(self):
+        rng = np.random.default_rng(5)
+        model = random_stable_model(rng, 3, 2)
+        G = rng.standard_normal((5, 5))
+        V = G @ G.T + 2.0 * np.eye(5)
+        pol = synthesize_policy(model.theta_star, model, 0.05, V)
+        assert pol.path == "riccati"
+        K, P = solve_relaxed_riccati(model.theta_star, model, 0.05, V)
+        assert np.array_equal(pol.K, K) and np.array_equal(pol.P_dual, P)
+
+    def test_indefinite_input_weight_falls_back(self):
+        # V^{-1} concentrated on the input block: R - mu tr(P) V^{-1}_uu is
+        # not PSD at the relaxed optimum, so the Riccati path must decline
+        model = bench_2x2()
+        V = np.diag([100.0, 100.0, 0.1, 0.1])
+        mu_t = 0.1
+        with pytest.raises(CertificateError):
+            solve_relaxed_riccati(model.theta_star, model, mu_t, V)
+        pol = synthesize_policy(model.theta_star, model, mu_t, V)
+        assert pol.path == "barrier"
+        K_ref, P_ref = barrier_oracle(model.theta_star, model, mu_t, V)
+        assert np.array_equal(pol.K, K_ref) and np.array_equal(pol.P_dual, P_ref)
+        R_tilde = model.R - mu_t * np.trace(pol.P_dual) * np.linalg.inv(V)[2:, 2:]
+        assert np.min(np.linalg.eigvalsh(R_tilde)) < 0
 
 
 class TestSequentialGap:
