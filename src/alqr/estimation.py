@@ -37,14 +37,6 @@ class EstimatorState:
     def anchored(self):
         return self.anchor is not None
 
-    def copy(self):
-        out = EstimatorState(self.dim_z, self.dim_x, anchor=self.anchor,
-                             anchor_error=self.anchor_error)
-        out.gram = self.gram.copy()
-        out.cross = self.cross.copy()
-        out.t = self.t
-        return out
-
     def covariance(self, lambda_t: float):
         """V_t = lambda_t I + S_t, assembled fresh for the requested lambda."""
         return lambda_t * np.eye(self.dim_z) + self.gram

@@ -36,8 +36,9 @@ class SynthesisError(AlqrError):
     """Relaxed-SDP policy synthesis failed (infeasible / did not converge)."""
 
 
-class DegenerateSolutionError(AlqrError):
-    """Policy extraction hit a numerically singular state block."""
+class DegenerateSolutionError(SynthesisError):
+    """Policy extraction hit a numerically singular state block; a synthesis
+    failure, so the runners fall back on it like any other."""
 
 
 class CertificateError(AlqrError):

@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -21,7 +22,7 @@ from . import loops, regret, schedules
 from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
 from .exceptions import AlqrError, ConfigurationError
 from .linalg import spectral_radius
-from .lqr import SystemModel, solve_dare, stability_certificate
+from .lqr import StabilityCert, SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gap
 
 log = logging.getLogger(__name__)
@@ -232,11 +233,10 @@ def emit(obj, format: str, path, J_star: float | None = None):
             rows = trajectory_rows(obj, J_star)
         else:
             rows = obj
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
     elif format == "json":
         if isinstance(obj, loops.TrajectoryRecord):
             if J_star is None:
@@ -256,13 +256,14 @@ def emit(obj, format: str, path, J_star: float | None = None):
 def read_trajectory_csv(path) -> dict:
     """Parse an emitted CSV back into column arrays (floats round-trip exactly)."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    if header != list(CSV_COLUMNS):
-        raise ConfigurationError("unexpected CSV header", field="path")
-    cols = {name: np.array([float(row[i]) for row in data])
-            for i, name in enumerate(header)}
-    return cols
+        if fh.readline().strip().split(",") != list(CSV_COLUMNS):
+            raise ConfigurationError("unexpected CSV header", field="path")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a header-only file holds no rows
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0:
+        data = np.empty((0, len(CSV_COLUMNS)))
+    return dict(zip(CSV_COLUMNS, data.T))
 
 
 def coverage_check(reports, delta: float) -> float:
@@ -276,8 +277,23 @@ def coverage_check(reports, delta: float) -> float:
     return float(np.mean(flags))
 
 
-def _build_params(config: ExperimentConfig, model: SystemModel, cert0):
-    return schedules.build_schedule(
+@dataclass
+class SharedSetup:
+    """What every seed of an experiment shares, built once per experiment."""
+
+    model: SystemModel
+    K0: np.ndarray
+    cert0: StabilityCert
+    params: schedules.ScheduleParams
+    J_star: float
+
+
+def _build_shared(config: ExperimentConfig) -> SharedSetup:
+    """The model, initial gain K0 and its certificate, schedule and J*."""
+    model = config.build_model()
+    K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
+    cert0 = stability_certificate(model, K0)
+    params = schedules.build_schedule(
         model, cert0=cert0, delta=config.delta, phi=config.phi,
         criterion=config.criterion, constants_mode=config.constants,
         lambda_scale=config.lambda_scale, noise_scale=config.noise_scale,
@@ -285,6 +301,8 @@ def _build_params(config: ExperimentConfig, model: SystemModel, cert0):
         radius_variant=config.radius_variant, mu_clamp=config.mu_clamp,
         tau_star_form=config.tau_star_form,
     )
+    return SharedSetup(model=model, K0=K0, cert0=cert0, params=params,
+                       J_star=solve_dare(model).J_star)
 
 
 def _epoch_diagnostics(model, params, history):
@@ -300,13 +318,10 @@ def _epoch_diagnostics(model, params, history):
     }
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> dict:
+def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     """One isolated per-seed run; returns the summary plus CSV rows."""
-    model = config.build_model()
-    J_star = solve_dare(model).J_star
-    K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
-    cert0 = stability_certificate(model, K0)
-    params = _build_params(config, model, cert0)
+    model, K0, cert0, params = shared.model, shared.K0, shared.cert0, shared.params
+    J_star = shared.J_star
     summary = {"seed": seed, "mode": config.mode, "J_star": J_star}
     records = []
 
@@ -384,10 +399,9 @@ def run_seed(config: ExperimentConfig, seed: int) -> dict:
 
 
 def _worker(args):
-    config_dict, seed = args
-    config = ExperimentConfig(**config_dict)
+    config, shared, seed = args
     try:
-        return seed, run_seed(config, seed), None
+        return seed, run_seed(config, shared, seed), None
     except AlqrError as exc:
         return seed, None, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # per-seed isolation: never kill the batch
@@ -414,7 +428,7 @@ class AggregateReport:
         }
 
 
-def _aggregate(config: ExperimentConfig, params, summaries: list) -> dict:
+def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
     agg = {"seed_count": len(summaries)}
     regrets = [s["final_cum_regret"] for s in summaries if "final_cum_regret" in s]
     if regrets:
@@ -465,12 +479,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     Per-seed trajectory CSVs and the aggregate JSON land in ``out_dir`` when
     set.  Identical configs produce byte-identical outputs.
     """
-    model = config.build_model()
-    K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
-    cert0 = stability_certificate(model, K0)
-    params = _build_params(config, model, cert0)
-
-    tasks = [(config.to_dict(), seed) for seed in sorted(config.seeds)]
+    shared = _build_shared(config)
+    tasks = [(config, shared, seed) for seed in sorted(config.seeds)]
     results = {}
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -495,14 +505,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             emit(s["rows"], "csv",
                  os.path.join(config.out_dir, f"seed_{s['seed']:04d}.csv"))
 
-    agg = _aggregate(config, params, summaries)
+    agg = _aggregate(config, summaries)
     per_seed = []
     for s in summaries:
         slim = {k: v for k, v in s.items() if k != "rows"}
         per_seed.append(slim)
     report = AggregateReport(
         config=config.to_dict(),
-        constants=schedules.constants_report(params),
+        constants=schedules.constants_report(shared.params),
         per_seed=per_seed,
         errors=errors,
         aggregate=agg,

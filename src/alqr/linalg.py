@@ -46,10 +46,6 @@ def min_eig(M):
     return float(np.linalg.eigvalsh(sym(np.atleast_2d(M)))[0])
 
 
-def is_psd(M, tol=0.0):
-    return min_eig(M) >= -tol
-
-
 def psd_sqrt(M, floor=1e-12):
     """Symmetric square root via eigendecomposition, eigenvalues floored."""
     w, U = np.linalg.eigh(sym(np.atleast_2d(M)))
@@ -90,9 +86,3 @@ def solve_discrete_lyapunov(M, S):
     A = np.eye(n * n) - np.kron(M, M)
     x = np.linalg.solve(A, S.reshape(-1))
     return sym(x.reshape(n, n))
-
-
-def least_squares_slope(log_x, log_y):
-    A = np.vstack([log_x, np.ones_like(log_x)]).T
-    coef, *_ = np.linalg.lstsq(A, log_y, rcond=None)
-    return float(coef[0])

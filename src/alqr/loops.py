@@ -71,7 +71,6 @@ class PolicyEpoch:
     lambda_tau: float
     logdet_V_tau: float
     normV_tau: float
-    theta_hat: np.ndarray
     est_error: float
 
 
@@ -97,11 +96,18 @@ def perturbation_variance(t: int, params: schedules.ScheduleParams) -> float:
             * params.noise_scale)
 
 
-def sample_perturbation(t: int, params: schedules.ScheduleParams, rng) -> np.ndarray:
-    """eta_t ~ N(0, perturbation_variance(t) * I)."""
-    if t < 1:
+def sample_perturbation(t, params: schedules.ScheduleParams, rng) -> np.ndarray:
+    """eta_t ~ N(0, perturbation_variance(t) * I).
+
+    ``t`` is one step, giving an (m,) draw, or a sequence of steps, giving
+    one row per step drawn in order (the same values as one call per step).
+    """
+    steps = np.atleast_1d(t)
+    if steps.size and steps.min() < 1:
         raise ConfigurationError("t must be >= 1", field="t")
-    return math.sqrt(perturbation_variance(t, params)) * rng.standard_normal(params.m)
+    std = np.array([math.sqrt(perturbation_variance(int(k), params)) for k in steps])
+    draws = std[:, None] * rng.standard_normal((steps.size, params.m))
+    return draws[0] if np.ndim(t) == 0 else draws
 
 
 def replay_states(record: TrajectoryRecord, model: SystemModel) -> np.ndarray:
@@ -111,6 +117,33 @@ def replay_states(record: TrajectoryRecord, model: SystemModel) -> np.ndarray:
     for s in range(record.T):
         x[s + 1] = step(model, x[s], record.u[s], record.omega[s])
     return x
+
+
+def _transition(model: SystemModel, est, K, x, u, eta, omega, cost, s: int,
+                runner: str) -> np.ndarray:
+    """Close the loop at step s: u = K x + eta, x' = A x + B u + omega.
+
+    Writes u[s], x[s+1] and cost[s], ingests the transition and raises
+    BlowUpError when the state runs away.  Returns the regressor z = (x, u).
+    """
+    u[s] = K @ x[s] + eta[s]
+    x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
+    cost[s] = float(x[s] @ model.Q @ x[s] + u[s] @ model.R @ u[s])
+    z = np.concatenate([x[s], u[s]])
+    estimation.ingest(est, z, x[s + 1])
+    x_norm = float(np.linalg.norm(x[s + 1]))
+    if x_norm > BLOWUP_NORM:
+        raise BlowUpError(f"{runner} state blow-up",
+                          diagnostics={"t": s + 1, "x_norm": x_norm})
+    return z
+
+
+def _holds_truth(est, model: SystemModel, params: schedules.ScheduleParams,
+                 lam: float, variant: str, eps) -> bool:
+    """Whether the confidence ellipsoid at regularizer lam contains Theta*."""
+    ell = estimation.ellipsoid(est, params.delta, lam, model.sigma_w, variant,
+                               eps=eps, theta_bound=model.theta_bound)
+    return bool(estimation.ellipsoid_contains(ell, model.theta_star))
 
 
 def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
@@ -135,23 +168,13 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
     if x0 is not None:
         x[0] = np.asarray(x0, dtype=float)
     u = np.zeros((T0, m))
-    nu = np.zeros((T0, m))
-    omega = np.zeros((T0, n))
+    nu = nu_std * nu_rng.standard_normal((T0, m))
+    omega = model.sigma_w * omega_rng.standard_normal((T0, n))
     cost = np.zeros(T0)
     logdets = np.zeros(T0)
     for s in range(T0):
-        nu[s] = nu_std * nu_rng.standard_normal(m)
-        u[s] = K0 @ x[s] + nu[s]
-        omega[s] = model.sigma_w * omega_rng.standard_normal(n)
-        x[s + 1] = step(model, x[s], u[s], omega[s])
-        cost[s] = float(x[s] @ model.Q @ x[s] + u[s] @ model.R @ u[s])
-        estimation.ingest(est, np.concatenate([x[s], u[s]]), x[s + 1])
+        _transition(model, est, K0, x, u, nu, omega, cost, s, "warm-up")
         logdets[s] = logdet_pd(est.covariance(max(rho, 1e-300)))
-        if np.linalg.norm(x[s + 1]) > BLOWUP_NORM:
-            raise BlowUpError(
-                "warm-up state blow-up",
-                diagnostics={"t": s + 1, "x_norm": float(np.linalg.norm(x[s + 1]))},
-            )
     if rho > 0:
         Theta_0 = estimation.estimate(est, rho)
     else:  # degenerate sigma_w = 0: minimum-norm solution of S Theta = C
@@ -212,11 +235,10 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         raise BlowUpError("initial state beyond the runaway threshold",
                           diagnostics={"t": 0, "x_norm": float(np.linalg.norm(x[0]))})
     u = np.zeros((T, m))
-    eta = np.zeros((T, m))
-    omega = np.zeros((T, n))
+    eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
+    omega = model.sigma_w * omega_rng.standard_normal((T, n))
     cost = np.zeros(T)
     policy_id = np.zeros(T, dtype=int)
-    epoch_arr = np.zeros(T, dtype=int)
     lam_arr = np.zeros(T)
     r_arr = np.zeros(T)
     logdet_arr = np.zeros(T)
@@ -225,7 +247,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
 
     history: list[PolicyEpoch] = []
     ledger = regret.RegretLedger(nu=params.nu, sigma_w=model.sigma_w)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
+    checkpoints = set(int(c) for c in checkpoints)
     containment = []
     failures = 0
     fallbacks = 0
@@ -271,7 +293,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     P_dual=policy.P_dual,
                     mu=mu_t, r=r, beta=beta_in_force, lambda_tau=lam,
                     logdet_V_tau=logdetV, normV_tau=spectral_norm(V),
-                    theta_hat=theta_hat,
                     est_error=nuclear_norm(theta_hat - model.theta_star),
                 )
                 history.append(current)
@@ -283,46 +304,27 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     raise
                 logdet_tau = logdetV  # restart the epoch clock on the old policy
         pol = current
-        eta[s] = sample_perturbation(t, params, eta_rng)
-        u[s] = pol.K @ x[s] + eta[s]
-        omega[s] = model.sigma_w * omega_rng.standard_normal(n)
-        x[s + 1] = step(model, x[s], u[s], omega[s])
-        cost[s] = float(x[s] @ model.Q @ x[s] + u[s] @ model.R @ u[s])
-        z = np.concatenate([x[s], u[s]])
+        z = _transition(model, est, pol.K, x, u, eta, omega, cost, s, "ASLO")
         q_t = float(z @ np.linalg.solve(V, z))
         ledger.accumulate(
-            x_t=x[s], x_next=x[s + 1], omega=omega[s], eta=eta[s], z=z, q_t=q_t,
+            x_t=x[s], x_next=x[s + 1], omega=omega[s], eta=eta[s], q_t=q_t,
             pol=pol, model=model, params=params)
         anynum_all.append(schedules.anynum_condition(pol.mu, V, params.kappa))
 
         policy_id[s] = pol.epoch_index
-        epoch_arr[s] = pol.epoch_index
         lam_arr[s] = lam
         r_arr[s] = pol.r
         logdet_arr[s] = logdetV
         beta_arr[s] = pol.beta
         err_arr[s] = pol.est_error
-
-        estimation.ingest(est, z, x[s + 1])
-        if np.linalg.norm(x[s + 1]) > BLOWUP_NORM:
-            raise BlowUpError(
-                "ASLO state blow-up",
-                diagnostics={"t": t, "x_norm": float(np.linalg.norm(x[s + 1])),
-                             "epoch": int(pol.epoch_index)},
-            )
         if t in checkpoints:
-            ell = estimation.ellipsoid(
-                est, params.delta, schedules.lambda_t(t, params)
-                if lambda_override is None else lambda_override,
-                model.sigma_w, params.radius_variant,
-                eps=anchor_eps, theta_bound=model.theta_bound)
-            containment.append(
-                (t, bool(estimation.ellipsoid_contains(ell, model.theta_star))))
+            containment.append((t, _holds_truth(
+                est, model, params, lam, params.radius_variant, anchor_eps)))
 
     ledger.finalize(epoch_marks=[p.tau for p in history])
     record = TrajectoryRecord(
         mode="aslo", seed=seed, x=x, u=u, eta=eta, omega=omega, cost=cost,
-        policy_id=policy_id, epoch=epoch_arr, lambda_t=lam_arr, r_t=r_arr,
+        policy_id=policy_id, epoch=policy_id.copy(), lambda_t=lam_arr, r_t=r_arr,
         logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr,
         diagnostics={
             "synthesis_failures": failures,
@@ -348,38 +350,26 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n, m = model.n, model.m
     omega_rng, eta_rng, _ = _streams(seed)
-    if anchor is not None:
-        est = estimation.EstimatorState(dim_z=n + m, dim_x=n,
-                                        anchor=anchor[0], anchor_error=anchor[1])
-    else:
-        est = estimation.EstimatorState(dim_z=n + m, dim_x=n)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    theta0, eps = (None, None) if anchor is None else anchor
+    variant = "unanchored" if anchor is None else "anchored"
+    est = estimation.EstimatorState(dim_z=n + m, dim_x=n, anchor=theta0,
+                                    anchor_error=eps)
+    x = np.zeros((T + 1, n))
+    if x0 is not None:
+        x[0] = np.asarray(x0, dtype=float)
+    u = np.zeros((T, m))
+    eta = (sample_perturbation(np.arange(1, T + 1), params, eta_rng)
+           if params is not None else np.zeros((T, m)))
+    omega = model.sigma_w * omega_rng.standard_normal((T, n))
     cost = np.zeros(T)
     containment = []
-    checkpoints = set(int(c) for c in checkpoints)
-    sigma = model.sigma_w
+    checkpoints = set(int(c) for c in checkpoints) if params is not None else set()
     for s in range(T):
+        _transition(model, est, K, x, u, eta, omega, cost, s, "fixed-policy")
         t = s + 1
-        eta_t = (sample_perturbation(t, params, eta_rng)
-                 if params is not None else np.zeros(m))
-        u_t = K @ x + eta_t
-        w_t = sigma * omega_rng.standard_normal(n)
-        x_next = model.A @ x + model.B @ u_t + w_t
-        cost[s] = float(x @ model.Q @ x + u_t @ model.R @ u_t)
-        estimation.ingest(est, np.concatenate([x, u_t]), x_next)
-        x = x_next
-        if np.linalg.norm(x) > BLOWUP_NORM:
-            raise BlowUpError("fixed-policy state blow-up",
-                              diagnostics={"t": t, "x_norm": float(np.linalg.norm(x))})
-        if t in checkpoints and params is not None:
-            lam = schedules.lambda_t(t, params)
-            variant = "anchored" if anchor is not None else "unanchored"
-            ell = estimation.ellipsoid(
-                est, params.delta, lam, sigma, variant,
-                eps=None if anchor is None else anchor[1],
-                theta_bound=model.theta_bound)
-            containment.append(
-                (t, bool(estimation.ellipsoid_contains(ell, model.theta_star))))
+        if t in checkpoints:
+            containment.append((t, _holds_truth(
+                est, model, params, schedules.lambda_t(t, params), variant, eps)))
     return cost, est, containment
 
 

@@ -9,7 +9,7 @@ and ``alpha0 <= Q, R <= alpha1`` in the PSD order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,8 +121,6 @@ class StabilityCert:
     H: np.ndarray
     L: np.ndarray
     spectral_radius: float
-    B0: float = field(default=0.0)
-    b0: float = field(default=0.0)
 
 
 def step(model: SystemModel, x, u, w):
@@ -285,7 +283,7 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
         L = M.copy()
         kappa = max(1.0, spectral_norm(K))
         return StabilityCert(kappa=kappa, gamma=gamma, H=H, L=L,
-                             spectral_radius=rho, B0=1.0, b0=1.0)
+                             spectral_radius=rho)
     if spectral_norm(M) <= rho * (1 + 1e-12):
         # normal closed loop: H = I certifies with gamma = 1 - rho exactly
         gamma = 1.0 - rho
@@ -293,7 +291,7 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
         L = M.copy()
         kappa = max(1.0, spectral_norm(K))
         return StabilityCert(kappa=kappa, gamma=gamma, H=H, L=L,
-                             spectral_radius=rho, B0=1.0, b0=1.0)
+                             spectral_radius=rho)
     rho_eff = rho * (1 + 1e-6)
     gamma = 1.0 - rho_eff
     Qs = M / rho_eff
@@ -309,8 +307,6 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
         H=H,
         L=L,
         spectral_radius=rho,
-        B0=spectral_norm(H),
-        b0=1.0 / spectral_norm(Hinv),
     )
 
 

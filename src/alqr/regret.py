@@ -25,13 +25,11 @@ class RegretLedger:
 
     nu: float
     sigma_w: float
-    J_star: float = math.nan
     R: np.ndarray = field(default_factory=lambda: np.zeros(6))
     epoch_marks: list = field(default_factory=list)
-    steps: int = 0
-    bound_report: dict = field(default_factory=dict)
 
-    def accumulate(self, x_t, x_next, omega, eta, z, q_t, pol, model, params):
+    def accumulate(self, x_t, x_next, omega, eta, q_t, pol, model, params):
+        """Add one step's R1..R6 contributions; q_t = z' V_t^{-1} z."""
         P = pol.P_dual
         K = pol.K
         M = model.A + model.B @ K
@@ -48,7 +46,6 @@ class RegretLedger:
             self.R[3] += factor * (1.0 + pol.beta) * pol.mu * q_t
         self.R[4] += 2.0 * float(eta @ model.R @ (K @ x_t))
         self.R[5] += float(eta @ model.R @ eta)
-        self.steps += 1
 
     def finalize(self, epoch_marks):
         self.epoch_marks = list(epoch_marks)
@@ -68,41 +65,26 @@ def realized_regret(traj, J_star: float) -> np.ndarray:
 
 
 def decompose(traj, policy_history, params, model) -> np.ndarray:
-    """Recompute R1..R6 from the stored trajectory, independently of the
-    runner's online accumulators (V_t is rebuilt from the raw regressors)."""
+    """Recompute R1..R6 by replaying the stored trajectory through a fresh
+    ledger; V_t is rebuilt from the raw regressors, independently of the
+    runner's estimator."""
     for name in ("omega", "eta"):
         arr = getattr(traj, name, None)
         if arr is None or np.any(~np.isfinite(arr)):
             raise IncompleteTrajectoryError(f"trajectory is missing {name} records")
-    T = traj.T
-    n, m = model.n, model.m
+    dim_z = model.n + model.m
     by_epoch = {p.epoch_index: p for p in policy_history}
-    R = np.zeros(6)
-    gram = np.zeros((n + m, n + m))
-    for s in range(T):
-        pol = by_epoch[int(traj.policy_id[s])]
-        P, K = pol.P_dual, pol.K
-        x_t, x_next = traj.x[s], traj.x[s + 1]
-        omega, eta = traj.omega[s], traj.eta[s]
-        z = np.concatenate([x_t, traj.u[s]])
-        V = traj.lambda_t[s] * np.eye(n + m) + gram
-        q_t = float(z @ np.linalg.solve(V, z))
-        M = model.A + model.B @ K
-        R[0] += float(x_t @ P @ x_t - x_next @ P @ x_next)
-        R[1] += float(omega @ P @ (M @ x_t))
-        R[2] += float(omega @ P @ omega) - model.sigma_w**2 * float(np.trace(P))
-        factor = 2.0 * params.nu / model.sigma_w**2 if model.sigma_w > 0 else 0.0
-        if params.criterion == "adaptive_beta":
-            R[3] += factor * pol.mu * q_t
-            R[3] += factor * pol.beta * pol.r * q_t
-            R[3] += 2.0 * factor * params.theta_bound * pol.beta \
-                * math.sqrt(pol.r * pol.normV_tau) * q_t
-        else:
-            R[3] += factor * (1.0 + pol.beta) * pol.mu * q_t
-        R[4] += 2.0 * float(eta @ model.R @ (K @ x_t))
-        R[5] += float(eta @ model.R @ eta)
+    ledger = RegretLedger(nu=params.nu, sigma_w=model.sigma_w)
+    gram = np.zeros((dim_z, dim_z))
+    for s in range(traj.T):
+        z = np.concatenate([traj.x[s], traj.u[s]])
+        V = traj.lambda_t[s] * np.eye(dim_z) + gram
+        ledger.accumulate(
+            x_t=traj.x[s], x_next=traj.x[s + 1], omega=traj.omega[s],
+            eta=traj.eta[s], q_t=float(z @ np.linalg.solve(V, z)),
+            pol=by_epoch[int(traj.policy_id[s])], model=model, params=params)
         gram += np.outer(z, z)
-    return R
+    return ledger.R
 
 
 def term_bounds(T: int, params, traj_stats: dict) -> dict:

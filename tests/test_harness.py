@@ -93,6 +93,22 @@ class TestEmit:
             assert np.array_equal(
                 cols[name][~np.isnan(cols[name])], orig[~np.isnan(orig)])
 
+    def test_header_only_reads_empty_columns(self, tmp_path):
+        path = emit(empty_record(), "csv", tmp_path / "t.csv", J_star=1.0)
+        cols = read_trajectory_csv(path)
+        assert list(cols) == list(CSV_COLUMNS)
+        assert all(c.shape == (0,) for c in cols.values())
+
+    def test_full_mode_csv_round_trips_exactly(self, tmp_path):
+        cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode="full",
+                           T=30, T0=25)
+        run_experiment(cfg)
+        path = tmp_path / "out" / "seed_0000.csv"
+        cols = read_trajectory_csv(path)
+        assert np.all(np.isnan(cols["r_t"][:25])) and len(cols["t"]) == 55
+        again = emit(list(zip(*cols.values())), "csv", tmp_path / "again.csv")
+        assert open(again, "rb").read() == path.read_bytes()
+
     def test_column_count(self, tmp_path):
         rows = [(1, 0.5, 1.0, -0.5, 2.3, 1.0, 0, 0, 1.0, 4.0, 0.1)]
         path = emit(rows, "csv", tmp_path / "t.csv")
@@ -158,6 +174,15 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.errors) == 2
         assert all("BlowUp" in e["error"] for e in report.errors)
+
+    def test_degenerate_barrier_solution_keeps_previous_policy(self):
+        # unclamped mu sends the Riccati path to the barrier solves, whose
+        # extracted Sigma_xx can be singular; the run keeps its old policy
+        cfg = ExperimentConfig(benchmark="bench-2x2", mu_clamp=False, T=30,
+                               seeds=[0, 1])
+        report = run_experiment(cfg)
+        assert not report.errors
+        assert all(ps["synthesis_failures"] >= 1 for ps in report.per_seed)
 
     def test_aggregate_recomputable_from_csv(self, tmp_path):
         cfg = smoke_config(tmp_path, benchmark="bench-2x2", T=400,

@@ -66,6 +66,14 @@ class TestRunWarmup:
                 hits += 1
         assert hits / 200 >= 0.9
 
+    def test_blow_up_aborts_with_diagnostics(self):
+        m, K0, _, _ = scalar_warmup_setup()
+        with pytest.raises(BlowUpError) as exc:
+            run_warmup(m, K0, 10, seed=0, x0=[1e8])
+        assert "warm-up" in str(exc.value)
+        assert exc.value.diagnostics["t"] == 1
+        assert exc.value.diagnostics["x_norm"] > 1e6
+
 
 class TestSamplePerturbation:
     def test_variance_at_t1(self, bench2x2_params):
@@ -91,6 +99,16 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             sample_perturbation(0, bench2x2_params, rng)
+
+    def test_steps_draw_like_one_call_per_step(self, bench2x2_params):
+        steps = np.arange(1, 301)
+        rows = sample_perturbation(steps, bench2x2_params, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        one_by_one = [sample_perturbation(int(t), bench2x2_params, rng) for t in steps]
+        assert rows.shape == (300, bench2x2_params.m)
+        assert np.array_equal(rows, np.array(one_by_one))
+        with pytest.raises(ConfigurationError):
+            sample_perturbation(np.arange(0, 5), bench2x2_params, rng)
 
 
 class TestRunAslo:

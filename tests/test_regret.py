@@ -85,6 +85,13 @@ class TestDecompose:
         scale = np.maximum(1.0, np.abs(ledger.R))
         assert np.max(np.abs(R - ledger.R) / scale) <= 1e-8
 
+    def test_replay_equals_online_ledger_exactly(self, bench2x2, bench2x2_params,
+                                                 bench2x2_anchor):
+        theta0, eps = bench2x2_anchor
+        rec, hist, ledger = run_aslo(bench2x2, theta0, eps, T=120,
+                                     params=bench2x2_params, seed=4)
+        assert np.array_equal(decompose(rec, hist, bench2x2_params, bench2x2), ledger.R)
+
     def test_missing_noise_rejected(self, bench2x2, bench2x2_params, bench2x2_anchor):
         theta0, eps = bench2x2_anchor
         rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=30,
