@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .linalg import chol_solve, logdet_pd, sym
+from .linalg import chol_solve, logdet_pd, row_blocks, sym
 
 
 @dataclass
@@ -63,6 +63,31 @@ def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
     state.cross += np.outer(z, x_next)
     state.t += 1
     return state
+
+
+def covariance_blocks(x, u, lambda_t, ingested: bool = False):
+    """Replay the covariances of a recorded trajectory, a block at a time.
+
+    Yields (lo, z, V) per block of steps s = lo..lo+k-1 with z[j] = (x_s, u_s)
+    and V[j] = lambda_s I + S, where S sums z_r z_r' over r < s (r <= s when
+    ``ingested``).  The Gram sums add in step order from zero, carried across
+    blocks, so V[j] has the bits of ``covariance`` at that step of the run.
+    ``lambda_t`` is one value per step or a single value for all of them.
+    """
+    T = u.shape[0]
+    p = x.shape[1] + u.shape[1]
+    lam = np.broadcast_to(np.asarray(lambda_t, dtype=float), (T,))
+    eye = np.eye(p)
+    carry = np.zeros((p, p))
+    for lo, hi in row_blocks(T):
+        z = np.hstack([x[lo:hi], u[lo:hi]])
+        S = z[:, :, None] * z[:, None, :]
+        S[0] += carry
+        np.cumsum(S, axis=0, out=S)
+        before, carry = carry, S[-1]
+        if not ingested:
+            S = np.concatenate([before[None], S[:-1]])
+        yield lo, z, lam[lo:hi, None, None] * eye + S
 
 
 def estimate(state: EstimatorState, lambda_t: float) -> np.ndarray:

@@ -5,6 +5,10 @@ Each runner owns one RNG seeded per trajectory and split into independent
 streams for process noise, control perturbation, and warm-up perturbation,
 so matched seeds share noise realizations across criterion variants.  Step
 arrays are indexed s = 0..T-1 for algorithm times t = s+1 (warm-up: t = s).
+
+A runner's step loop does only what steers the trajectory; the quantities
+that merely measure it (stage costs, warm-up log-dets, q_t, the regret
+ledger, the anynum flags) are computed after the loop from the record.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from .exceptions import (
     ConfigurationError,
     SynthesisError,
 )
-from .linalg import logdet_pd, min_eig, nuclear_norm, spectral_norm, spectral_radius
+from .linalg import (
+    logdet_pd,
+    min_eig,
+    nuclear_norm,
+    quad_rows,
+    row_blocks,
+    spectral_norm,
+    spectral_radius,
+)
 from .lqr import SystemModel, step, stability_certificate
 
 log = logging.getLogger(__name__)
@@ -119,23 +131,28 @@ def replay_states(record: TrajectoryRecord, model: SystemModel) -> np.ndarray:
     return x
 
 
-def _transition(model: SystemModel, est, K, x, u, eta, omega, cost, s: int,
-                runner: str) -> np.ndarray:
+def _transition(model: SystemModel, est, K, x, u, eta, omega, s: int,
+                runner: str) -> None:
     """Close the loop at step s: u = K x + eta, x' = A x + B u + omega.
 
-    Writes u[s], x[s+1] and cost[s], ingests the transition and raises
-    BlowUpError when the state runs away.  Returns the regressor z = (x, u).
+    Writes u[s] and x[s+1], ingests the transition and raises BlowUpError
+    when the state runs away.
     """
     u[s] = K @ x[s] + eta[s]
     x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
-    cost[s] = float(x[s] @ model.Q @ x[s] + u[s] @ model.R @ u[s])
-    z = np.concatenate([x[s], u[s]])
-    estimation.ingest(est, z, x[s + 1])
+    estimation.ingest(est, np.concatenate([x[s], u[s]]), x[s + 1])
     x_norm = float(np.linalg.norm(x[s + 1]))
     if x_norm > BLOWUP_NORM:
         raise BlowUpError(f"{runner} state blow-up",
                           diagnostics={"t": s + 1, "x_norm": x_norm})
-    return z
+
+
+def _stage_costs(model: SystemModel, x, u) -> np.ndarray:
+    """c_s = x_s' Q x_s + u_s' R u_s for every step of a finished run."""
+    cost = np.empty(u.shape[0])
+    for lo, hi in row_blocks(u.shape[0]):
+        cost[lo:hi] = quad_rows(x[lo:hi], model.Q) + quad_rows(u[lo:hi], model.R)
+    return cost
 
 
 def _holds_truth(est, model: SystemModel, params: schedules.ScheduleParams,
@@ -170,18 +187,20 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
     u = np.zeros((T0, m))
     nu = nu_std * nu_rng.standard_normal((T0, m))
     omega = model.sigma_w * omega_rng.standard_normal((T0, n))
-    cost = np.zeros(T0)
-    logdets = np.zeros(T0)
     for s in range(T0):
-        _transition(model, est, K0, x, u, nu, omega, cost, s, "warm-up")
-        logdets[s] = logdet_pd(est.covariance(max(rho, 1e-300)))
+        _transition(model, est, K0, x, u, nu, omega, s, "warm-up")
+    # log det V after each ingest, V = rho I + S
+    logdets = np.empty(T0)
+    for lo, z, V in estimation.covariance_blocks(x, u, max(rho, 1e-300), ingested=True):
+        logdets[lo:lo + len(z)] = logdet_pd(V)
     if rho > 0:
         Theta_0 = estimation.estimate(est, rho)
     else:  # degenerate sigma_w = 0: minimum-norm solution of S Theta = C
         Theta_0, *_ = np.linalg.lstsq(est.gram, est.cross, rcond=None)
     nan = np.full(T0, np.nan)
     record = TrajectoryRecord(
-        mode="warmup", seed=seed, x=x, u=u, eta=nu, omega=omega, cost=cost,
+        mode="warmup", seed=seed, x=x, u=u, eta=nu, omega=omega,
+        cost=_stage_costs(model, x, u),
         policy_id=np.zeros(T0, dtype=int), epoch=np.zeros(T0, dtype=int),
         lambda_t=np.full(T0, rho), r_t=nan.copy(), logdet_V=logdets,
         beta_used=nan.copy(),
@@ -237,7 +256,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     u = np.zeros((T, m))
     eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
     omega = model.sigma_w * omega_rng.standard_normal((T, n))
-    cost = np.zeros(T)
     policy_id = np.zeros(T, dtype=int)
     lam_arr = np.zeros(T)
     r_arr = np.zeros(T)
@@ -251,7 +269,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     containment = []
     failures = 0
     fallbacks = 0
-    anynum_all = []
     current: PolicyEpoch | None = None
     beta_in_force = params.beta
     logdet_tau = -math.inf
@@ -304,12 +321,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     raise
                 logdet_tau = logdetV  # restart the epoch clock on the old policy
         pol = current
-        z = _transition(model, est, pol.K, x, u, eta, omega, cost, s, "ASLO")
-        q_t = float(z @ np.linalg.solve(V, z))
-        ledger.accumulate(
-            x_t=x[s], x_next=x[s + 1], omega=omega[s], eta=eta[s], q_t=q_t,
-            pol=pol, model=model, params=params)
-        anynum_all.append(schedules.anynum_condition(pol.mu, V, params.kappa))
+        _transition(model, est, pol.K, x, u, eta, omega, s, "ASLO")
 
         policy_id[s] = pol.epoch_index
         lam_arr[s] = lam
@@ -321,16 +333,27 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             containment.append((t, _holds_truth(
                 est, model, params, lam, params.radius_variant, anchor_eps)))
 
+    # instrumentation, from the record: q_t = z' V_t^{-1} z, the anynum
+    # flags and the ledger, with V_t replayed a block of steps at a time
+    mu_steps = np.array([p.mu for p in history])[policy_id]
+    q = np.empty(T)
+    anynum = np.empty(T, dtype=bool)
+    for lo, z, V in estimation.covariance_blocks(x, u, lam_arr):
+        hi = lo + len(z)
+        q[lo:hi] = regret.q_values(z, V)
+        anynum[lo:hi] = schedules.anynum_condition(mu_steps[lo:hi], V, params.kappa)
+    ledger.accumulate_trajectory(x, omega, eta, q, policy_id, history, model, params)
     ledger.finalize(epoch_marks=[p.tau for p in history])
     record = TrajectoryRecord(
-        mode="aslo", seed=seed, x=x, u=u, eta=eta, omega=omega, cost=cost,
+        mode="aslo", seed=seed, x=x, u=u, eta=eta, omega=omega,
+        cost=_stage_costs(model, x, u),
         policy_id=policy_id, epoch=policy_id.copy(), lambda_t=lam_arr, r_t=r_arr,
         logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr,
         diagnostics={
             "synthesis_failures": failures,
             "barrier_fallbacks": fallbacks,
             "containment": containment,
-            "anynum_condition": anynum_all,
+            "anynum_condition": anynum.tolist(),
             "anchor_eps": float(anchor_eps),
         },
     )
@@ -361,16 +384,15 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     eta = (sample_perturbation(np.arange(1, T + 1), params, eta_rng)
            if params is not None else np.zeros((T, m)))
     omega = model.sigma_w * omega_rng.standard_normal((T, n))
-    cost = np.zeros(T)
     containment = []
     checkpoints = set(int(c) for c in checkpoints) if params is not None else set()
     for s in range(T):
-        _transition(model, est, K, x, u, eta, omega, cost, s, "fixed-policy")
+        _transition(model, est, K, x, u, eta, omega, s, "fixed-policy")
         t = s + 1
         if t in checkpoints:
             containment.append((t, _holds_truth(
                 est, model, params, schedules.lambda_t(t, params), variant, eps)))
-    return cost, est, containment
+    return _stage_costs(model, x, u), est, containment
 
 
 def _concat_records(parts: list[TrajectoryRecord], seed: int) -> TrajectoryRecord:

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimation import covariance_blocks
 from .exceptions import ConfigurationError, IncompleteTrajectoryError
+from .linalg import matvec_rows, quad_rows, row_blocks
 
 R_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6")
 
@@ -28,24 +30,52 @@ class RegretLedger:
     R: np.ndarray = field(default_factory=lambda: np.zeros(6))
     epoch_marks: list = field(default_factory=list)
 
-    def accumulate(self, x_t, x_next, omega, eta, q_t, pol, model, params):
-        """Add one step's R1..R6 contributions; q_t = z' V_t^{-1} z."""
+    def accumulate(self, x, omega, eta, q, pol, model, params):
+        """Add the R1..R6 contributions of one policy run: k consecutive steps
+        under ``pol`` with states x (k+1, n), the last being the state after
+        the run, noises omega (k, n) and eta (k, m), and q (k,) = z' V_t^{-1} z.
+
+        Each step's contributions have the bits of the per-step formulas and
+        are added to the running sums in step order, a block at a time.
+        """
         P = pol.P_dual
         K = pol.K
         M = model.A + model.B @ K
-        self.R[0] += float(x_t @ P @ x_t - x_next @ P @ x_next)
-        self.R[1] += float(omega @ P @ (M @ x_t))
-        self.R[2] += float(omega @ P @ omega) - model.sigma_w**2 * float(np.trace(P))
         factor = 2.0 * self.nu / self.sigma_w**2 if self.sigma_w > 0 else 0.0
-        if params.criterion == "adaptive_beta":
-            self.R[3] += factor * pol.mu * q_t
-            self.R[3] += factor * pol.beta * pol.r * q_t
-            self.R[3] += 2.0 * factor * params.theta_bound * pol.beta \
-                * math.sqrt(pol.r * pol.normV_tau) * q_t
-        else:
-            self.R[3] += factor * (1.0 + pol.beta) * pol.mu * q_t
-        self.R[4] += 2.0 * float(eta @ model.R @ (K @ x_t))
-        self.R[5] += float(eta @ model.R @ eta)
+        noise_trace = model.sigma_w**2 * float(np.trace(P))
+        for lo, hi in row_blocks(len(q)):
+            xPx = quad_rows(x[lo:hi + 1], P)
+            x_t, w, e, qb = x[lo:hi], omega[lo:hi], eta[lo:hi], q[lo:hi]
+            if params.criterion == "adaptive_beta":
+                # three additions per step, in this order
+                r4 = np.stack([
+                    factor * pol.mu * qb,
+                    factor * pol.beta * pol.r * qb,
+                    2.0 * factor * params.theta_bound * pol.beta
+                    * math.sqrt(pol.r * pol.normV_tau) * qb,
+                ], axis=1)
+            else:
+                r4 = factor * (1.0 + pol.beta) * pol.mu * qb
+            steps = (
+                xPx[:-1] - xPx[1:],
+                quad_rows(w, P, matvec_rows(M, x_t)),
+                quad_rows(w, P) - noise_trace,
+                r4,
+                2.0 * quad_rows(e, model.R, matvec_rows(K, x_t)),
+                quad_rows(e, model.R),
+            )
+            for i, v in enumerate(steps):
+                # cumsum adds one value at a time, as the per-step sums did
+                self.R[i] = np.cumsum(np.concatenate([self.R[i:i + 1], v.ravel()]))[-1]
+
+    def accumulate_trajectory(self, x, omega, eta, q, policy_id, policies,
+                              model, params):
+        """Accumulate a whole trajectory, one policy run at a time."""
+        by_epoch = {p.epoch_index: p for p in policies}
+        starts = np.flatnonzero(np.diff(policy_id, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(q)]):
+            self.accumulate(x[lo:hi + 1], omega[lo:hi], eta[lo:hi], q[lo:hi],
+                            by_epoch[int(policy_id[lo])], model, params)
 
     def finalize(self, epoch_marks):
         self.epoch_marks = list(epoch_marks)
@@ -64,6 +94,12 @@ def realized_regret(traj, J_star: float) -> np.ndarray:
     return np.cumsum(np.asarray(traj.cost, dtype=float) - J_star)
 
 
+def q_values(z, V):
+    """z_s' V_s^{-1} z_s for stacks z (k, p) and V (k, p, p), with the bits of
+    ``z[s] @ np.linalg.solve(V[s], z[s])``."""
+    return (z[:, None, :] @ np.linalg.solve(V, z[:, :, None]))[:, 0, 0]
+
+
 def decompose(traj, policy_history, params, model) -> np.ndarray:
     """Recompute R1..R6 by replaying the stored trajectory through a fresh
     ledger; V_t is rebuilt from the raw regressors, independently of the
@@ -72,18 +108,12 @@ def decompose(traj, policy_history, params, model) -> np.ndarray:
         arr = getattr(traj, name, None)
         if arr is None or np.any(~np.isfinite(arr)):
             raise IncompleteTrajectoryError(f"trajectory is missing {name} records")
-    dim_z = model.n + model.m
-    by_epoch = {p.epoch_index: p for p in policy_history}
+    q = np.empty(traj.T)
+    for lo, z, V in covariance_blocks(traj.x, traj.u, traj.lambda_t):
+        q[lo:lo + len(z)] = q_values(z, V)
     ledger = RegretLedger(nu=params.nu, sigma_w=model.sigma_w)
-    gram = np.zeros((dim_z, dim_z))
-    for s in range(traj.T):
-        z = np.concatenate([traj.x[s], traj.u[s]])
-        V = traj.lambda_t[s] * np.eye(dim_z) + gram
-        ledger.accumulate(
-            x_t=traj.x[s], x_next=traj.x[s + 1], omega=traj.omega[s],
-            eta=traj.eta[s], q_t=float(z @ np.linalg.solve(V, z)),
-            pol=by_epoch[int(traj.policy_id[s])], model=model, params=params)
-        gram += np.outer(z, z)
+    ledger.accumulate_trajectory(traj.x, traj.omega, traj.eta, q, traj.policy_id,
+                                 policy_history, model, params)
     return ledger.R
 
 

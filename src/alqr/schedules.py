@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ConfigurationError, ScheduleError
+from .linalg import sym
 log = logging.getLogger(__name__)
 
 CRITERIA = ("det_double", "fixed_beta", "adaptive_beta", "relaxed_sequential")
@@ -471,17 +472,22 @@ def beta_floor(kappa: float, gamma: float, n: int, m: int) -> float:
     return math.expm1(log_term)
 
 
-def anynum_condition(mu_t: float, V_t, kappa: float) -> bool:
-    """mu_t |V_t^{-1}| <= 1/(16 kappa^10), evaluated in logs to dodge overflow."""
+def anynum_condition(mu_t, V_t, kappa: float):
+    """mu_t |V_t^{-1}| <= 1/(16 kappa^10), evaluated in logs to dodge overflow.
+
+    For one matrix V_t returns a bool; for a stack of them (``mu_t`` a value
+    per matrix or one for all) returns a bool array, one flag per matrix.
+    """
     V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
-    w = np.linalg.eigvalsh(0.5 * (V_t + V_t.T))
-    if w[0] <= 0:
+    w = np.linalg.eigvalsh(sym(V_t))[..., 0]
+    if np.any(w <= 0):
         raise ConfigurationError("V_t must be PD", field="V_t")
-    if mu_t <= 0:
-        return True
-    lhs = math.log(mu_t) - math.log(w[0])
     rhs = -math.log(16.0) - 10.0 * math.log(kappa)
-    return lhs <= rhs
+    # math.log per value: np.log may differ from it in the last bit
+    mus = np.broadcast_to(mu_t, w.shape).ravel().tolist()
+    flags = [mu <= 0 or math.log(mu) - math.log(w_min) <= rhs
+             for mu, w_min in zip(mus, w.ravel().tolist())]
+    return flags[0] if V_t.ndim == 2 else np.array(flags)
 
 
 def constants_report(params: ScheduleParams) -> dict:

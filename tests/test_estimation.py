@@ -9,6 +9,7 @@ from alqr.estimation import (
     ConfidenceEllipsoid,
     EstimatorState,
     confidence_radius,
+    covariance_blocks,
     ellipsoid,
     ellipsoid_contains,
     estimate,
@@ -22,6 +23,30 @@ from alqr.exceptions import ConfigurationError
 
 def fresh(dim_z=2, dim_x=1, anchor=None, eps=None):
     return EstimatorState(dim_z=dim_z, dim_x=dim_x, anchor=anchor, anchor_error=eps)
+
+
+class TestCovarianceBlocks:
+    def test_replays_online_covariances_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        T, n, m = 2100, 2, 1
+        x = rng.standard_normal((T + 1, n)) * rng.exponential(3.0, (T + 1, 1))
+        u = rng.standard_normal((T, m))
+        lam = rng.uniform(1.0, 3.0, T)
+        st_ = fresh(dim_z=n + m, dim_x=n)
+        before, after = [], []
+        for s in range(T):
+            before.append(st_.covariance(lam[s]))
+            ingest(st_, np.concatenate([x[s], u[s]]), x[s + 1])
+            after.append(st_.covariance(lam[s]))
+        for ingested, expect in ((False, before), (True, after)):
+            blocks = list(covariance_blocks(x, u, lam, ingested=ingested))
+            assert len(blocks) > 2
+            assert [lo for lo, _, _ in blocks] == np.cumsum(
+                [0] + [len(z) for _, z, _ in blocks[:-1]]).tolist()
+            assert np.array_equal(np.concatenate([z for _, z, _ in blocks]),
+                                  np.hstack([x[:-1], u]))
+            assert np.array_equal(np.concatenate([V for _, _, V in blocks]),
+                                  np.array(expect))
 
 
 class TestIngest:

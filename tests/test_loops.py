@@ -7,7 +7,10 @@ import pytest
 from alqr import synthesis
 from alqr.benchmarks import bench_2x2
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
+from alqr.estimation import EstimatorState, ingest
+from alqr.linalg import logdet_pd
 from alqr.loops import (
+    _streams,
     perturbation_variance,
     replay_states,
     run_aslo,
@@ -235,6 +238,52 @@ class TestRunFixedPolicy:
                                         params=bench2x2_params)
         assert est.t == 64
         assert cost.shape == (64,)
+
+
+def per_step_costs(model, x, u):
+    return [float(x[s] @ model.Q @ x[s] + u[s] @ model.R @ u[s]) for s in range(len(u))]
+
+
+class TestComputedAfterTheLoop:
+    """Log-dets and stage costs are computed from the record after each
+    runner's loop; they equal the per-step formulas bit for bit."""
+
+    def test_warmup_logdets_equal_per_step_recomputation(self, bench2x2,
+                                                         bench2x2_gain):
+        _, rec = run_warmup(bench2x2, bench2x2_gain, 2500, seed=3)
+        rho = bench2x2.sigma_w**2 / bench2x2.theta_bound**2
+        est = EstimatorState(dim_z=bench2x2.n + bench2x2.m, dim_x=bench2x2.n)
+        expect = []
+        for s in range(rec.T):
+            ingest(est, np.concatenate([rec.x[s], rec.u[s]]), rec.x[s + 1])
+            expect.append(logdet_pd(est.covariance(rho)))
+        assert np.array_equal(rec.logdet_V, expect)
+
+    def test_warmup_and_aslo_costs(self, bench2x2, bench2x2_gain, bench2x2_params,
+                                   bench2x2_anchor):
+        _, wrec = run_warmup(bench2x2, bench2x2_gain, 1500, seed=1)
+        theta0, eps = bench2x2_anchor
+        arec, _, _ = run_aslo(bench2x2, theta0, eps, T=1500,
+                              params=bench2x2_params, seed=1)
+        for rec in (wrec, arec):
+            assert np.array_equal(rec.cost, per_step_costs(bench2x2, rec.x, rec.u))
+
+    def test_fixed_policy_costs(self, bench2x2, bench2x2_gain, bench2x2_params):
+        T, model, K = 1500, bench2x2, bench2x2_gain
+        cost, est, _ = run_fixed_policy(model, K, T, seed=2, params=bench2x2_params)
+        # the same closed loop on the same streams, one step at a time
+        omega_rng, eta_rng, _ = _streams(2)
+        eta = sample_perturbation(np.arange(1, T + 1), bench2x2_params, eta_rng)
+        omega = model.sigma_w * omega_rng.standard_normal((T, model.n))
+        x = np.zeros((T + 1, model.n))
+        u = np.zeros((T, model.m))
+        replay = EstimatorState(dim_z=model.n + model.m, dim_x=model.n)
+        for s in range(T):
+            u[s] = K @ x[s] + eta[s]
+            x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
+            ingest(replay, np.concatenate([x[s], u[s]]), x[s + 1])
+        assert np.array_equal(replay.cross, est.cross)  # the run's trajectory
+        assert np.array_equal(cost, per_step_costs(model, x, u))
 
 
 class TestRunDoubling:

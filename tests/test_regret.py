@@ -101,6 +101,66 @@ class TestDecompose:
             decompose(rec, hist, bench2x2_params, bench2x2)
 
 
+def scalar_instrumentation(rec, hist, params, model):
+    """R1..R6 and the anynum flags from the per-step formulas, written out:
+    V_t rebuilt from the raw regressors, one solve and one eigvalsh a step."""
+    by_epoch = {p.epoch_index: p for p in hist}
+    dim_z = model.n + model.m
+    gram = np.zeros((dim_z, dim_z))
+    R = np.zeros(6)
+    flags = []
+    factor = 2.0 * params.nu / model.sigma_w**2
+    rhs = -math.log(16.0) - 10.0 * math.log(params.kappa)
+    for s in range(rec.T):
+        pol = by_epoch[int(rec.policy_id[s])]
+        P, K = pol.P_dual, pol.K
+        M = model.A + model.B @ K
+        x_t, x_next, w, e = rec.x[s], rec.x[s + 1], rec.omega[s], rec.eta[s]
+        z = np.concatenate([x_t, rec.u[s]])
+        V = rec.lambda_t[s] * np.eye(dim_z) + gram
+        q_t = float(z @ np.linalg.solve(V, z))
+        R[0] += float(x_t @ P @ x_t - x_next @ P @ x_next)
+        R[1] += float(w @ P @ (M @ x_t))
+        R[2] += float(w @ P @ w) - model.sigma_w**2 * float(np.trace(P))
+        if params.criterion == "adaptive_beta":
+            R[3] += factor * pol.mu * q_t
+            R[3] += factor * pol.beta * pol.r * q_t
+            R[3] += 2.0 * factor * params.theta_bound * pol.beta \
+                * math.sqrt(pol.r * pol.normV_tau) * q_t
+        else:
+            R[3] += factor * (1.0 + pol.beta) * pol.mu * q_t
+        R[4] += 2.0 * float(e @ model.R @ (K @ x_t))
+        R[5] += float(e @ model.R @ e)
+        w_min = np.linalg.eigvalsh(0.5 * (V + V.T))[0]
+        flags.append(pol.mu <= 0 or math.log(pol.mu) - math.log(w_min) <= rhs)
+        gram += np.outer(z, z)
+    return R, flags
+
+
+class TestScalarOracle:
+    """The blocked, stacked instrumentation equals the per-step formulas bit
+    for bit over more than two blocks of steps."""
+
+    @pytest.mark.parametrize("criterion, mu_override", [
+        ("det2", None),
+        ("adaptive_beta", None),
+        # a mu small enough that the anynum flag turns on as V_t grows
+        ("det2", 1e-17),
+    ])
+    def test_ledger_decompose_and_flags(self, bench2x2, bench2x2_params,
+                                        bench2x2_anchor, criterion, mu_override):
+        theta0, eps = bench2x2_anchor
+        params = bench2x2_params.with_criterion(criterion)
+        rec, hist, ledger = run_aslo(bench2x2, theta0, eps, T=2500, params=params,
+                                     seed=8, mu_override=mu_override)
+        R, flags = scalar_instrumentation(rec, hist, params, bench2x2)
+        assert np.array_equal(ledger.R, R)
+        assert np.array_equal(decompose(rec, hist, params, bench2x2), R)
+        assert rec.diagnostics["anynum_condition"] == flags
+        if mu_override is not None:
+            assert 0 < sum(flags) < len(flags)
+
+
 class TestTermBounds:
     @staticmethod
     def stats():

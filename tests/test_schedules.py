@@ -248,6 +248,28 @@ class TestAnynumCondition:
     def test_large_kappa_in_logs(self):
         assert not anynum_condition(1e-12, np.eye(2), 50.0)
 
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((400, 3, 3))
+        V = A @ A.swapaxes(-1, -2) + 1e-3 * np.eye(3)
+        mu = np.exp(rng.uniform(-12.0, 0.0, 400))
+        mu[::50] = 0.0
+        flags = anynum_condition(mu, V, 2.0)
+        expect = [anynum_condition(float(m), v, 2.0) for m, v in zip(mu, V)]
+        assert flags.dtype == bool
+        assert flags.tolist() == expect
+        assert 0 < sum(expect) < len(expect)
+        one_mu = [anynum_condition(1e-6, v, 2.0) for v in V]
+        assert anynum_condition(1e-6, V, 2.0).tolist() == one_mu
+
+    def test_non_pd_anywhere_in_stack_raises(self):
+        V = np.stack([np.eye(2)] * 5)
+        V[3] = -np.eye(2)
+        with pytest.raises(ConfigurationError):
+            anynum_condition(1.0, V[3], 2.0)
+        with pytest.raises(ConfigurationError):
+            anynum_condition(1.0, V, 2.0)
+
 
 class TestBuildSchedule:
     def test_criterion_validation(self, bench2x2):

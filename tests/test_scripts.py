@@ -1,0 +1,26 @@
+"""Smoke runs of the command-line scripts with tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("compare_criteria.py", ["--T", "60", "--seeds", "1"]),
+    ("run_benchmark.py", ["--T", "200", "--seeds", "2", "--out", "{out}"]),
+    ("constants_report.py", []),
+])
+def test_script_exits_cleanly(tmp_path, script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, str(ROOT / "scripts" / script)]
+    cmd += [a.format(out=tmp_path / "out") for a in args]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
