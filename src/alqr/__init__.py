@@ -15,7 +15,6 @@ from .lqr import (
     OptimalSolution,
     StabilityCert,
     SystemModel,
-    exact_sdp,
     kappa_gamma,
     nu_bound,
     solve_dare,
@@ -36,16 +35,18 @@ from .schedules import (
     should_update,
     warmup_duration,
 )
-from .synthesis import (
-    ControlPolicy,
+from .sdp import (
     RelaxedPrimalProblem,
     build_relaxed_primal,
+    exact_sdp,
     extract_policy,
+    solve_relaxed_dual,
+    solve_relaxed_primal,
+)
+from .synthesis import (
     mu,
     perturbation_check,
     sequential_gap,
-    solve_relaxed_dual,
-    solve_relaxed_primal,
 )
 
 __version__ = "0.1.0"

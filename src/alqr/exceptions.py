@@ -37,8 +37,8 @@ class SynthesisError(AlqrError):
 
 
 class DegenerateSolutionError(SynthesisError):
-    """Policy extraction hit a numerically singular state block; a synthesis
-    failure, so the runners fall back on it like any other."""
+    """The barrier oracle's policy extraction (``sdp.extract_policy``) hit a
+    numerically singular state block."""
 
 
 class CertificateError(AlqrError):

@@ -78,7 +78,6 @@ class ExperimentConfig:
     anchor_seed: int = 3
     k0_rel_error: float = 0.2
     k0_seed: int = 0
-    solver_tol: float = 1e-9
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -344,8 +343,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     if config.mode in ("aslo", "full"):
         rec, history, ledger = loops.run_aslo(
             model, Theta_0, anchor_eps, config.T, params, seed=seed,
-            x0=x_start, checkpoints=config.checkpoints,
-            solver_tol=config.solver_tol)
+            x0=x_start, checkpoints=config.checkpoints)
         records.append(rec)
         rr = regret.realized_regret(rec, J_star)
         stats = {
@@ -366,7 +364,6 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
             "epochs": len(history),
             "n_updates": ledger.n_updates(),
             "synthesis_failures": rec.diagnostics["synthesis_failures"],
-            "barrier_fallbacks": rec.diagnostics["barrier_fallbacks"],
             "containment": [[int(t), bool(ok)]
                             for t, ok in rec.diagnostics["containment"]],
             "epoch_starts": [[int(p.tau), float(p.est_error)] for p in history],
@@ -387,8 +384,6 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
             "final_cum_regret": float(rr[-1]),
             "max_x_norm": rec.max_state_norm(),
             "segment_bounds": rec.diagnostics["segment_bounds"],
-            "barrier_fallbacks": sum(d.get("barrier_fallbacks", 0)
-                                     for d in rec.diagnostics["segments"]),
         })
 
     rows = []
@@ -459,7 +454,7 @@ def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
             series.append(cum)
         mean_curve = np.mean(series, axis=0)
         lo = max(10, T // 10)
-        if np.all(mean_curve[lo - 1: T] > 0):
+        if lo < T and np.all(mean_curve[lo - 1: T] > 0):
             agg["regret_slope"] = regret.slope(mean_curve, (lo, T))
         pts = [(tau, err) for s in summaries
                for tau, err in s.get("epoch_starts", [])

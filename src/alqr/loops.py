@@ -32,7 +32,6 @@ from .linalg import (
     quad_rows,
     row_blocks,
     spectral_norm,
-    spectral_radius,
 )
 from .lqr import SystemModel, step, stability_certificate
 
@@ -221,12 +220,13 @@ def _mu_cap(params: schedules.ScheduleParams, V) -> float:
 def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
              params: schedules.ScheduleParams, seed, x0=None,
              checkpoints=(), mu_override: float | None = None,
-             lambda_override: float | None = None, solver_tol: float = 1e-9):
+             lambda_override: float | None = None):
     """Adaptive SDP-based control for T steps from an anchored estimate.
 
-    Policy updates fire on the determinant criterion in force; synthesis
-    failures fall back to the previous policy and are counted, as are the
-    policies the barrier solves produced because the Riccati path declined.
+    Policy updates fire on the determinant criterion in force.  When the
+    Riccati synthesis declines (a SynthesisError) the previous policy stays
+    in force, the failure is logged with its reason and counted, and the
+    epoch clock restarts; a decline at the first firing aborts the run.
     ``seed`` is an int or a SeedSequence.  Returns (record, policy_history,
     ledger).
     """
@@ -241,12 +241,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     omega_rng, eta_rng, _ = _streams(seed)
     est = estimation.EstimatorState(dim_z=n + m, dim_x=n, anchor=Theta_0,
                                     anchor_error=anchor_eps)
-    synth_model = model
-    if model.sigma_w == 0:
-        # K is invariant to rescaling W; keep the SDP well posed
-        import dataclasses
-        synth_model = dataclasses.replace(model, sigma_w=1.0, name=model.name)
-
     x = np.zeros((T + 1, n))
     if x0 is not None:
         x[0] = np.asarray(x0, dtype=float)
@@ -268,7 +262,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     checkpoints = set(int(c) for c in checkpoints)
     containment = []
     failures = 0
-    fallbacks = 0
     current: PolicyEpoch | None = None
     beta_in_force = params.beta
     logdet_tau = -math.inf
@@ -294,20 +287,12 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             elif params.mu_clamp and params.constants_mode == "practical":
                 mu_t = min(mu_t, _mu_cap(params, V))
             try:
-                policy = synthesis.synthesize_policy(
-                    theta_hat, synth_model, mu_t, V, tol=solver_tol,
-                    epoch_index=(0 if current is None else current.epoch_index + 1),
-                    tau=t)
-                fallbacks += policy.path == "barrier"
-                A_hat = theta_hat[:n, :].T
-                B_hat = theta_hat[n:, :].T
-                if spectral_radius(A_hat + B_hat @ policy.K) >= 1.0:
-                    raise SynthesisError("extracted gain does not stabilize its own model")
+                K, P = synthesis.synthesize_policy(theta_hat, model, mu_t, V)
                 if params.criterion == "adaptive_beta":
                     beta_in_force = schedules.adaptive_beta(t, r, params)
                 current = PolicyEpoch(
-                    epoch_index=policy.epoch_index, tau=t, K=policy.K,
-                    P_dual=policy.P_dual,
+                    epoch_index=0 if current is None else current.epoch_index + 1,
+                    tau=t, K=K, P_dual=P,
                     mu=mu_t, r=r, beta=beta_in_force, lambda_tau=lam,
                     logdet_V_tau=logdetV, normV_tau=spectral_norm(V),
                     est_error=nuclear_norm(theta_hat - model.theta_star),
@@ -351,7 +336,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr,
         diagnostics={
             "synthesis_failures": failures,
-            "barrier_fallbacks": fallbacks,
             "containment": containment,
             "anynum_condition": anynum.tolist(),
             "anchor_eps": float(anchor_eps),

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp
 from .exceptions import (
     ConfigurationError,
-    ModelInvariantError,
     NotStabilizableError,
     NotStabilizingError,
 )
@@ -137,6 +135,13 @@ def step(model: SystemModel, x, u, w):
     return model.A @ x + model.B @ u + w
 
 
+def _split_theta(theta, n):
+    """(A, B) from Theta = [A'; B'], whose first n rows hold A'."""
+    A = theta[:n, :].T
+    B = theta[n:, :].T
+    return A, B
+
+
 def _riccati_residual(A, B, Q, R, P, S=None):
     """DARE residual norm; S is the cross weight of a cost x'Qx + 2x'Su + u'Ru."""
     G = B.T @ P @ A
@@ -235,30 +240,6 @@ def solve_dare(model: SystemModel) -> OptimalSolution:
         raise NotStabilizableError("DARE gain failed to stabilize the closed loop")
     J = float(np.trace(P)) * model.sigma_w**2
     return OptimalSolution(P_star=sym(P), K_star=K, J_star=J, residual=res)
-
-
-def exact_sdp(model: SystemModel, tol=1e-9):
-    """Steady-state covariance SDP for the true plant.
-
-    min <diag(Q,R), Sigma>  s.t.  Sigma_xx >= Theta' Sigma Theta + W,
-    Sigma >= 0.  At the optimum the constraint is tight and the objective
-    equals J* = tr(P) sigma_w^2; the gain is recovered from the covariance
-    blocks.  Solved in inequality form (the equality-form feasible set has
-    empty interior, while the two share optimum and optimizer).
-    """
-    if model.sigma_w <= 0:
-        raise ConfigurationError("exact_sdp requires W > 0", field="sigma_w")
-    from .synthesis import build_relaxed_primal, extract_policy, solve_relaxed_primal
-
-    n, m = model.n, model.m
-    V = np.eye(n + m)
-    problem = build_relaxed_primal(model.theta_star, model, mu=0.0, V_t=V)
-    try:
-        Sigma = solve_relaxed_primal(problem, tol=tol)
-    except Exception as exc:  # solver-level failure => model invariant broken
-        raise ModelInvariantError(f"exact SDP failed: {exc}") from exc
-    K = extract_policy(Sigma, n)
-    return Sigma, K
 
 
 def stability_certificate(model: SystemModel, K) -> StabilityCert:

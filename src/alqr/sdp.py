@@ -7,17 +7,38 @@ Problems are posed in LMI (inequality) form over x in R^d:
 
 and solved by a log-det barrier path-following method with damped Newton
 steps.  Sizes here are tiny (blocks <= ~10), so everything is dense and a
-long central path to duality gap ~1e-9 is cheap.  An external conic solver
-can be swapped in by replacing :func:`solve_sdp` behind the same dataclasses.
+long central path to duality gap ~1e-9 is cheap.
+
+The module also formulates the programs the tests solve with it as oracles:
+the confidence-ellipsoid-relaxed primal and dual SDPs, whose exact solution
+the runtime computes by Riccati equations in ``synthesis``, and the exact
+steady-state covariance SDP of a known plant.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sym
+from .exceptions import (
+    ConfigurationError,
+    DegenerateSolutionError,
+    ModelInvariantError,
+    SynthesisError,
+)
+from .linalg import (
+    chol_solve,
+    min_eig,
+    solve_discrete_lyapunov,
+    spectral_norm,
+    spectral_radius,
+    sym,
+)
+from .lqr import SystemModel, _split_theta, solve_dare
+
+log = logging.getLogger(__name__)
 
 _PHASE1_BALL = 1e8
 
@@ -267,3 +288,181 @@ def solve_sdp(problem: SDProblem, x0=None, tol=1e-9, max_outer=80) -> SDPSolutio
         duals=Z,
         newton_steps=total_steps,
     )
+
+
+@dataclass
+class RelaxedPrimalProblem:
+    """Data of the relaxed primal SDP; ``compile`` lowers it to an LMI program.
+
+    The decision variable is the joint steady-state second moment Sigma,
+    partitioned as [[Sigma_xx, Sigma_xu], [Sigma_ux, Sigma_uu]]; the
+    relaxation inflates the covariance constraint by mu (Sigma . V^{-1}) I to
+    absorb parameter uncertainty.
+    """
+
+    theta_hat: np.ndarray
+    W: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    mu: float
+    V_inv: np.ndarray
+
+    @property
+    def n(self):
+        return self.Q.shape[0]
+
+    @property
+    def m(self):
+        return self.R.shape[0]
+
+    def compile(self) -> SDProblem:
+        n, m = self.n, self.m
+        p = n + m
+        E = sym_basis(p)
+        d = E.shape[0]
+        cov_coeffs = np.zeros((d, n, n))
+        for i in range(d):
+            Ei = E[i]
+            cov_coeffs[i] = (
+                Ei[:n, :n]
+                - self.theta_hat.T @ Ei @ self.theta_hat
+                + self.mu * float(np.sum(Ei * self.V_inv)) * np.eye(n)
+            )
+        blocks = [
+            PSDBlock(const=-self.W, coeffs=cov_coeffs),
+            PSDBlock(const=np.zeros((p, p)), coeffs=E),
+        ]
+        C = np.zeros((p, p))
+        C[:n, :n] = self.Q
+        C[n:, n:] = self.R
+        return SDProblem(c=objective_from_matrix(C), blocks=blocks)
+
+
+def build_relaxed_primal(theta_hat, model, mu, V_t) -> RelaxedPrimalProblem:
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    V_inv = chol_solve(V_t, np.eye(V_t.shape[0]))
+    return RelaxedPrimalProblem(
+        theta_hat=theta_hat,
+        W=model.W,
+        Q=sym(model.Q),
+        R=sym(model.R),
+        mu=float(mu),
+        V_inv=sym(V_inv),
+    )
+
+
+def _primal_warm_start(problem: RelaxedPrimalProblem):
+    """Strictly feasible Sigma from the nominal closed loop, if one exists."""
+    n, m = problem.n, problem.m
+    A, B = _split_theta(problem.theta_hat, n)
+    try:
+        nominal = SystemModel(A=A, B=B, Q=problem.Q, R=problem.R, sigma_w=1.0,
+                              theta_bound=spectral_norm(problem.theta_hat) + 1.0)
+        K = solve_dare(nominal).K_star
+    except Exception:
+        return None
+    M = A + B @ K
+    if spectral_radius(M) >= 1.0 - 1e-9:
+        return None
+    c0 = max(1e-3, 0.05 * min_eig(problem.W))
+    try:
+        X = solve_discrete_lyapunov(M, problem.W + c0 * np.eye(n))
+    except Exception:
+        return None
+    IK = np.vstack([np.eye(n), K])
+    c2 = c0 / (2.0 * spectral_norm(B) ** 2 + 1.0)
+    Sigma0 = IK @ X @ IK.T
+    Sigma0[n:, n:] += c2 * np.eye(m)
+    return sym_to_vec(sym(Sigma0))
+
+
+def solve_relaxed_primal(problem: RelaxedPrimalProblem, tol: float = 1e-9):
+    """Solve the compiled relaxed primal; returns the optimal Sigma."""
+    compiled = problem.compile()
+    sol = solve_sdp(compiled, x0=_primal_warm_start(problem), tol=tol)
+    if not sol.ok:
+        raise SynthesisError(f"relaxed primal solve failed: status={sol.status}")
+    Sigma = vec_to_sym(sol.x, problem.n + problem.m)
+    log.debug(
+        "relaxed primal: value=%.9g gap=%.3g stationarity=%.3g min_eig=%s",
+        sol.value, sol.gap, sol.stationarity, sol.min_eig_blocks,
+    )
+    return sym(Sigma)
+
+
+def extract_policy(Sigma_star, n: int):
+    """K = Sigma_ux Sigma_xx^{-1}, splitting Sigma after the first n rows."""
+    Sigma_star = np.atleast_2d(np.asarray(Sigma_star, dtype=float))
+    Sxx = Sigma_star[:n, :n]
+    Sux = Sigma_star[n:, :n]
+    if min_eig(Sxx) < 1e-10:
+        raise DegenerateSolutionError(
+            f"Sigma_xx is numerically singular (min eig {min_eig(Sxx):.3g})"
+        )
+    return np.linalg.solve(Sxx, Sux.T).T
+
+
+def solve_relaxed_dual(theta_hat, model, mu, V_t, tol: float = 1e-9):
+    """Relaxed dual: max P.W  s.t. diag(Q-P, R) + Theta P Theta' >= mu tr(P) V^{-1}."""
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
+    n, m = model.n, model.m
+    p = n + m
+    V_inv = sym(chol_solve(V_t, np.eye(p)))
+    E = sym_basis(n)
+    d = E.shape[0]
+    coeffs = np.zeros((d, p, p))
+    for i in range(d):
+        Ei = E[i]
+        block = theta_hat @ Ei @ theta_hat.T - mu * float(np.trace(Ei)) * V_inv
+        block[:n, :n] -= Ei
+        coeffs[i] = sym(block)
+    const = np.zeros((p, p))
+    const[:n, :n] = sym(model.Q)
+    const[n:, n:] = sym(model.R)
+    blocks = [
+        PSDBlock(const=const, coeffs=coeffs),
+        PSDBlock(const=np.zeros((n, n)), coeffs=E),
+    ]
+    c = objective_from_matrix(-model.W)
+    problem = SDProblem(c=c, blocks=blocks)
+    # P = rho0 I is strictly feasible for small rho0 because diag(Q, R) > 0
+    rho0 = 0.5 * model.alpha0
+    x0 = None
+    for _ in range(40):
+        cand = sym_to_vec(rho0 * np.eye(n))
+        if all(min_eig(b.evaluate(cand)) > 1e-12 for b in blocks):
+            x0 = cand
+            break
+        rho0 *= 0.1
+    sol = solve_sdp(problem, x0=x0, tol=tol)
+    if not sol.ok:
+        raise SynthesisError(f"relaxed dual solve failed: status={sol.status}")
+    P = vec_to_sym(sol.x, n)
+    log.debug("relaxed dual: value=%.9g gap=%.3g", -sol.value, sol.gap)
+    return sym(P)
+
+
+def exact_sdp(model: SystemModel, tol=1e-9):
+    """Steady-state covariance SDP for the true plant.
+
+    min <diag(Q,R), Sigma>  s.t.  Sigma_xx >= Theta' Sigma Theta + W,
+    Sigma >= 0.  At the optimum the constraint is tight and the objective
+    equals J* = tr(P) sigma_w^2; the gain is recovered from the covariance
+    blocks.  Solved in inequality form (the equality-form feasible set has
+    empty interior, while the two share optimum and optimizer).
+    """
+    if model.sigma_w <= 0:
+        raise ConfigurationError("exact_sdp requires W > 0", field="sigma_w")
+    n, m = model.n, model.m
+    V = np.eye(n + m)
+    problem = build_relaxed_primal(model.theta_star, model, mu=0.0, V_t=V)
+    try:
+        Sigma = solve_relaxed_primal(problem, tol=tol)
+    except Exception as exc:  # solver-level failure => model invariant broken
+        raise ModelInvariantError(f"exact SDP failed: {exc}") from exc
+    K = extract_policy(Sigma, n)
+    return Sigma, K

@@ -1,28 +1,22 @@
-"""Confidence-ellipsoid-relaxed primal/dual SDPs and policy extraction.
+"""Per-epoch policy synthesis from the confidence-ellipsoid-relaxed SDP.
 
-The primal decision variable is the joint steady-state second moment
-Sigma, partitioned as [[Sigma_xx, Sigma_xu], [Sigma_ux, Sigma_uu]]; the
-relaxation inflates the covariance constraint by mu (Sigma . V^{-1}) I to
-absorb parameter uncertainty, and the linear policy is read off as
-K = Sigma_ux Sigma_xx^{-1}.
-
-With W = sigma^2 I the relaxed problem has an exact Riccati solution (see
-``solve_relaxed_riccati``), which ``synthesize_policy`` uses; the barrier
-primal and dual solves remain as its certified fallback and as test oracle.
+With W = sigma^2 I the relaxed primal/dual pair has an exact Riccati
+solution: ``solve_relaxed_riccati`` finds it as a cross-term DARE at the
+fixed point tr P = s, and ``synthesize_policy`` turns a decline of that path
+into a SynthesisError, on which the runners keep the previous policy.  The
+barrier-SDP formulations of the same pair live in ``sdp`` as test oracles.
+Also here: the relaxation magnitude mu, the sequential-stability gap and
+the perturbation-lemma check.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp
 from .exceptions import (
     CertificateError,
-    DegenerateSolutionError,
     InvalidSampleError,
     NotStabilizableError,
     SynthesisError,
@@ -37,71 +31,11 @@ from .linalg import (
     spectral_radius,
     sym,
 )
-from .lqr import SystemModel, _dare_cross, _riccati_residual, solve_dare
-
-log = logging.getLogger(__name__)
+from .lqr import _dare_cross, _riccati_residual, _split_theta
 
 # Relative accuracy the Riccati path must certify, and its Newton budget.
 RICCATI_TOL = 1e-8
 RICCATI_MAX_ITER = 30
-
-
-@dataclass
-class RelaxedPrimalProblem:
-    """Data of the relaxed primal SDP; ``compile`` lowers it to an LMI program."""
-
-    theta_hat: np.ndarray
-    W: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    mu: float
-    V_inv: np.ndarray
-
-    @property
-    def n(self):
-        return self.Q.shape[0]
-
-    @property
-    def m(self):
-        return self.R.shape[0]
-
-    def compile(self) -> sdp.SDProblem:
-        n, m = self.n, self.m
-        p = n + m
-        E = sdp.sym_basis(p)
-        d = E.shape[0]
-        cov_coeffs = np.zeros((d, n, n))
-        for i in range(d):
-            Ei = E[i]
-            cov_coeffs[i] = (
-                Ei[:n, :n]
-                - self.theta_hat.T @ Ei @ self.theta_hat
-                + self.mu * float(np.sum(Ei * self.V_inv)) * np.eye(n)
-            )
-        blocks = [
-            sdp.PSDBlock(const=-self.W, coeffs=cov_coeffs),
-            sdp.PSDBlock(const=np.zeros((p, p)), coeffs=E),
-        ]
-        C = np.zeros((p, p))
-        C[:n, :n] = self.Q
-        C[n:, n:] = self.R
-        return sdp.SDProblem(c=sdp.objective_from_matrix(C), blocks=blocks)
-
-
-@dataclass
-class ControlPolicy:
-    """Gain and dual value matrix for one epoch's policy.
-
-    ``path`` names the solver that produced them: "riccati" or, when the
-    Riccati path could not certify its result, "barrier".
-    """
-
-    K: np.ndarray
-    P_dual: np.ndarray
-    mu_used: float
-    epoch_index: int = 0
-    tau: int = 0
-    path: str = "riccati"
 
 
 def mu(r_t: float, theta_bound: float, V_t, mode: str = "lemma") -> float:
@@ -120,120 +54,6 @@ def mu(r_t: float, theta_bound: float, V_t, mode: str = "lemma") -> float:
     raise ValueError(f"unknown mu mode {mode!r}")
 
 
-def build_relaxed_primal(theta_hat, model, mu, V_t) -> RelaxedPrimalProblem:
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    V_inv = chol_solve(V_t, np.eye(V_t.shape[0]))
-    return RelaxedPrimalProblem(
-        theta_hat=theta_hat,
-        W=model.W,
-        Q=sym(model.Q),
-        R=sym(model.R),
-        mu=float(mu),
-        V_inv=sym(V_inv),
-    )
-
-
-def _split_theta(theta_hat, n):
-    A = theta_hat[:n, :].T
-    B = theta_hat[n:, :].T
-    return A, B
-
-
-def _primal_warm_start(problem: RelaxedPrimalProblem):
-    """Strictly feasible Sigma from the nominal closed loop, if one exists."""
-    n, m = problem.n, problem.m
-    A, B = _split_theta(problem.theta_hat, n)
-    try:
-        nominal = SystemModel(A=A, B=B, Q=problem.Q, R=problem.R, sigma_w=1.0,
-                              theta_bound=spectral_norm(problem.theta_hat) + 1.0)
-        K = solve_dare(nominal).K_star
-    except Exception:
-        return None
-    M = A + B @ K
-    if spectral_radius(M) >= 1.0 - 1e-9:
-        return None
-    c0 = max(1e-3, 0.05 * min_eig(problem.W))
-    try:
-        X = solve_discrete_lyapunov(M, problem.W + c0 * np.eye(n))
-    except Exception:
-        return None
-    IK = np.vstack([np.eye(n), K])
-    c2 = c0 / (2.0 * spectral_norm(B) ** 2 + 1.0)
-    Sigma0 = IK @ X @ IK.T
-    Sigma0[n:, n:] += c2 * np.eye(m)
-    return sdp.sym_to_vec(sym(Sigma0))
-
-
-def solve_relaxed_primal(problem: RelaxedPrimalProblem, tol: float = 1e-9):
-    """Solve the compiled relaxed primal; returns the optimal Sigma."""
-    compiled = problem.compile()
-    sol = sdp.solve_sdp(compiled, x0=_primal_warm_start(problem), tol=tol)
-    if not sol.ok:
-        raise SynthesisError(f"relaxed primal solve failed: status={sol.status}")
-    Sigma = sdp.vec_to_sym(sol.x, problem.n + problem.m)
-    log.debug(
-        "relaxed primal: value=%.9g gap=%.3g stationarity=%.3g min_eig=%s",
-        sol.value, sol.gap, sol.stationarity, sol.min_eig_blocks,
-    )
-    return sym(Sigma)
-
-
-def extract_policy(Sigma_star, n: int):
-    """K = Sigma_ux Sigma_xx^{-1}, splitting Sigma after the first n rows."""
-    Sigma_star = np.atleast_2d(np.asarray(Sigma_star, dtype=float))
-    Sxx = Sigma_star[:n, :n]
-    Sux = Sigma_star[n:, :n]
-    if min_eig(Sxx) < 1e-10:
-        raise DegenerateSolutionError(
-            f"Sigma_xx is numerically singular (min eig {min_eig(Sxx):.3g})"
-        )
-    return np.linalg.solve(Sxx, Sux.T).T
-
-
-def solve_relaxed_dual(theta_hat, model, mu, V_t, tol: float = 1e-9):
-    """Relaxed dual: max P.W  s.t. diag(Q-P, R) + Theta P Theta' >= mu tr(P) V^{-1}."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
-    n, m = model.n, model.m
-    p = n + m
-    V_inv = sym(chol_solve(V_t, np.eye(p)))
-    E = sdp.sym_basis(n)
-    d = E.shape[0]
-    coeffs = np.zeros((d, p, p))
-    for i in range(d):
-        Ei = E[i]
-        block = theta_hat @ Ei @ theta_hat.T - mu * float(np.trace(Ei)) * V_inv
-        block[:n, :n] -= Ei
-        coeffs[i] = sym(block)
-    const = np.zeros((p, p))
-    const[:n, :n] = sym(model.Q)
-    const[n:, n:] = sym(model.R)
-    blocks = [
-        sdp.PSDBlock(const=const, coeffs=coeffs),
-        sdp.PSDBlock(const=np.zeros((n, n)), coeffs=E),
-    ]
-    c = sdp.objective_from_matrix(-model.W)
-    problem = sdp.SDProblem(c=c, blocks=blocks)
-    # P = rho0 I is strictly feasible for small rho0 because diag(Q, R) > 0
-    rho0 = 0.5 * model.alpha0
-    x0 = None
-    for _ in range(40):
-        cand = sdp.sym_to_vec(rho0 * np.eye(n))
-        if all(min_eig(b.evaluate(cand)) > 1e-12 for b in blocks):
-            x0 = cand
-            break
-        rho0 *= 0.1
-    sol = sdp.solve_sdp(problem, x0=x0, tol=tol)
-    if not sol.ok:
-        raise SynthesisError(f"relaxed dual solve failed: status={sol.status}")
-    P = sdp.vec_to_sym(sol.x, n)
-    log.debug("relaxed dual: value=%.9g gap=%.3g", -sol.value, sol.gap)
-    return sym(P)
-
-
 def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     """Relaxed optimum from cross-term DAREs; returns the certified (K, P).
 
@@ -243,7 +63,10 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     s, so the optimum is the fixed point tr P*(s) = s, reached by Newton
     steps (d tr P*/ds = -mu tr X with X = M'XM + [I; K]' V^{-1} [I; K],
     M = A + BK) kept inside the bracket [s with tr P* > s, s with tr P* <= s].
-    The gain is the same solve's K = -(R~ + B'PB)^{-1}(B'PA + S').
+    The bracket starts at [0, s_max): R~(s) = R - mu s (V^{-1})_uu is PD
+    exactly for s < s_max = 1/(mu lambda_max(L^{-1} (V^{-1})_uu L^{-T})),
+    R = L L', so a step past s_max bisects instead.  The gain is the same
+    solve's K = -(R~ + B'PB)^{-1}(B'PA + S').
 
     Raises CertificateError when a check of the result fails and
     NotStabilizableError when the doubling iteration does.
@@ -263,7 +86,12 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
             raise CertificateError(f"R~(s) is not PD at s = {s:.6g}")
         return (C, *_dare_cross(A, B, C))
 
-    s, lo, hi = 0.0, 0.0, math.inf
+    s_max = math.inf
+    if mu > 0:
+        L = np.linalg.cholesky(C0[n:, n:])
+        LiV = np.linalg.solve(L, V_inv[n:, n:])
+        s_max = 1.0 / (mu * spectral_norm(np.linalg.solve(L, LiV.T)))
+    s, lo, hi = 0.0, 0.0, s_max
     C, P, K = solve_at(s)
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
         tr = float(np.trace(P))
@@ -301,21 +129,17 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     return K, sym(P)
 
 
-def synthesize_policy(theta_hat, model, mu_t, V_t, tol=1e-9,
-                      epoch_index=0, tau=0) -> ControlPolicy:
-    """One epoch's gain and dual P, from the Riccati path when it certifies
-    its result and from the barrier primal + dual solves otherwise."""
+def synthesize_policy(theta_hat, model, mu_t, V_t):
+    """One epoch's gain K and dual P from ``solve_relaxed_riccati``; K is
+    certified to stabilise the estimate.
+
+    Raises SynthesisError naming the reason when the Riccati path declines.
+    """
     try:
-        K, P = solve_relaxed_riccati(theta_hat, model, mu_t, V_t)
-        path = "riccati"
+        return solve_relaxed_riccati(theta_hat, model, mu_t, V_t)
     except (CertificateError, NotStabilizableError, np.linalg.LinAlgError) as exc:
-        log.info("Riccati path declined at tau=%d (%s); using barrier solves", tau, exc)
-        problem = build_relaxed_primal(theta_hat, model, mu_t, V_t)
-        K = extract_policy(solve_relaxed_primal(problem, tol=tol), model.n)
-        P = solve_relaxed_dual(theta_hat, model, mu_t, V_t, tol=tol)
-        path = "barrier"
-    return ControlPolicy(K=K, P_dual=P, mu_used=float(mu_t),
-                         epoch_index=epoch_index, tau=tau, path=path)
+        raise SynthesisError(
+            f"Riccati path declined: {type(exc).__name__}: {exc}") from exc
 
 
 def sequential_gap(P_prev, P_next) -> float:

@@ -14,13 +14,8 @@ from alqr.loops import run_fixed_policy
 from alqr.lqr import SystemModel, solve_dare, stability_certificate
 from alqr.regret import decompose, realized_regret, slope
 from alqr.schedules import adaptive_beta, p_bar
-from alqr.synthesis import (
-    build_relaxed_primal,
-    extract_policy,
-    perturbation_check,
-    sequential_gap,
-    solve_relaxed_primal,
-)
+from alqr.sdp import build_relaxed_primal, extract_policy, solve_relaxed_primal
+from alqr.synthesis import perturbation_check, sequential_gap
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 

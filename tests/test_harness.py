@@ -176,8 +176,9 @@ class TestRunExperiment:
         assert all("BlowUp" in e["error"] for e in report.errors)
 
     def test_degenerate_barrier_solution_keeps_previous_policy(self):
-        # unclamped mu sends the Riccati path to the barrier solves, whose
-        # extracted Sigma_xx can be singular; the run keeps its old policy
+        # unclamped mu makes the Riccati path decline at some firings (its
+        # certificate fails or the doubling iteration does not converge);
+        # each decline is a synthesis failure and the run keeps its old policy
         cfg = ExperimentConfig(benchmark="bench-2x2", mu_clamp=False, T=30,
                                seeds=[0, 1])
         report = run_experiment(cfg)
@@ -205,8 +206,17 @@ class TestRunExperiment:
         with caplog.at_level(logging.WARNING):
             report = run_experiment(ExperimentConfig())
         assert [r.getMessage() for r in caplog.records] == []
-        assert report.per_seed[0]["barrier_fallbacks"] == 0
+        assert report.per_seed[0]["synthesis_failures"] == 0
         assert report.constants["phi"] == report.constants["phi_bar"]
+
+    def test_horizon_below_slope_window_omits_regret_slope(self, tmp_path):
+        # the slope window starts at t = 10; T = 5 leaves it empty
+        cfg = smoke_config(tmp_path, benchmark="bench-2x2", T=5, seeds=[0, 1])
+        report = run_experiment(cfg)
+        assert not report.errors
+        assert "regret_slope" not in report.aggregate
+        with open(tmp_path / "out" / "aggregate.json") as fh:
+            assert "regret_slope" not in json.load(fh)["aggregate"]
 
     def test_doubling_mode_smoke(self, tmp_path):
         cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",

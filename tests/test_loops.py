@@ -1,10 +1,11 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from alqr import synthesis
+from alqr import schedules, synthesis
 from alqr.benchmarks import bench_2x2
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
 from alqr.estimation import EstimatorState, ingest
@@ -174,15 +175,21 @@ class TestRunAslo:
                                                      bench2x2_anchor, monkeypatch):
         theta0, eps = bench2x2_anchor
         real = synthesis.synthesize_policy
-        calls = []
+        real_lambda = schedules.lambda_t
+        steps, calls = [], []
+
+        def lambda_t(t, params):
+            steps.append(t)  # run_aslo evaluates lambda_t once per step
+            return real_lambda(t, params)
 
         def fail_once(*args, **kwargs):
             # the first firing from t = 50 on fails; early epochs fire every step
-            calls.append(kwargs["tau"])
-            if kwargs["tau"] >= 50 and sum(c >= 50 for c in calls) == 1:
+            calls.append(steps[-1])
+            if steps[-1] >= 50 and sum(c >= 50 for c in calls) == 1:
                 raise SynthesisError("injected failure")
             return real(*args, **kwargs)
 
+        monkeypatch.setattr(schedules, "lambda_t", lambda_t)
         monkeypatch.setattr(synthesis, "synthesize_policy", fail_once)
         rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=400,
                                 params=bench2x2_params, seed=3)
@@ -202,17 +209,31 @@ class TestRunAslo:
         assert t_next == t_fail + 1 + int(np.argmax(rec.logdet_V[t_fail:] > limit))
         assert t_next > t_fail + 1  # timed from the last success it would fire at once
 
-    def test_barrier_fallbacks_counted(self, bench2x2, bench2x2_params,
-                                       bench2x2_anchor, monkeypatch):
-        def decline(*args, **kwargs):
-            raise CertificateError("declined for the test")
+    def test_riccati_declines_counted(self, bench2x2, bench2x2_params,
+                                      bench2x2_anchor, monkeypatch, caplog):
+        real = synthesis.solve_relaxed_riccati
+        calls = []
 
-        monkeypatch.setattr(synthesis, "solve_relaxed_riccati", decline)
+        def decline_after_first(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise CertificateError("declined for the test")
+            return real(*args)
+
+        monkeypatch.setattr(synthesis, "solve_relaxed_riccati", decline_after_first)
         theta0, eps = bench2x2_anchor
-        rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=20,
-                                params=bench2x2_params, seed=2)
-        assert rec.diagnostics["synthesis_failures"] == 0
-        assert rec.diagnostics["barrier_fallbacks"] == len(hist) >= 1
+        with caplog.at_level(logging.WARNING, logger="alqr.loops"):
+            rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=20,
+                                    params=bench2x2_params, seed=2)
+        assert len(calls) >= 2
+        assert rec.diagnostics["synthesis_failures"] == len(calls) - 1
+        assert len(hist) == 1 and hist[0].tau == 1
+        assert np.all(rec.policy_id == 0)
+        assert np.allclose(rec.u - rec.eta, rec.x[:-1] @ hist[0].K.T, rtol=0, atol=1e-9)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == len(calls) - 1
+        assert all("Riccati path declined: CertificateError: declined for the test" in msg
+                   for msg in messages)
 
     def test_no_blowup_over_fifty_seeds(self, bench2x2, bench2x2_params,
                                         bench2x2_anchor, p5_runs):

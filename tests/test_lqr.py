@@ -7,13 +7,13 @@ from alqr.exceptions import ConfigurationError, NotStabilizingError
 from alqr.linalg import spectral_norm, spectral_radius
 from alqr.lqr import (
     SystemModel,
-    exact_sdp,
     kappa_gamma,
     nu_bound,
     solve_dare,
     stability_certificate,
     step,
 )
+from alqr.sdp import exact_sdp
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 
 from alqr.benchmarks import bench_2x2
-from alqr.exceptions import CertificateError, DegenerateSolutionError, InvalidSampleError
+from alqr.exceptions import (
+    CertificateError,
+    DegenerateSolutionError,
+    InvalidSampleError,
+    SynthesisError,
+)
 from alqr.lqr import SystemModel, solve_dare
-from alqr.synthesis import (
+from alqr.sdp import (
     build_relaxed_primal,
     extract_policy,
+    solve_relaxed_dual,
+    solve_relaxed_primal,
+)
+from alqr.synthesis import (
     mu,
     perturbation_check,
     sequential_gap,
-    solve_relaxed_dual,
-    solve_relaxed_primal,
     solve_relaxed_riccati,
     synthesize_policy,
 )
@@ -194,29 +201,52 @@ class TestSolveRelaxedRiccati:
                 assert rel_err(K, K_ref) <= 1e-7
                 assert rel_err(P, P_ref) <= 1e-7
 
-    def test_fixed_point_and_policy_path(self):
+    def test_synthesize_policy_is_riccati_solution(self):
         rng = np.random.default_rng(5)
         model = random_stable_model(rng, 3, 2)
         G = rng.standard_normal((5, 5))
         V = G @ G.T + 2.0 * np.eye(5)
-        pol = synthesize_policy(model.theta_star, model, 0.05, V)
-        assert pol.path == "riccati"
+        K_pol, P_pol = synthesize_policy(model.theta_star, model, 0.05, V)
         K, P = solve_relaxed_riccati(model.theta_star, model, 0.05, V)
-        assert np.array_equal(pol.K, K) and np.array_equal(pol.P_dual, P)
+        assert np.array_equal(K_pol, K) and np.array_equal(P_pol, P)
+
+    def test_newton_probe_past_input_weight_boundary_bisects(self):
+        # bench-2x2 with mu_clamp=False, seed 0: the synthesis at tau = 2.
+        # R~(s) = R - mu s (V^{-1})_uu is PD only below s_max = 0.043654; the
+        # fixed point is at 0.043380, but the first Newton step from s = 0
+        # lands at 0.0461, where the solve used to decline
+        model = bench_2x2()
+        theta = np.array([[1.133798320454824, -0.10493332882485934],
+                          [0.11716676607740346, 0.926687885913614],
+                          [1.1031385104794076, -0.09829881006313526],
+                          [-0.3720287865588053, 1.2029095551999411]])
+        lam = 2.995732273553991
+        V = np.diag([lam, lam, 0.0, 0.0])
+        V[2:, 2:] = [[4.292070390609641, -3.078757493115257],
+                     [-3.078757493115257, 10.307673175933884]]
+        mu_t = 68.62383629731475
+        L = np.linalg.cholesky(model.R)
+        LiV = np.linalg.solve(L, np.linalg.inv(V)[2:, 2:])
+        s_max = 1.0 / (mu_t * np.max(np.linalg.eigvalsh(np.linalg.solve(L, LiV.T))))
+        K, P = solve_relaxed_riccati(theta, model, mu_t, V)
+        assert 0.0 < np.trace(P) < s_max
+        K_ref, P_ref = barrier_oracle(theta, model, mu_t, V)
+        assert rel_err(K, K_ref) <= 1e-4
+        assert rel_err(P, P_ref) <= 1e-4
 
     def test_indefinite_input_weight_falls_back(self):
         # V^{-1} concentrated on the input block: R - mu tr(P) V^{-1}_uu is
-        # not PSD at the relaxed optimum, so the Riccati path must decline
+        # not PSD at the relaxed optimum, so the Riccati path must decline and
+        # synthesis fails (the runners keep the previous policy)
         model = bench_2x2()
         V = np.diag([100.0, 100.0, 0.1, 0.1])
         mu_t = 0.1
         with pytest.raises(CertificateError):
             solve_relaxed_riccati(model.theta_star, model, mu_t, V)
-        pol = synthesize_policy(model.theta_star, model, mu_t, V)
-        assert pol.path == "barrier"
-        K_ref, P_ref = barrier_oracle(model.theta_star, model, mu_t, V)
-        assert np.array_equal(pol.K, K_ref) and np.array_equal(pol.P_dual, P_ref)
-        R_tilde = model.R - mu_t * np.trace(pol.P_dual) * np.linalg.inv(V)[2:, 2:]
+        with pytest.raises(SynthesisError, match="Riccati path declined"):
+            synthesize_policy(model.theta_star, model, mu_t, V)
+        _, P_ref = barrier_oracle(model.theta_star, model, mu_t, V)
+        R_tilde = model.R - mu_t * np.trace(P_ref) * np.linalg.inv(V)[2:, 2:]
         assert np.min(np.linalg.eigvalsh(R_tilde)) < 0
 
 
