@@ -21,7 +21,7 @@ import numpy as np
 from . import loops, regret, schedules
 from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
 from .exceptions import AlqrError, ConfigurationError
-from .linalg import spectral_radius
+from .linalg import row_blocks, spectral_radius
 from .lqr import StabilityCert, SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gap
 
@@ -44,6 +44,9 @@ CRITERION_ALIASES = {
 
 CSV_COLUMNS = ("t", "x_norm", "cost", "cum_regret", "lambda_t", "logdet_V",
                "epoch", "policy_id", "beta", "r_t", "est_error")
+# One CSV row.  '%.17g' spells a float as format(v, ".17g") does (nan, inf,
+# -inf and -0 included) and an integer value below 1e17 as str(int) does.
+CSV_ROW_FORMAT = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
 @dataclass
@@ -161,19 +164,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"invalid config: {exc}") from exc
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
-
-
 def json_dumps(obj, indent=0) -> str:
     """Deterministic JSON with 17-significant-digit floats and sorted keys."""
     pad = " " * indent
@@ -208,42 +198,56 @@ def json_dumps(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def trajectory_rows(record: loops.TrajectoryRecord, J_star: float) -> list:
-    """The 11 CSV columns, one row per step."""
-    cum = np.cumsum(record.cost - J_star)
-    xn = np.linalg.norm(record.x[:-1], axis=1)
-    rows = []
-    for s in range(record.T):
-        rows.append((s + 1, xn[s], record.cost[s], cum[s], record.lambda_t[s],
-                     record.logdet_V[s], int(record.epoch[s]),
-                     int(record.policy_id[s]), record.beta_used[s],
-                     record.r_t[s], record.est_error[s]))
-    return rows
+def trajectory_columns(record: loops.TrajectoryRecord, J_star: float) -> dict:
+    """The 11 CSV columns of a record, as arrays of length T."""
+    return {
+        "t": np.arange(1, record.T + 1),
+        "x_norm": np.linalg.norm(record.x[:-1], axis=1),
+        "cost": record.cost,
+        "cum_regret": regret.realized_regret(record, J_star),
+        "lambda_t": record.lambda_t,
+        "logdet_V": record.logdet_V,
+        "epoch": record.epoch,
+        "policy_id": record.policy_id,
+        "beta": record.beta_used,
+        "r_t": record.r_t,
+        "est_error": record.est_error,
+    }
 
 
 def emit(obj, format: str, path, J_star: float | None = None):
-    """Write a trajectory as CSV or a report dict as JSON."""
+    """Write a trajectory as CSV or a report dict as JSON.
+
+    A CSV trajectory is a record (``J_star`` required), a dict of the
+    ``CSV_COLUMNS`` arrays or a sequence of rows; it is written one block of
+    rows at a time.  A record emitted as JSON becomes its column names and
+    row lists.
+    """
+    is_record = isinstance(obj, loops.TrajectoryRecord)
+    if is_record:
+        if J_star is None:  # the cum_regret column would silently be the cost
+            raise ConfigurationError("emitting a record needs J_star", field="J_star")
+        obj = trajectory_columns(obj, J_star)
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if format == "csv":
-        if isinstance(obj, loops.TrajectoryRecord):
-            if J_star is None:
-                J_star = float(obj.diagnostics.get("J_star", 0.0))
-            rows = trajectory_rows(obj, J_star)
+        if isinstance(obj, dict):
+            cols = [obj[name] for name in CSV_COLUMNS]
         else:
-            rows = obj
+            cols = list(zip(*obj)) or [()] * len(CSV_COLUMNS)
+        cols = [np.asarray(c, dtype=float) for c in cols]
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for lo, hi in row_blocks(len(cols[0])):
+                block = np.column_stack([c[lo:hi] for c in cols])
+                fh.write((CSV_ROW_FORMAT * (hi - lo)) % tuple(block.ravel().tolist()))
     elif format == "json":
-        if isinstance(obj, loops.TrajectoryRecord):
-            if J_star is None:
-                J_star = float(obj.diagnostics.get("J_star", 0.0))
+        if is_record:
             obj = {
                 "schema_version": SCHEMA_VERSION,
                 "columns": list(CSV_COLUMNS),
-                "rows": [list(r) for r in trajectory_rows(obj, J_star)],
+                "rows": [list(r) for r in zip(*(obj[name].tolist()
+                                                 for name in CSV_COLUMNS))],
             }
         with open(path, "w") as fh:
             fh.write(json_dumps(obj) + "\n")
@@ -318,11 +322,11 @@ def _epoch_diagnostics(model, params, history):
 
 
 def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
-    """One isolated per-seed run; returns the summary plus CSV rows."""
+    """One isolated per-seed run; returns the summary plus its CSV columns."""
     model, K0, cert0, params = shared.model, shared.K0, shared.cert0, shared.params
     J_star = shared.J_star
     summary = {"seed": seed, "mode": config.mode, "J_star": J_star}
-    records = []
+    columns = []
 
     if config.mode in ("warmup", "full"):
         eps_target = config.eps_target if config.eps_target is not None else 0.5
@@ -331,7 +335,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         Theta_0, wrec = loops.run_warmup(model, K0, T0, seed=seed, x0=config.x0)
         summary["T0"] = int(T0)
         summary["theta0_error"] = wrec.diagnostics["theta0_error"]
-        records.append(wrec)
+        columns.append(trajectory_columns(wrec, J_star))
         anchor_eps = eps_target
         x_start = wrec.x[-1]
     else:
@@ -344,8 +348,8 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         rec, history, ledger = loops.run_aslo(
             model, Theta_0, anchor_eps, config.T, params, seed=seed,
             x0=x_start, checkpoints=config.checkpoints)
-        records.append(rec)
-        rr = regret.realized_regret(rec, J_star)
+        columns.append(trajectory_columns(rec, J_star))
+        rr = columns[-1]["cum_regret"]
         stats = {
             "X_T": rec.max_state_norm(),
             "Z_T": float(np.max(np.sum(np.hstack([rec.x[:-1], rec.u]) ** 2, axis=1))),
@@ -378,18 +382,16 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     elif config.mode == "doubling":
         rec = loops.run_doubling(model, K0, config.base_horizon, config.T,
                                  params, seed=seed)
-        records.append(rec)
-        rr = regret.realized_regret(rec, J_star)
+        columns.append(trajectory_columns(rec, J_star))
+        rr = columns[-1]["cum_regret"]
         summary.update({
             "final_cum_regret": float(rr[-1]),
             "max_x_norm": rec.max_state_norm(),
             "segment_bounds": rec.diagnostics["segment_bounds"],
         })
 
-    rows = []
-    for rec in records:
-        rows.extend(trajectory_rows(rec, J_star))
-    summary["rows"] = rows
+    summary["columns"] = {name: np.concatenate([c[name] for c in columns])
+                          for name in CSV_COLUMNS}
     return summary
 
 
@@ -445,13 +447,10 @@ def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
     viol = [s["bound_violations"] for s in summaries if "bound_violations" in s]
     if viol:
         agg["bound_violations_total"] = int(np.sum(viol))
-    # pooled slopes from the emitted rows
-    if summaries and "rows" in summaries[0] and config.mode in ("aslo", "full"):
+    # pooled slopes from the emitted columns
+    if summaries and "columns" in summaries[0] and config.mode in ("aslo", "full"):
         T = config.T
-        series = []
-        for s in summaries:
-            cum = np.array([row[3] for row in s["rows"][-T:]])
-            series.append(cum)
+        series = [s["columns"]["cum_regret"][-T:] for s in summaries]
         mean_curve = np.mean(series, axis=0)
         lo = max(10, T // 10)
         if lo < T and np.all(mean_curve[lo - 1: T] > 0):
@@ -497,13 +496,13 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         for s in summaries:
-            emit(s["rows"], "csv",
+            emit(s["columns"], "csv",
                  os.path.join(config.out_dir, f"seed_{s['seed']:04d}.csv"))
 
     agg = _aggregate(config, summaries)
     per_seed = []
     for s in summaries:
-        slim = {k: v for k, v in s.items() if k != "rows"}
+        slim = {k: v for k, v in s.items() if k != "columns"}
         per_seed.append(slim)
     report = AggregateReport(
         config=config.to_dict(),

@@ -392,8 +392,7 @@ def _concat_records(parts: list[TrajectoryRecord], seed: int) -> TrajectoryRecor
         policy_id=pid, epoch=epoch, lambda_t=cat("lambda_t"), r_t=cat("r_t"),
         logdet_V=cat("logdet_V"), beta_used=cat("beta_used"),
         est_error=cat("est_error"),
-        diagnostics={"segment_bounds": bounds,
-                     "segments": [p.diagnostics for p in parts]},
+        diagnostics={"segment_bounds": bounds},
     )
 
 

@@ -1,10 +1,12 @@
 import json
 import logging
+import math
 import os
 
 import numpy as np
 import pytest
 
+from alqr import harness, loops
 from alqr.cli import main as cli_main
 from alqr.exceptions import ConfigurationError
 from alqr.harness import (
@@ -17,7 +19,7 @@ from alqr.harness import (
     parse_seed_range,
     read_trajectory_csv,
     run_experiment,
-    trajectory_rows,
+    trajectory_columns,
 )
 from alqr.loops import TrajectoryRecord
 from alqr.regret import slope
@@ -28,6 +30,36 @@ def smoke_config(tmp_path, **overrides):
                 checkpoints=[5], out_dir=str(tmp_path / "out"))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def oracle_fmt(x) -> str:
+    """The per-value CSV spelling that emission must reproduce byte for byte."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    v = float(x)
+    if math.isnan(v):
+        return "nan"
+    if math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return format(v, ".17g")
+
+
+def oracle_rows(rec, J_star) -> list:
+    """The 11 CSV values of each step, built one row at a time."""
+    cum = np.cumsum(rec.cost - J_star)
+    xn = np.linalg.norm(rec.x[:-1], axis=1)
+    return [(s + 1, xn[s], rec.cost[s], cum[s], rec.lambda_t[s],
+             rec.logdet_V[s], int(rec.epoch[s]), int(rec.policy_id[s]),
+             rec.beta_used[s], rec.r_t[s], rec.est_error[s])
+            for s in range(rec.T)]
+
+
+def oracle_csv(rows) -> bytes:
+    lines = [",".join(CSV_COLUMNS)] + [",".join(oracle_fmt(v) for v in row)
+                                       for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def empty_record():
@@ -84,7 +116,7 @@ class TestEmit:
         theta0, eps = bench2x2_anchor
         rec, _, _ = run_aslo(bench2x2, theta0, eps, T=50,
                              params=bench2x2_params, seed=0)
-        rows = trajectory_rows(rec, 3.0)
+        rows = list(zip(*trajectory_columns(rec, 3.0).values()))
         path = emit(rec, "csv", tmp_path / "t.csv", J_star=3.0)
         cols = read_trajectory_csv(path)
         assert len(cols["t"]) == 50
@@ -120,6 +152,95 @@ class TestEmit:
         parsed = json.loads(open(path).read())
         assert parsed["columns"] == list(CSV_COLUMNS)
         assert parsed["schema_version"] == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_record_without_J_star_is_rejected(self, tmp_path, fmt):
+        # without J* the cum_regret column would hold the cumulative cost
+        with pytest.raises(ConfigurationError) as exc:
+            emit(empty_record(), fmt, tmp_path / f"t.{fmt}")
+        assert exc.value.field == "J_star"
+        assert not (tmp_path / f"t.{fmt}").exists()
+
+
+class TestEmitOracle:
+    """Columnar emission writes the bytes of the per-value row writer."""
+
+    @pytest.fixture(scope="class")
+    def records(self, bench2x2, bench2x2_gain, bench2x2_params, bench2x2_anchor):
+        _, wrec = loops.run_warmup(bench2x2, bench2x2_gain, 40, seed=3)
+        theta0, eps = bench2x2_anchor
+        arec, _, _ = loops.run_aslo(bench2x2, theta0, eps, T=60,
+                                    params=bench2x2_params, seed=3, x0=wrec.x[-1])
+        return wrec, arec
+
+    @staticmethod
+    def special_columns():
+        odd = [np.inf, -np.inf, -0.0, 5e-324, 1e300, np.nan, 0.1, -1e-300,
+               2.0**53, 123456.789]
+        k = len(odd)
+        cols = {name: np.roll(odd, j) for j, name in enumerate(CSV_COLUMNS)}
+        cols["t"] = np.arange(1, k + 1)
+        cols["epoch"] = np.array([0, 7, -3, 10**15, 2**53, 1, 2, 3, 4, 5])
+        cols["policy_id"] = np.arange(k) * 1000
+        return cols
+
+    @staticmethod
+    def special_rows(cols):
+        ints = ("t", "epoch", "policy_id")
+        return [tuple(int(cols[n][s]) if n in ints else cols[n][s]
+                      for n in CSV_COLUMNS) for s in range(len(cols["t"]))]
+
+    def test_full_mode_file_matches_oracle(self, tmp_path, monkeypatch):
+        seen = []
+        for name, at in (("run_warmup", 1), ("run_aslo", 0)):  # the record's slot
+
+            def capture(*args, _runner=getattr(loops, name), _at=at, **kwargs):
+                out = _runner(*args, **kwargs)
+                seen.append(out[_at])
+                return out
+            monkeypatch.setattr(loops, name, capture)
+        report = run_experiment(smoke_config(tmp_path, benchmark="bench-2x2",
+                                             mode="full", T=30, T0=25))
+        J = report.per_seed[0]["J_star"]
+        wrec, arec = seen
+        assert np.all(np.isnan(wrec.r_t))
+        expected = oracle_csv(oracle_rows(wrec, J) + oracle_rows(arec, J))
+        assert (tmp_path / "out" / "seed_0000.csv").read_bytes() == expected
+
+    def test_records_match_oracle(self, records, tmp_path):
+        for i, rec in enumerate(records):
+            path = emit(rec, "csv", tmp_path / f"r{i}.csv", J_star=2.5)
+            assert open(path, "rb").read() == oracle_csv(oracle_rows(rec, 2.5))
+
+    def test_special_values_and_int_columns_match_oracle(self, tmp_path):
+        cols = self.special_columns()
+        path = emit(cols, "csv", tmp_path / "odd.csv")
+        assert open(path, "rb").read() == oracle_csv(self.special_rows(cols))
+
+    def test_record_columns_and_rows_write_one_file(self, records, tmp_path):
+        _, arec = records
+        cols = trajectory_columns(arec, 2.5)
+        paths = [emit(arec, "csv", tmp_path / "rec.csv", J_star=2.5),
+                 emit(cols, "csv", tmp_path / "cols.csv"),
+                 emit(oracle_rows(arec, 2.5), "csv", tmp_path / "rows.csv")]
+        first, *rest = [open(p, "rb").read() for p in paths]
+        assert all(b == first for b in rest)
+
+    def test_json_trajectory_matches_oracle(self, records, tmp_path):
+        for i, rec in enumerate(records):
+            path = emit(rec, "json", tmp_path / f"r{i}.json", J_star=2.5)
+            expected = json_dumps({
+                "schema_version": 1, "columns": list(CSV_COLUMNS),
+                "rows": [list(r) for r in oracle_rows(rec, 2.5)]}) + "\n"
+            assert open(path).read() == expected
+
+    def test_oracle_tells_repr_from_the_row_format(self, tmp_path, monkeypatch):
+        # the inputs above discriminate: a repr-spelled row fails them
+        cols = self.special_columns()
+        monkeypatch.setattr(harness, "CSV_ROW_FORMAT",
+                            ",".join(["%r"] * len(CSV_COLUMNS)) + "\n")
+        path = emit(cols, "csv", tmp_path / "repr.csv")
+        assert open(path, "rb").read() != oracle_csv(self.special_rows(cols))
 
 
 class TestCoverageCheck:
