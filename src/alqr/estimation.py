@@ -51,17 +51,34 @@ class ConfidenceEllipsoid:
     lambda_used: float
 
 
+def _step_sums(a, b, carry):
+    """carry + a_0 b_0' + ... + a_j b_j' for each row j, added in step order."""
+    S = a[:, :, None] * b[:, None, :]
+    S[0] += carry
+    return np.cumsum(S, axis=0, out=S)
+
+
 def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
-    """Accumulate one transition (z_t, x_{t+1}) in place; returns the state."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x_next = np.asarray(x_next, dtype=float).reshape(-1)
-    if z.shape[0] != state.dim_z:
+    """Accumulate one transition (z_t, x_{t+1}), or k rows of them, in place.
+
+    Rows add in step order a block at a time: the bits of k one-row ingests.
+    """
+    z = np.asarray(z, dtype=float)
+    x_next = np.asarray(x_next, dtype=float)
+    if z.shape[-1:] != (state.dim_z,):
         raise ConfigurationError("regressor dimension mismatch", field="z")
-    if x_next.shape[0] != state.dim_x:
+    if x_next.shape[-1:] != (state.dim_x,):
         raise ConfigurationError("state dimension mismatch", field="x_next")
-    state.gram += np.outer(z, z)
-    state.cross += np.outer(z, x_next)
-    state.t += 1
+    if z.ndim > 2 or z.shape[:-1] != x_next.shape[:-1]:
+        raise ConfigurationError("z and x_next must hold the same rows", field="x_next")
+    if z.ndim == 1:  # one transition, as per step: an outer product beats a block
+        state.gram += z[:, None] * z
+        state.cross += z[:, None] * x_next
+    else:
+        for lo, hi in row_blocks(len(z)):
+            state.gram[...] = _step_sums(z[lo:hi], z[lo:hi], state.gram)[-1]
+            state.cross[...] = _step_sums(z[lo:hi], x_next[lo:hi], state.cross)[-1]
+    state.t += z.size // state.dim_z
     return state
 
 
@@ -81,9 +98,7 @@ def covariance_blocks(x, u, lambda_t, ingested: bool = False):
     carry = np.zeros((p, p))
     for lo, hi in row_blocks(T):
         z = np.hstack([x[lo:hi], u[lo:hi]])
-        S = z[:, :, None] * z[:, None, :]
-        S[0] += carry
-        np.cumsum(S, axis=0, out=S)
+        S = _step_sums(z, z, carry)
         before, carry = carry, S[-1]
         if not ingested:
             S = np.concatenate([before[None], S[:-1]])

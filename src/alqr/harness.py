@@ -111,6 +111,8 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigurationError("at least one seed is required", field="seeds")
         self.checkpoints = sorted(int(c) for c in self.checkpoints)
+        if self.checkpoints and self.checkpoints[0] < 1:
+            raise ConfigurationError("checkpoints must be >= 1", field="checkpoints")
         if self.benchmark is None and self.model is None:
             raise ConfigurationError("need a benchmark name or model matrices",
                                      field="benchmark")

@@ -6,9 +6,11 @@ streams for process noise, control perturbation, and warm-up perturbation,
 so matched seeds share noise realizations across criterion variants.  Step
 arrays are indexed s = 0..T-1 for algorithm times t = s+1 (warm-up: t = s).
 
-A runner's step loop does only what steers the trajectory; the quantities
-that merely measure it (stage costs, warm-up log-dets, q_t, the regret
-ledger, the anynum flags) are computed after the loop from the record.
+Every runner steps the plant through ``_rollout``: ASLO one step at a time,
+as its next policy reads the estimator; the fixed-gain runners all T0 steps
+or one checkpoint segment, ingesting the moments from the record after it.
+What merely measures a run (stage costs, warm-up log-dets, q_t, the regret
+ledger, the anynum flags) is computed after the loop from the record.
 """
 
 from __future__ import annotations
@@ -130,20 +132,21 @@ def replay_states(record: TrajectoryRecord, model: SystemModel) -> np.ndarray:
     return x
 
 
-def _transition(model: SystemModel, est, K, x, u, eta, omega, s: int,
-                runner: str) -> None:
-    """Close the loop at step s: u = K x + eta, x' = A x + B u + omega.
+def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
+             lo: int, hi: int) -> None:
+    """Close the loop for steps s = lo..hi-1: u = K x + eta, x' = A x + B u + omega.
 
-    Writes u[s] and x[s+1], ingests the transition and raises BlowUpError
-    when the state runs away.
+    Writes u[lo:hi] and x[lo+1:hi+1]; raises BlowUpError at the first step
+    whose state runs away.
     """
-    u[s] = K @ x[s] + eta[s]
-    x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
-    estimation.ingest(est, np.concatenate([x[s], u[s]]), x[s + 1])
-    x_norm = float(np.linalg.norm(x[s + 1]))
-    if x_norm > BLOWUP_NORM:
-        raise BlowUpError(f"{runner} state blow-up",
-                          diagnostics={"t": s + 1, "x_norm": x_norm})
+    A, B = model.A, model.B
+    for s in range(lo, hi):
+        u[s] = K @ x[s] + eta[s]
+        x[s + 1] = A @ x[s] + B @ u[s] + omega[s]
+        x_norm = float(np.linalg.norm(x[s + 1]))
+        if x_norm > BLOWUP_NORM:
+            raise BlowUpError(f"{runner} state blow-up",
+                              diagnostics={"t": s + 1, "x_norm": x_norm})
 
 
 def _stage_costs(model: SystemModel, x, u) -> np.ndarray:
@@ -162,8 +165,7 @@ def _holds_truth(est, model: SystemModel, params: schedules.ScheduleParams,
     return bool(estimation.ellipsoid_contains(ell, model.theta_star))
 
 
-def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
-               rho: float | None = None):
+def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
     """Warm-up identification under u = K0 x + nu, nu ~ N(0, 2 sigma^2 kappa0^2 I).
 
     Returns (Theta_0, record) where Theta_0 is the ridge estimate with
@@ -175,8 +177,7 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
     cert0 = stability_certificate(model, K0)  # raises if K0 is not stabilizing
     n, m = model.n, model.m
     omega_rng, _, nu_rng = _streams(seed)
-    if rho is None:
-        rho = model.sigma_w**2 / model.theta_bound**2
+    rho = model.sigma_w**2 / model.theta_bound**2
     nu_std = math.sqrt(2.0) * model.sigma_w * cert0.kappa
 
     est = estimation.EstimatorState(dim_z=n + m, dim_x=n)
@@ -186,12 +187,12 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None,
     u = np.zeros((T0, m))
     nu = nu_std * nu_rng.standard_normal((T0, m))
     omega = model.sigma_w * omega_rng.standard_normal((T0, n))
-    for s in range(T0):
-        _transition(model, est, K0, x, u, nu, omega, s, "warm-up")
-    # log det V after each ingest, V = rho I + S
+    _rollout(model, K0, x, u, nu, omega, "warm-up", 0, T0)
+    # log det V after each ingest, V = rho I + S, and the moments themselves
     logdets = np.empty(T0)
     for lo, z, V in estimation.covariance_blocks(x, u, max(rho, 1e-300), ingested=True):
         logdets[lo:lo + len(z)] = logdet_pd(V)
+        estimation.ingest(est, z, x[lo + 1:lo + 1 + len(z)])
     if rho > 0:
         Theta_0 = estimation.estimate(est, rho)
     else:  # degenerate sigma_w = 0: minimum-norm solution of S Theta = C
@@ -306,7 +307,8 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     raise
                 logdet_tau = logdetV  # restart the epoch clock on the old policy
         pol = current
-        _transition(model, est, pol.K, x, u, eta, omega, s, "ASLO")
+        _rollout(model, pol.K, x, u, eta, omega, "ASLO", s, t)
+        estimation.ingest(est, np.concatenate([x[s], u[s]]), x[t])
 
         policy_id[s] = pol.epoch_index
         lam_arr[s] = lam
@@ -345,14 +347,15 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
 
 
 def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
-                     params: schedules.ScheduleParams | None = None,
-                     x0=None, anchor=None, checkpoints=()):
+                     params: schedules.ScheduleParams, x0=None, anchor=None,
+                     checkpoints=()):
     """Lean rollout of a fixed gain with the ASLO input perturbation.
 
-    Ingests every transition; used for coverage and excitation experiments
-    where no policy synthesis is wanted.  ``anchor`` is an optional
-    (Theta_0, eps) pair switching the ellipsoid to the anchored variant.
-    Returns (cost, est, containment).
+    Rolls the plant out from one checkpoint to the next and ingests each
+    segment's transitions from the record; used for coverage and excitation
+    experiments where no policy synthesis is wanted.  ``anchor`` is an
+    optional (Theta_0, eps) pair switching the ellipsoid to the anchored
+    variant.  Returns (cost, est, containment).
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n, m = model.n, model.m
@@ -365,17 +368,18 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     if x0 is not None:
         x[0] = np.asarray(x0, dtype=float)
     u = np.zeros((T, m))
-    eta = (sample_perturbation(np.arange(1, T + 1), params, eta_rng)
-           if params is not None else np.zeros((T, m)))
+    eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
     omega = model.sigma_w * omega_rng.standard_normal((T, n))
     containment = []
-    checkpoints = set(int(c) for c in checkpoints) if params is not None else set()
-    for s in range(T):
-        _transition(model, est, K, x, u, eta, omega, s, "fixed-policy")
-        t = s + 1
+    checkpoints = {int(c) for c in checkpoints if 1 <= int(c) <= T}
+    lo = 0
+    for t in sorted(checkpoints | {T}):
+        _rollout(model, K, x, u, eta, omega, "fixed-policy", lo, t)
+        estimation.ingest(est, np.hstack([x[lo:t], u[lo:t]]), x[lo + 1:t + 1])
         if t in checkpoints:
             containment.append((t, _holds_truth(
                 est, model, params, schedules.lambda_t(t, params), variant, eps)))
+        lo = t
     return _stage_costs(model, x, u), est, containment
 
 

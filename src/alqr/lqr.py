@@ -196,42 +196,17 @@ def _dare_cross(A, B, C):
     return P, K
 
 
-def _dare_value_iteration(A, B, Q, R, tol=1e-10, max_iter=10_000):
-    P = Q.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            S = B.T @ P @ B + R
-            G = B.T @ P @ A
-            Pn = sym(Q + A.T @ P @ A - G.T @ np.linalg.solve(S, G))
-            if not np.all(np.isfinite(Pn)):
-                raise NotStabilizableError("value iteration diverged")
-            if spectral_norm(Pn - P) <= tol * max(1.0, spectral_norm(Pn)):
-                return Pn
-            P = Pn
-    raise NotStabilizableError("value iteration did not converge within max-iter")
-
-
 def solve_dare(model: SystemModel) -> OptimalSolution:
     """Solve the DARE for the model; gain K = -(B'PB+R)^{-1} B'PA.
 
-    Doubling iteration with a value-iteration fallback; the returned
-    solution has Riccati residual <= 1e-8 or NotStabilizableError is raised.
+    Doubling iteration; the returned solution has Riccati residual <= 1e-8
+    and a stable closed loop, or NotStabilizableError is raised.
     """
     A, B, Q, R = model.A, model.B, sym(model.Q), sym(model.R)
     if min_eig(R) <= 0:
         raise ConfigurationError("R must be PD for the DARE", field="R")
-    try:
-        P = _dare_doubling(A, B, Q, R)
-    except NotStabilizableError:
-        P = _dare_value_iteration(A, B, Q, R)
+    P = _dare_doubling(A, B, Q, R)
     res = _riccati_residual(A, B, Q, R, P)
-    if not np.isfinite(res) or res > 1e-8:
-        # one more polish round via value iteration from the current P
-        try:
-            P = _dare_value_iteration(A, B, Q, R)
-            res = _riccati_residual(A, B, Q, R, P)
-        except NotStabilizableError:
-            pass
     if not np.isfinite(res) or res > 1e-8:
         raise NotStabilizableError(f"DARE residual {res:.3g} exceeds 1e-8")
     S = B.T @ P @ B + R

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -66,17 +67,33 @@ class TestIngest:
     def test_batch_recompute_oracle(self):
         rng = np.random.default_rng(0)
         st_ = fresh(dim_z=4, dim_x=2)
-        Z = rng.standard_normal((100, 4))
-        X = rng.standard_normal((100, 2))
-        for z, x in zip(Z, X):
+        Z = rng.standard_normal((700, 4))
+        X = rng.standard_normal((700, 2))
+        for z, x in zip(Z[:100], X[:100]):
             ingest(st_, z, x)
-        assert np.max(np.abs(st_.gram - Z.T @ Z)) <= 1e-10
-        assert np.max(np.abs(st_.cross - Z.T @ X)) <= 1e-10
+        assert np.max(np.abs(st_.gram - Z[:100].T @ Z[:100])) <= 1e-10
+        assert np.max(np.abs(st_.cross - Z[:100].T @ X[:100])) <= 1e-10
         assert st_.t == 100
+        # k rows in one call on top of those 100 give the bits of k one-row
+        # ingests; 300 and 600 rows cross the 256-row block boundaries
+        for k in (1, 2, 300, 600):
+            rows = copy.deepcopy(st_)
+            assert ingest(rows, Z[100:100 + k], X[100:100 + k]) is rows
+            one = fresh(dim_z=4, dim_x=2)
+            for z, x in zip(Z[:100 + k], X[:100 + k]):
+                ingest(one, z, x)
+            assert np.array_equal(rows.gram, one.gram)
+            assert np.array_equal(rows.cross, one.cross)
+            assert rows.t == one.t == 100 + k
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            ingest(fresh(), [1.0], [0.0])
+        for z, x_next in (([1.0], [0.0]),
+                          ([1.0, 2.0], [0.0, 1.0]),
+                          (np.ones((3, 2)), np.ones((2, 1))),  # row counts differ
+                          ([1.0, 2.0], [[0.0], [1.0]]),
+                          (np.ones((2, 2, 2)), np.ones((2, 2, 1)))):
+            with pytest.raises(ConfigurationError):
+                ingest(fresh(), z, x_next)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 30))
     @settings(max_examples=20, deadline=None)

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ class TestLoadConfig:
             load_config(p)
         assert exc.value.field == "delta"
 
+    @pytest.mark.parametrize("checkpoints", [[0, -3, 10], [0], [-1]])
+    def test_checkpoints_below_one_rejected(self, checkpoints):
+        # c < 1 would index the regret column from its end
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(benchmark="scalar-golden", T=20,
+                             checkpoints=checkpoints)
+        assert exc.value.field == "checkpoints"
+
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('{"benchmark": "scalar-golden", "bogus": 1}')
@@ -107,7 +116,7 @@ class TestLoadConfig:
 class TestEmit:
     def test_header_only_for_empty_trajectory(self, tmp_path):
         path = emit(empty_record(), "csv", tmp_path / "t.csv", J_star=1.0)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines == [",".join(CSV_COLUMNS)]
 
     def test_round_trip_exact(self, bench2x2, bench2x2_params, bench2x2_anchor,
@@ -139,17 +148,17 @@ class TestEmit:
         cols = read_trajectory_csv(path)
         assert np.all(np.isnan(cols["r_t"][:25])) and len(cols["t"]) == 55
         again = emit(list(zip(*cols.values())), "csv", tmp_path / "again.csv")
-        assert open(again, "rb").read() == path.read_bytes()
+        assert Path(again).read_bytes() == path.read_bytes()
 
     def test_column_count(self, tmp_path):
         rows = [(1, 0.5, 1.0, -0.5, 2.3, 1.0, 0, 0, 1.0, 4.0, 0.1)]
         path = emit(rows, "csv", tmp_path / "t.csv")
-        for line in open(path):
+        for line in Path(path).read_text().splitlines():
             assert len(line.strip().split(",")) == 11
 
     def test_trajectory_as_json(self, tmp_path):
         path = emit(empty_record(), "json", tmp_path / "t.json", J_star=1.0)
-        parsed = json.loads(open(path).read())
+        parsed = json.loads(Path(path).read_text())
         assert parsed["columns"] == list(CSV_COLUMNS)
         assert parsed["schema_version"] == 1
 
@@ -210,12 +219,12 @@ class TestEmitOracle:
     def test_records_match_oracle(self, records, tmp_path):
         for i, rec in enumerate(records):
             path = emit(rec, "csv", tmp_path / f"r{i}.csv", J_star=2.5)
-            assert open(path, "rb").read() == oracle_csv(oracle_rows(rec, 2.5))
+            assert Path(path).read_bytes() == oracle_csv(oracle_rows(rec, 2.5))
 
     def test_special_values_and_int_columns_match_oracle(self, tmp_path):
         cols = self.special_columns()
         path = emit(cols, "csv", tmp_path / "odd.csv")
-        assert open(path, "rb").read() == oracle_csv(self.special_rows(cols))
+        assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
     def test_record_columns_and_rows_write_one_file(self, records, tmp_path):
         _, arec = records
@@ -223,7 +232,7 @@ class TestEmitOracle:
         paths = [emit(arec, "csv", tmp_path / "rec.csv", J_star=2.5),
                  emit(cols, "csv", tmp_path / "cols.csv"),
                  emit(oracle_rows(arec, 2.5), "csv", tmp_path / "rows.csv")]
-        first, *rest = [open(p, "rb").read() for p in paths]
+        first, *rest = [Path(p).read_bytes() for p in paths]
         assert all(b == first for b in rest)
 
     def test_json_trajectory_matches_oracle(self, records, tmp_path):
@@ -232,7 +241,7 @@ class TestEmitOracle:
             expected = json_dumps({
                 "schema_version": 1, "columns": list(CSV_COLUMNS),
                 "rows": [list(r) for r in oracle_rows(rec, 2.5)]}) + "\n"
-            assert open(path).read() == expected
+            assert Path(path).read_text() == expected
 
     def test_oracle_tells_repr_from_the_row_format(self, tmp_path, monkeypatch):
         # the inputs above discriminate: a repr-spelled row fails them
@@ -240,7 +249,7 @@ class TestEmitOracle:
         monkeypatch.setattr(harness, "CSV_ROW_FORMAT",
                             ",".join(["%r"] * len(CSV_COLUMNS)) + "\n")
         path = emit(cols, "csv", tmp_path / "repr.csv")
-        assert open(path, "rb").read() != oracle_csv(self.special_rows(cols))
+        assert Path(path).read_bytes() != oracle_csv(self.special_rows(cols))
 
 
 class TestCoverageCheck:

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alqr import schedules, synthesis
+from alqr import loops, schedules, synthesis
 from alqr.benchmarks import bench_2x2
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
-from alqr.estimation import EstimatorState, ingest
+from alqr.estimation import EstimatorState, ellipsoid, ellipsoid_contains, estimate, ingest
 from alqr.linalg import logdet_pd
 from alqr.loops import (
     _streams,
@@ -248,11 +248,33 @@ class TestRunAslo:
         assert worst <= 1e3
 
 
+def per_step_rollout(model, K, T, seed, params, x0=None):
+    """The fixed-gain closed loop on the runners' streams, one step at a time."""
+    omega_rng, eta_rng, _ = _streams(seed)
+    eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
+    omega = model.sigma_w * omega_rng.standard_normal((T, model.n))
+    x = np.zeros((T + 1, model.n))
+    if x0 is not None:
+        x[0] = x0
+    u = np.zeros((T, model.m))
+    for s in range(T):
+        u[s] = K @ x[s] + eta[s]
+        x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
+    return x, u
+
+
 class TestRunFixedPolicy:
     def test_blow_up_on_unstable_loop(self, bench2x2, bench2x2_params):
-        with pytest.raises(BlowUpError):
-            run_fixed_policy(bench2x2, np.zeros((2, 2)), 2000, seed=0,
-                             params=bench2x2_params, x0=[50.0, 50.0])
+        K, x0 = np.zeros((2, 2)), [50.0, 50.0]
+        with pytest.raises(BlowUpError) as exc:
+            run_fixed_policy(bench2x2, K, 2000, seed=0,
+                             params=bench2x2_params, x0=x0)
+        # the first step past the runaway threshold, found one step at a time
+        x, _ = per_step_rollout(bench2x2, K, 2000, 0, bench2x2_params, x0=x0)
+        norms = [float(np.linalg.norm(v)) for v in x[1:]]
+        t = next(s + 1 for s, v in enumerate(norms) if v > 1e6)
+        assert "fixed-policy" in str(exc.value)
+        assert exc.value.diagnostics == {"t": t, "x_norm": norms[t - 1]}
 
     def test_ingests_every_step(self, bench2x2, bench2x2_params, bench2x2_gain):
         cost, est, _ = run_fixed_policy(bench2x2, bench2x2_gain, 64, seed=0,
@@ -271,7 +293,7 @@ class TestComputedAfterTheLoop:
 
     def test_warmup_logdets_equal_per_step_recomputation(self, bench2x2,
                                                          bench2x2_gain):
-        _, rec = run_warmup(bench2x2, bench2x2_gain, 2500, seed=3)
+        theta0, rec = run_warmup(bench2x2, bench2x2_gain, 2500, seed=3)
         rho = bench2x2.sigma_w**2 / bench2x2.theta_bound**2
         est = EstimatorState(dim_z=bench2x2.n + bench2x2.m, dim_x=bench2x2.n)
         expect = []
@@ -279,6 +301,7 @@ class TestComputedAfterTheLoop:
             ingest(est, np.concatenate([rec.x[s], rec.u[s]]), rec.x[s + 1])
             expect.append(logdet_pd(est.covariance(rho)))
         assert np.array_equal(rec.logdet_V, expect)
+        assert np.array_equal(theta0, estimate(est, rho))
 
     def test_warmup_and_aslo_costs(self, bench2x2, bench2x2_gain, bench2x2_params,
                                    bench2x2_anchor):
@@ -289,21 +312,44 @@ class TestComputedAfterTheLoop:
         for rec in (wrec, arec):
             assert np.array_equal(rec.cost, per_step_costs(bench2x2, rec.x, rec.u))
 
-    def test_fixed_policy_costs(self, bench2x2, bench2x2_gain, bench2x2_params):
-        T, model, K = 1500, bench2x2, bench2x2_gain
-        cost, est, _ = run_fixed_policy(model, K, T, seed=2, params=bench2x2_params)
+    def test_fixed_policy_costs(self, bench2x2, bench2x2_gain, bench2x2_params,
+                                bench2x2_anchor, monkeypatch):
+        T, model, K, params = 1500, bench2x2, bench2x2_gain, bench2x2_params
+        theta0, eps = bench2x2_anchor
+        seen = []  # the run's moments at each containment check
+        holds_truth = loops._holds_truth
+
+        def spy(est, *args):
+            seen.append((est.t, est.gram.copy(), est.cross.copy()))
+            return holds_truth(est, *args)
+
+        monkeypatch.setattr(loops, "_holds_truth", spy)
+        # a duplicate, T itself and one past T
+        cost, est, containment = run_fixed_policy(
+            model, K, T, seed=2, params=params, anchor=(theta0, eps),
+            checkpoints=(1000, 500, 500, T, T + 100))
         # the same closed loop on the same streams, one step at a time
-        omega_rng, eta_rng, _ = _streams(2)
-        eta = sample_perturbation(np.arange(1, T + 1), bench2x2_params, eta_rng)
-        omega = model.sigma_w * omega_rng.standard_normal((T, model.n))
-        x = np.zeros((T + 1, model.n))
-        u = np.zeros((T, model.m))
-        replay = EstimatorState(dim_z=model.n + model.m, dim_x=model.n)
+        x, u = per_step_rollout(model, K, T, 2, params)
+        replay = EstimatorState(dim_z=model.n + model.m, dim_x=model.n,
+                                anchor=theta0, anchor_error=eps)
+        expect = []
         for s in range(T):
-            u[s] = K @ x[s] + eta[s]
-            x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
             ingest(replay, np.concatenate([x[s], u[s]]), x[s + 1])
-        assert np.array_equal(replay.cross, est.cross)  # the run's trajectory
+            t = s + 1
+            if t in (500, 1000, T):
+                ell = ellipsoid(replay, params.delta, schedules.lambda_t(t, params),
+                                model.sigma_w, "anchored", eps=eps)
+                expect.append((t, replay.gram.copy(), replay.cross.copy(),
+                               ellipsoid_contains(ell, model.theta_star)))
+        assert containment == [(t, ok) for t, _, _, ok in expect]
+        assert len(seen) == len(expect)
+        for (t, gram, cross), (t_replay, gram_replay, cross_replay, _) in zip(seen, expect):
+            assert t == t_replay
+            assert np.array_equal(gram, gram_replay)
+            assert np.array_equal(cross, cross_replay)
+        assert est.t == replay.t == T
+        assert np.array_equal(est.gram, replay.gram)
+        assert np.array_equal(est.cross, replay.cross)
         assert np.array_equal(cost, per_step_costs(model, x, u))
 
 

@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqr.exceptions import ConfigurationError, NotStabilizingError
+from alqr.exceptions import (
+    ConfigurationError,
+    NotStabilizableError,
+    NotStabilizingError,
+)
 from alqr.linalg import spectral_norm, spectral_radius
 from alqr.lqr import (
     SystemModel,
@@ -115,6 +119,12 @@ class TestSolveDare:
         sol = solve_dare(m)
         assert sol.residual <= 1e-8
         assert spectral_radius(m.A + m.B @ sol.K_star) < 1.0
+
+    def test_unstabilizable_plant_raises(self):
+        m = SystemModel(A=[[2.0]], B=[[0.0]], Q=[[1.0]], R=[[1.0]],
+                        sigma_w=1.0, theta_bound=2.5)
+        with pytest.raises(NotStabilizableError):
+            solve_dare(m)
 
     def test_jstar_is_trace_times_variance(self):
         m = scalar_model(1.0, 1.0, sigma_w=2.0)
