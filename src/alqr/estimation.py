@@ -71,7 +71,9 @@ def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
         raise ConfigurationError("state dimension mismatch", field="x_next")
     if z.ndim > 2 or z.shape[:-1] != x_next.shape[:-1]:
         raise ConfigurationError("z and x_next must hold the same rows", field="x_next")
-    if z.ndim == 1:  # one transition, as per step: an outer product beats a block
+    if z.ndim == 2 and len(z) == 1:  # one transition: an outer product beats a block
+        z, x_next = z[0], x_next[0]
+    if z.ndim == 1:
         state.gram += z[:, None] * z
         state.cross += z[:, None] * x_next
     else:
@@ -94,15 +96,26 @@ def covariance_blocks(x, u, lambda_t, ingested: bool = False):
     T = u.shape[0]
     p = x.shape[1] + u.shape[1]
     lam = np.broadcast_to(np.asarray(lambda_t, dtype=float), (T,))
-    eye = np.eye(p)
     carry = np.zeros((p, p))
     for lo, hi in row_blocks(T):
         z = np.hstack([x[lo:hi], u[lo:hi]])
-        S = _step_sums(z, z, carry)
-        before, carry = carry, S[-1]
-        if not ingested:
-            S = np.concatenate([before[None], S[:-1]])
-        yield lo, z, lam[lo:hi, None, None] * eye + S
+        V, carry = step_covariances(z, lam[lo:hi], carry, ingested)
+        yield lo, z, V
+
+
+def step_covariances(z, lambda_t, carry, ingested: bool = False):
+    """Covariances of consecutive steps with rows z_0..z_{k-1} and their Gram.
+
+    Returns (V, S): V[j] = lambda_j I + carry + z_0 z_0' + ... + z_{j-1} z_{j-1}'
+    (through z_j when ``ingested``) and S = carry + z_0 z_0' + ... + z_{k-1} z_{k-1}',
+    summed in step order, so with ``carry`` the Gram before z_0, V[j] has the
+    bits of ``covariance`` at that step.  ``lambda_t`` holds one value per row.
+    """
+    S = _step_sums(z, z, carry)
+    last = S[-1]
+    if not ingested:
+        S = np.concatenate([carry[None], S[:-1]])
+    return lambda_t[:, None, None] * np.eye(z.shape[1]) + S, last
 
 
 def estimate(state: EstimatorState, lambda_t: float) -> np.ndarray:

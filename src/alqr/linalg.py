@@ -74,12 +74,18 @@ def chol_solve(A, B):
     return np.linalg.solve(L.T, Y)
 
 
-def logdet_pd(M):
-    """log det of a PD matrix (a float), or of each matrix in a stack (an array)."""
+def logdet_pd(M, strict=True):
+    """log det of a PD matrix (a float), or of each matrix in a stack (an array).
+
+    A non-PD matrix raises CertificateError; with ``strict=False`` its log det
+    reads nan instead.
+    """
     M = np.atleast_2d(M)
     sign, ld = np.linalg.slogdet(sym(M))
     bad = sign <= 0
-    if bad.any() if M.ndim > 2 else bad:  # .any() on a scalar costs 3 us a step
+    if not strict:
+        ld = np.where(bad, np.nan, ld)
+    elif bad.any() if M.ndim > 2 else bad:  # .any() on a scalar costs 3 us a step
         raise CertificateError("log-determinant of a non-PD matrix requested")
     return float(ld) if M.ndim == 2 else ld
 

@@ -6,15 +6,20 @@ streams for process noise, control perturbation, and warm-up perturbation,
 so matched seeds share noise realizations across criterion variants.  Step
 arrays are indexed s = 0..T-1 for algorithm times t = s+1 (warm-up: t = s).
 
-Every runner steps the plant through ``_rollout``: ASLO one step at a time,
-as its next policy reads the estimator; the fixed-gain runners all T0 steps
-or one checkpoint segment, ingesting the moments from the record after it.
-What merely measures a run (stage costs, warm-up log-dets, q_t, the regret
-ledger, the anynum flags) is computed after the loop from the record.
+Every runner steps the plant through ``_rollout`` and ingests the moments
+from the record after it: the warm-up all T0 steps, ``run_fixed_policy`` one
+checkpoint segment at a time, and ASLO one fixed-gain segment at a time.
+Between two policy updates ASLO is a fixed-gain rollout too; it rolls the
+gain out over a block of steps, takes the determinant criterion of the
+block's later steps from one stacked log-det, and keeps the steps before
+the first that fires.  What merely measures a run (stage costs, warm-up
+log-dets, q_t, the regret ledger, the anynum flags) is computed after the
+loop from the record.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -28,6 +33,7 @@ from .exceptions import (
     SynthesisError,
 )
 from .linalg import (
+    _BLOCK,
     logdet_pd,
     min_eig,
     nuclear_norm,
@@ -102,11 +108,16 @@ def _streams(seed):
         for k in range(3))
 
 
-def perturbation_variance(t: int, params: schedules.ScheduleParams) -> float:
-    """2 sigma^2 kappa^2 p_bar_t / sqrt(t) * noise_scale."""
-    return (2.0 * params.sigma_w**2 * params.kappa**2
-            * schedules.p_bar(t, params.delta, params.phi) / math.sqrt(t)
-            * params.noise_scale)
+def perturbation_variance(t, params: schedules.ScheduleParams):
+    """2 sigma^2 kappa^2 p_bar_t / sqrt(t) * noise_scale.
+
+    ``t`` is one step, giving a float, or an array of steps, giving an array
+    with the same bits per step.
+    """
+    var = (2.0 * params.sigma_w**2 * params.kappa**2
+           * schedules.p_bar(t, params.delta, params.phi) / np.sqrt(t)
+           * params.noise_scale)
+    return float(var) if np.ndim(t) == 0 else var
 
 
 def sample_perturbation(t, params: schedules.ScheduleParams, rng) -> np.ndarray:
@@ -118,7 +129,7 @@ def sample_perturbation(t, params: schedules.ScheduleParams, rng) -> np.ndarray:
     steps = np.atleast_1d(t)
     if steps.size and steps.min() < 1:
         raise ConfigurationError("t must be >= 1", field="t")
-    std = np.array([math.sqrt(perturbation_variance(int(k), params)) for k in steps])
+    std = np.sqrt(perturbation_variance(steps, params))
     draws = std[:, None] * rng.standard_normal((steps.size, params.m))
     return draws[0] if np.ndim(t) == 0 else draws
 
@@ -137,16 +148,19 @@ def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
     """Close the loop for steps s = lo..hi-1: u = K x + eta, x' = A x + B u + omega.
 
     Writes u[lo:hi] and x[lo+1:hi+1]; raises BlowUpError at the first step
-    whose state runs away.
+    whose state runs away.  The norm is sqrt(x.x), and sqrt is monotone with
+    sqrt(BLOWUP_NORM**2) = BLOWUP_NORM, so only a squared norm past
+    BLOWUP_NORM**2 needs the norm itself.
     """
-    A, B = model.A, model.B
+    A, B, limit = model.A, model.B, BLOWUP_NORM**2
     for s in range(lo, hi):
         u[s] = K @ x[s] + eta[s]
-        x[s + 1] = A @ x[s] + B @ u[s] + omega[s]
-        x_norm = float(np.linalg.norm(x[s + 1]))
-        if x_norm > BLOWUP_NORM:
-            raise BlowUpError(f"{runner} state blow-up",
-                              diagnostics={"t": s + 1, "x_norm": x_norm})
+        x[s + 1] = x_next = A @ x[s] + B @ u[s] + omega[s]
+        if x_next.dot(x_next) > limit:
+            x_norm = float(np.linalg.norm(x[s + 1]))
+            if x_norm > BLOWUP_NORM:
+                raise BlowUpError(f"{runner} state blow-up",
+                                  diagnostics={"t": s + 1, "x_norm": x_norm})
 
 
 def _stage_costs(model: SystemModel, x, u) -> np.ndarray:
@@ -230,6 +244,19 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     epoch clock restarts; a decline at the first firing aborts the run.
     ``seed`` is an int or a SeedSequence.  Returns (record, policy_history,
     ledger).
+
+    The plant is stepped in fixed-gain segments, a block of rows at a time.
+    A block opens with its first step's criterion (lambda_t, V_t, log det
+    and ``should_update``) evaluated as a step alone would, and synthesis if
+    it fires; the gain in force is then rolled out over the block: 1 row
+    after each firing, doubling while no step fires, at most
+    ``linalg._BLOCK`` rows and never past the next checkpoint.  V_t of the
+    block's later steps comes from the step-order Gram sums, and one stacked
+    log-det flags the first of them whose criterion fires (or whose V_t is
+    not PD).  The rows before it are kept and ingested, and the next block
+    opens at it.  A blow-up in the block stands only if no step up to it
+    fires.  The record, history and diagnostics have the bits of stepping
+    one step at a time.
     """
     if T < 1:
         raise ConfigurationError("T must be >= 1", field="T")
@@ -261,15 +288,21 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     history: list[PolicyEpoch] = []
     ledger = regret.RegretLedger(nu=params.nu, sigma_w=model.sigma_w)
     checkpoints = set(int(c) for c in checkpoints)
+    bounds = sorted({c for c in checkpoints if 1 <= c <= T} | {T})
     containment = []
     failures = 0
     current: PolicyEpoch | None = None
     beta_in_force = params.beta
     logdet_tau = -math.inf
 
-    for s in range(T):
-        t = s + 1
-        lam = schedules.lambda_t(t, params) if lambda_override is None else lambda_override
+    def lam_at(t):
+        return schedules.lambda_t(t, params) if lambda_override is None else lambda_override
+
+    lo, size = 0, 1  # rows < lo are kept and ingested
+    while lo < T:
+        # each block opens with step lo+1's criterion, evaluated as a step alone would
+        t = lo + 1
+        lam = lam_at(t)
         V = est.covariance(lam)
         logdetV = logdet_pd(V)
         fire = (current is None) or schedules.should_update(logdetV, logdet_tau, beta_in_force)
@@ -306,19 +339,43 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                 if current is None:
                     raise
                 logdet_tau = logdetV  # restart the epoch clock on the old policy
-        pol = current
-        _rollout(model, pol.K, x, u, eta, omega, "ASLO", s, t)
-        estimation.ingest(est, np.concatenate([x[s], u[s]]), x[t])
-
-        policy_id[s] = pol.epoch_index
-        lam_arr[s] = lam
-        r_arr[s] = pol.r
-        logdet_arr[s] = logdetV
-        beta_arr[s] = pol.beta
-        err_arr[s] = pol.est_error
-        if t in checkpoints:
-            containment.append((t, _holds_truth(
-                est, model, params, lam, params.radius_variant, anchor_eps)))
+            size = 1
+        lam_arr[lo], logdet_arr[lo] = lam, logdetV
+        # roll the gain in force out over a block, speculatively: a later step
+        # of the block may fire, and only the rows before it are kept
+        hi = min(lo + size, bounds[bisect.bisect_right(bounds, lo)])
+        blow_up = None
+        try:
+            _rollout(model, current.K, x, u, eta, omega, "ASLO", lo, hi)
+        except BlowUpError as exc:  # it stands unless a step up to it fires
+            blow_up, hi = exc, exc.diagnostics["t"]
+        z = np.concatenate([x[lo:hi], u[lo:hi]], axis=1)
+        end = hi
+        if hi - lo > 1:  # the criterion of steps lo+2..hi from the rows before each
+            lam_blk = np.array([lam_at(k) for k in range(lo + 2, hi + 1)], dtype=float)
+            V_blk, _ = estimation.step_covariances(z[:-1], lam_blk, est.gram, ingested=True)
+            logdets = logdet_pd(V_blk, strict=False)  # nan where V is not PD
+            # the first step that fires, or whose own checks would raise, opens the next block
+            limit = math.log1p(beta_in_force) + logdet_tau
+            flagged = np.flatnonzero(~(logdets <= limit))
+            if flagged.size:
+                end = lo + 1 + int(flagged[0])
+            lam_arr[lo + 1:end] = lam_blk[:end - lo - 1]
+            logdet_arr[lo + 1:end] = logdets[:end - lo - 1]
+        if blow_up is not None and end == hi:
+            raise blow_up
+        estimation.ingest(est, z[:end - lo], x[lo + 1:end + 1])
+        policy_id[lo:end] = current.epoch_index
+        r_arr[lo:end] = current.r
+        beta_arr[lo:end] = current.beta
+        err_arr[lo:end] = current.est_error
+        if end in checkpoints:
+            containment.append((end, _holds_truth(
+                est, model, params, float(lam_arr[end - 1]), params.radius_variant,
+                anchor_eps)))
+        if end == hi:
+            size = min(2 * size, _BLOCK)
+        lo = end
 
     # instrumentation, from the record: q_t = z' V_t^{-1} z, the anynum
     # flags and the ledger, with V_t replayed a block of steps at a time

@@ -61,11 +61,19 @@ def phi_bar(delta: float) -> float:
     return float(vals[k]) - 1e-6
 
 
-def p_bar(t: float, delta: float, phi: float) -> float:
-    """(log(t/delta)/log(1/delta))^phi, the perturbation-growth factor."""
-    if t < 1:
+def p_bar(t, delta: float, phi: float):
+    """(log(t/delta)/log(1/delta))^phi, the perturbation-growth factor.
+
+    ``t`` is one step, giving a float, or an array of steps, giving an array.
+    Each value is a Python ``math.log`` and ``**``: numpy's log and power
+    can differ from them in the last bit.
+    """
+    steps = np.atleast_1d(t)
+    if steps.size and steps.min() < 1:
         raise ConfigurationError("t must be >= 1", field="t")
-    return float((math.log(t / delta) / math.log(1.0 / delta)) ** phi)
+    log_inv_delta = math.log(1.0 / delta)
+    vals = [(math.log(k / delta) / log_inv_delta) ** phi for k in steps.tolist()]
+    return float(vals[0]) if np.ndim(t) == 0 else np.array(vals)
 
 
 @dataclass

@@ -28,6 +28,15 @@ class TestLogdetPd:
         with pytest.raises(CertificateError):
             logdet_pd(V)
 
+    def test_non_strict_stack_reads_nan_where_not_pd(self):
+        V = spd_stack(np.random.default_rng(2), 10, 3)
+        V[7] = -V[7]
+        V[2] = 0.0  # singular
+        got = logdet_pd(V, strict=False)
+        assert np.isnan(got[[2, 7]]).all()
+        keep = [0, 1, 3, 4, 5, 6, 8, 9]
+        assert np.array_equal(got[keep], logdet_pd(V[keep]))
+
 
 class TestRowHelpers:
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (5, 1)])

@@ -5,11 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alqr import loops, schedules, synthesis
+from alqr import loops, regret, schedules, synthesis
 from alqr.benchmarks import bench_2x2
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
-from alqr.estimation import EstimatorState, ellipsoid, ellipsoid_contains, estimate, ingest
-from alqr.linalg import logdet_pd
+from alqr.estimation import (
+    EstimatorState,
+    confidence_radius,
+    covariance_blocks,
+    ellipsoid,
+    ellipsoid_contains,
+    estimate,
+    ingest,
+)
+from alqr.linalg import logdet_pd, nuclear_norm, spectral_norm
 from alqr.loops import (
     _streams,
     perturbation_variance,
@@ -103,6 +111,22 @@ class TestSamplePerturbation:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             sample_perturbation(0, bench2x2_params, rng)
+
+    @pytest.mark.parametrize("phi, noise_scale", [
+        (1.0, 1.0), (1.1, 1.0), (1.5, 0.3), (2.0, 1.7), (3.3, 1e-3)])
+    def test_array_of_steps_equals_per_step(self, bench2x2_params, phi, noise_scale):
+        params = replace(bench2x2_params, phi=phi, noise_scale=noise_scale)
+        steps = np.arange(1, 100_001)
+        per_step = [math.sqrt(perturbation_variance(t, params)) for t in steps.tolist()]
+        assert np.array_equal(np.sqrt(perturbation_variance(steps, params)), per_step)
+        # the scalar path keeps the bits of the formula written out per step
+        for t in (1, 2, 7, 1000, 99_999):
+            assert perturbation_variance(t, params) == (
+                2.0 * params.sigma_w**2 * params.kappa**2
+                * schedules.p_bar(t, params.delta, params.phi) / math.sqrt(t)
+                * params.noise_scale)
+            assert schedules.p_bar(t, params.delta, params.phi) == float(
+                (math.log(t / params.delta) / math.log(1.0 / params.delta)) ** params.phi)
 
     def test_steps_draw_like_one_call_per_step(self, bench2x2_params):
         steps = np.arange(1, 301)
@@ -393,3 +417,245 @@ class TestRunDoubling:
         reg_d = float(np.sum(rec_d.cost) - 300 * J)
         reg_a = float(np.sum(rec_a.cost) - 300 * J)
         assert math.isfinite(reg_d) and math.isfinite(reg_a)
+
+
+def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
+                  checkpoints=(), mu_override=None, lambda_override=None):
+    """ASLO one step at a time: the criterion, ingest and log det at every
+    step, as ``run_aslo`` ran before it rolled out fixed-gain segments."""
+    n, m = model.n, model.m
+    Theta_0 = np.asarray(Theta_0, dtype=float)
+    omega_rng, eta_rng, _ = _streams(seed)
+    est = EstimatorState(dim_z=n + m, dim_x=n, anchor=Theta_0, anchor_error=anchor_eps)
+    x = np.zeros((T + 1, n))
+    if x0 is not None:
+        x[0] = np.asarray(x0, dtype=float)
+    u = np.zeros((T, m))
+    eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
+    omega = model.sigma_w * omega_rng.standard_normal((T, n))
+    policy_id = np.zeros(T, dtype=int)
+    lam_arr, r_arr, logdet_arr = np.zeros(T), np.zeros(T), np.zeros(T)
+    beta_arr, err_arr = np.zeros(T), np.zeros(T)
+    history = []
+    ledger = regret.RegretLedger(nu=params.nu, sigma_w=model.sigma_w)
+    checkpoints = set(int(c) for c in checkpoints)
+    containment = []
+    failures = 0
+    current = None
+    beta_in_force = params.beta
+    logdet_tau = -math.inf
+    for s in range(T):
+        t = s + 1
+        lam = schedules.lambda_t(t, params) if lambda_override is None else lambda_override
+        V = est.covariance(lam)
+        logdetV = logdet_pd(V)
+        if current is None or schedules.should_update(logdetV, logdet_tau, beta_in_force):
+            theta_hat = estimate(est, lam)
+            if params.radius_variant == "anchored":
+                r = confidence_radius(est, params.delta, lam, model.sigma_w,
+                                      "anchored", eps=anchor_eps)
+            else:
+                r = confidence_radius(est, params.delta, lam, model.sigma_w,
+                                      "unanchored", theta_bound=model.theta_bound)
+            mu_t = synthesis.mu(r, model.theta_bound, V, params.mu_mode)
+            if mu_override is not None:
+                mu_t = mu_override
+            elif params.mu_clamp and params.constants_mode == "practical":
+                mu_t = min(mu_t, loops._mu_cap(params, V))
+            try:
+                K, P = synthesis.synthesize_policy(theta_hat, model, mu_t, V)
+                if params.criterion == "adaptive_beta":
+                    beta_in_force = schedules.adaptive_beta(t, r, params)
+                current = loops.PolicyEpoch(
+                    epoch_index=0 if current is None else current.epoch_index + 1,
+                    tau=t, K=K, P_dual=P, mu=mu_t, r=r, beta=beta_in_force,
+                    lambda_tau=lam, logdet_V_tau=logdetV, normV_tau=spectral_norm(V),
+                    est_error=nuclear_norm(theta_hat - model.theta_star))
+                history.append(current)
+                logdet_tau = logdetV
+            except SynthesisError:
+                failures += 1
+                if current is None:
+                    raise
+                logdet_tau = logdetV
+        u[s] = current.K @ x[s] + eta[s]
+        x[t] = model.A @ x[s] + model.B @ u[s] + omega[s]
+        x_norm = float(np.linalg.norm(x[t]))
+        if x_norm > loops.BLOWUP_NORM:
+            raise BlowUpError("ASLO state blow-up", diagnostics={"t": t, "x_norm": x_norm})
+        ingest(est, np.concatenate([x[s], u[s]]), x[t])
+        policy_id[s] = current.epoch_index
+        lam_arr[s] = lam
+        r_arr[s] = current.r
+        logdet_arr[s] = logdetV
+        beta_arr[s] = current.beta
+        err_arr[s] = current.est_error
+        if t in checkpoints:
+            ell = ellipsoid(est, params.delta, lam, model.sigma_w, params.radius_variant,
+                            eps=anchor_eps, theta_bound=model.theta_bound)
+            containment.append((t, ellipsoid_contains(ell, model.theta_star)))
+    mu_steps = np.array([p.mu for p in history])[policy_id]
+    q = np.empty(T)
+    anynum = np.empty(T, dtype=bool)
+    for lo, z, V in covariance_blocks(x, u, lam_arr):
+        q[lo:lo + len(z)] = regret.q_values(z, V)
+        anynum[lo:lo + len(z)] = schedules.anynum_condition(
+            mu_steps[lo:lo + len(z)], V, params.kappa)
+    ledger.accumulate_trajectory(x, omega, eta, q, policy_id, history, model, params)
+    ledger.finalize(epoch_marks=[p.tau for p in history])
+    record = dict(x=x, u=u, eta=eta, omega=omega, policy_id=policy_id, lambda_t=lam_arr,
+                  r_t=r_arr, logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr)
+    diagnostics = {"synthesis_failures": failures, "containment": containment,
+                   "anynum_condition": anynum.tolist()}
+    return record, diagnostics, history, ledger
+
+
+class TestSegmentOracle:
+    """ASLO's fixed-gain segments reproduce the per-step loop bit for bit:
+    the record, the policy history, the diagnostics and the ledger."""
+
+    @staticmethod
+    def assert_same(model, theta0, eps, T, params, seed, calls=None, **kwargs):
+        rec, hist, ledger = run_aslo(model, theta0, eps, T=T, params=params,
+                                     seed=seed, **kwargs)
+        if calls is not None:
+            calls.clear()  # the reference runs on a fresh count of syntheses
+        expect, diagnostics, hist_ref, ledger_ref = per_step_aslo(
+            model, theta0, eps, T, params, seed, **kwargs)
+        for name, value in expect.items():
+            assert np.array_equal(getattr(rec, name), value), name
+        assert np.array_equal(rec.epoch, expect["policy_id"])
+        assert np.array_equal(rec.cost, per_step_costs(model, rec.x, rec.u))
+        for key, value in diagnostics.items():
+            assert rec.diagnostics[key] == value, key
+        assert len(hist) == len(hist_ref)
+        for p, ref in zip(hist, hist_ref):
+            assert (p.epoch_index, p.tau, p.mu, p.r, p.beta) == \
+                (ref.epoch_index, ref.tau, ref.mu, ref.r, ref.beta)
+            assert (p.lambda_tau, p.logdet_V_tau, p.normV_tau, p.est_error) == \
+                (ref.lambda_tau, ref.logdet_V_tau, ref.normV_tau, ref.est_error)
+            assert np.array_equal(p.K, ref.K)
+            assert np.array_equal(p.P_dual, ref.P_dual)
+        assert np.array_equal(ledger.R, ledger_ref.R)
+        return rec, hist
+
+    @pytest.mark.parametrize("criterion, beta, T", [
+        ("det_double", None, 2000),
+        ("fixed_beta", 0.25, 1500),
+        ("adaptive_beta", None, 60),
+        ("relaxed_sequential", None, 1500),
+    ])
+    def test_criteria(self, bench2x2, bench2x2_params, bench2x2_anchor,
+                      criterion, beta, T):
+        theta0, eps = bench2x2_anchor
+        params = bench2x2_params.with_criterion(criterion, beta=beta)
+        _, hist = self.assert_same(bench2x2, theta0, eps, T, params, seed=4)
+        assert len(hist) >= 5
+
+    def test_checkpoints_inside_segments(self, bench2x2, bench2x2_params,
+                                         bench2x2_anchor, monkeypatch):
+        theta0, eps = bench2x2_anchor
+        seen = []  # the moments and lambda at each containment check
+        holds_truth = loops._holds_truth
+
+        def spy(est, model, params, lam, *args):
+            seen.append((est.t, est.gram.copy(), est.cross.copy(), lam))
+            return holds_truth(est, model, params, lam, *args)
+
+        monkeypatch.setattr(loops, "_holds_truth", spy)
+        rec, hist = self.assert_same(
+            bench2x2, theta0, eps, 1800, bench2x2_params, seed=6,
+            checkpoints=(1, 2, 3, 5, 100, 257, 513, 1000, 1001, 1000, 1799, 1800, 5000))
+        taus = {p.tau for p in hist}
+        assert len(rec.diagnostics["containment"]) == 11
+        assert {1000, 1001, 1799} - taus  # some checkpoints fall between firings
+        # each check sees the moments through step t, one step at a time, and lambda_t
+        replay = EstimatorState(dim_z=4, dim_x=2, anchor=theta0, anchor_error=eps)
+        for t, gram, cross, lam in seen:
+            for s in range(replay.t, t):
+                ingest(replay, np.concatenate([rec.x[s], rec.u[s]]), rec.x[s + 1])
+            assert np.array_equal(gram, replay.gram) and np.array_equal(cross, replay.cross)
+            assert lam == schedules.lambda_t(t, bench2x2_params)
+
+    def test_lambda_override(self, bench2x2, bench2x2_params, bench2x2_anchor):
+        theta0, eps = bench2x2_anchor
+        rec, _ = self.assert_same(bench2x2, theta0, eps, 1200, bench2x2_params,
+                                  seed=2, lambda_override=37.5, checkpoints=(600,))
+        assert np.all(rec.lambda_t == 37.5)
+
+    def test_noiseless_plant(self):
+        m1 = SystemModel(A=[[0.5, 0.1], [0.0, 0.4]], B=np.eye(2),
+                         Q=np.eye(2), R=np.eye(2), sigma_w=1.0)
+        params = replace(build_schedule(m1, nu=50.0, constants_mode="practical"),
+                         sigma_w=0.0)
+        m0 = SystemModel(A=m1.A, B=m1.B, Q=m1.Q, R=m1.R, sigma_w=0.0,
+                         theta_bound=m1.theta_bound)
+        rec, _ = self.assert_same(m0, m0.theta_star, 0.0, 300, params, seed=0,
+                                  x0=[3.0, -2.0], mu_override=0.0)
+        assert np.all(rec.omega == 0.0) and np.any(rec.x != 0.0)
+
+    def test_unclamped_mu_with_declines(self, bench2x2, bench2x2_params,
+                                        bench2x2_anchor):
+        theta0, eps = bench2x2_anchor
+        rec, _ = self.assert_same(bench2x2, theta0, eps, 300,
+                                  replace(bench2x2_params, mu_clamp=False), seed=0)
+        assert rec.diagnostics["synthesis_failures"] > 0
+
+    @staticmethod
+    def hand_out_gain(monkeypatch, at, K_bad, then_decline):
+        """Synthesis returns K_bad at its ``at``-th call; later calls decline
+        when ``then_decline``, else synthesize as usual."""
+        real, calls = synthesis.synthesize_policy, []
+
+        def patched(*args, **kwargs):
+            calls.append(1)
+            K, P = real(*args, **kwargs)
+            if len(calls) == at:
+                return K_bad, P
+            if len(calls) > at and then_decline:
+                raise SynthesisError("declined for the test")
+            return K, P
+
+        monkeypatch.setattr(synthesis, "synthesize_policy", patched)
+        return calls
+
+    def test_speculative_blow_up_past_a_firing_does_not_raise(
+            self, bench2x2, bench2x2_params, bench2x2_anchor, monkeypatch):
+        # one gain with closed-loop gain ~10 under a criterion that waits for
+        # det V to grow 1e5-fold: a block rolls it out past the step that
+        # fires on the growth, and a row past that step runs away
+        theta0, eps = bench2x2_anchor
+        params = bench2x2_params.with_criterion("fixed_beta", beta=1e5)
+        calls = self.hand_out_gain(monkeypatch, 2, 8.95 * np.eye(2), then_decline=False)
+        rollout, raised = loops._rollout, []
+
+        def spy(*args):
+            try:
+                rollout(*args)
+            except BlowUpError as exc:
+                raised.append((args[-2], exc.diagnostics["t"]))
+                raise
+
+        monkeypatch.setattr(loops, "_rollout", spy)
+        rec, hist = self.assert_same(bench2x2, theta0, eps, 400, params, seed=1,
+                                     calls=calls)
+        # the block began before a firing and ran away at or after it
+        assert any(lo + 2 <= p.tau <= t for lo, t in raised for p in hist)
+        assert np.all(np.linalg.norm(rec.x, axis=1) <= loops.BLOWUP_NORM)
+
+    def test_blow_up_matches_per_step(self, bench2x2, bench2x2_params,
+                                      bench2x2_anchor, monkeypatch):
+        # a destabilizing gain stays in force because every later synthesis declines
+        theta0, eps = bench2x2_anchor
+        self.hand_out_gain(monkeypatch, 3, -0.5 * np.eye(2) + np.diag([0.5, 0.6]),
+                           then_decline=True)
+        with pytest.raises(BlowUpError) as ref:
+            per_step_aslo(bench2x2, theta0, eps, 2000, bench2x2_params, seed=3)
+        monkeypatch.undo()
+        self.hand_out_gain(monkeypatch, 3, -0.5 * np.eye(2) + np.diag([0.5, 0.6]),
+                           then_decline=True)
+        with pytest.raises(BlowUpError) as exc:
+            run_aslo(bench2x2, theta0, eps, T=2000, params=bench2x2_params, seed=3)
+        assert str(exc.value) == str(ref.value)
+        assert exc.value.diagnostics == ref.value.diagnostics
+        assert exc.value.diagnostics["t"] > 20
