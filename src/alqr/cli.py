@@ -12,13 +12,7 @@ import os
 import sys
 
 from .exceptions import ConfigurationError
-from .harness import (
-    CRITERION_ALIASES,
-    ExperimentConfig,
-    load_config,
-    parse_seed_range,
-    run_experiment,
-)
+from .harness import ExperimentConfig, load_config, parse_seed_range, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +45,7 @@ def config_from_args(args) -> ExperimentConfig:
     if args.mode:
         raw["mode"] = args.mode
     if args.criterion:
-        raw["criterion"] = CRITERION_ALIASES[args.criterion]
+        raw["criterion"] = args.criterion
     if args.constants:
         raw["constants"] = args.constants
     if args.T is not None:

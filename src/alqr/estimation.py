@@ -71,16 +71,11 @@ def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
         raise ConfigurationError("state dimension mismatch", field="x_next")
     if z.ndim > 2 or z.shape[:-1] != x_next.shape[:-1]:
         raise ConfigurationError("z and x_next must hold the same rows", field="x_next")
-    if z.ndim == 2 and len(z) == 1:  # one transition: an outer product beats a block
-        z, x_next = z[0], x_next[0]
-    if z.ndim == 1:
-        state.gram += z[:, None] * z
-        state.cross += z[:, None] * x_next
-    else:
-        for lo, hi in row_blocks(len(z)):
-            state.gram[...] = _step_sums(z[lo:hi], z[lo:hi], state.gram)[-1]
-            state.cross[...] = _step_sums(z[lo:hi], x_next[lo:hi], state.cross)[-1]
-    state.t += z.size // state.dim_z
+    z, x_next = z.reshape(-1, state.dim_z), x_next.reshape(-1, state.dim_x)
+    for lo, hi in row_blocks(len(z)):
+        state.gram[...] = _step_sums(z[lo:hi], z[lo:hi], state.gram)[-1]
+        state.cross[...] = _step_sums(z[lo:hi], x_next[lo:hi], state.cross)[-1]
+    state.t += len(z)
     return state
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import loops, regret, schedules
 from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
-from .exceptions import AlqrError, ConfigurationError
+from .exceptions import ConfigurationError
 from .linalg import row_blocks, spectral_radius
 from .lqr import StabilityCert, SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gap
@@ -209,7 +209,7 @@ def trajectory_columns(record: loops.TrajectoryRecord, J_star: float) -> dict:
         "cum_regret": regret.realized_regret(record, J_star),
         "lambda_t": record.lambda_t,
         "logdet_V": record.logdet_V,
-        "epoch": record.epoch,
+        "epoch": record.policy_id,
         "policy_id": record.policy_id,
         "beta": record.beta_used,
         "r_t": record.r_t,
@@ -217,40 +217,19 @@ def trajectory_columns(record: loops.TrajectoryRecord, J_star: float) -> dict:
     }
 
 
-def emit(obj, format: str, path, J_star: float | None = None):
-    """Write a trajectory as CSV or a report dict as JSON.
-
-    A CSV trajectory is a record (``J_star`` required), a dict of the
-    ``CSV_COLUMNS`` arrays or a sequence of rows; it is written one block of
-    rows at a time.  A record emitted as JSON becomes its column names and
-    row lists.
-    """
-    is_record = isinstance(obj, loops.TrajectoryRecord)
-    if is_record:
-        if J_star is None:  # the cum_regret column would silently be the cost
-            raise ConfigurationError("emitting a record needs J_star", field="J_star")
-        obj = trajectory_columns(obj, J_star)
+def emit(obj, format: str, path):
+    """Write a dict of the ``CSV_COLUMNS`` arrays as CSV, one block of rows
+    at a time, or a report dict as JSON; returns the path."""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if format == "csv":
-        if isinstance(obj, dict):
-            cols = [obj[name] for name in CSV_COLUMNS]
-        else:
-            cols = list(zip(*obj)) or [()] * len(CSV_COLUMNS)
-        cols = [np.asarray(c, dtype=float) for c in cols]
+        cols = [np.asarray(obj[name], dtype=float) for name in CSV_COLUMNS]
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for lo, hi in row_blocks(len(cols[0])):
                 block = np.column_stack([c[lo:hi] for c in cols])
                 fh.write((CSV_ROW_FORMAT * (hi - lo)) % tuple(block.ravel().tolist()))
     elif format == "json":
-        if is_record:
-            obj = {
-                "schema_version": SCHEMA_VERSION,
-                "columns": list(CSV_COLUMNS),
-                "rows": [list(r) for r in zip(*(obj[name].tolist()
-                                                 for name in CSV_COLUMNS))],
-            }
         with open(path, "w") as fh:
             fh.write(json_dumps(obj) + "\n")
     else:
@@ -401,8 +380,6 @@ def _worker(args):
     config, shared, seed = args
     try:
         return seed, run_seed(config, shared, seed), None
-    except AlqrError as exc:
-        return seed, None, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # per-seed isolation: never kill the batch
         return seed, None, f"{type(exc).__name__}: {exc}"
 

@@ -14,7 +14,8 @@ gain out over a block of steps, takes the determinant criterion of the
 block's later steps from one stacked log-det, and keeps the steps before
 the first that fires.  What merely measures a run (stage costs, warm-up
 log-dets, q_t, the regret ledger, the anynum flags) is computed after the
-loop from the record.
+loop from the record, and the per-epoch columns (r_t, beta, the estimation
+error) are read from the policy history through ``policy_id``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ class TrajectoryRecord:
     eta: np.ndarray          # (T, m), injected perturbation (nu during warm-up)
     omega: np.ndarray        # (T, n), noise entering x[s+1]
     cost: np.ndarray         # (T,)
-    policy_id: np.ndarray    # (T,) int
-    epoch: np.ndarray        # (T,) int
+    policy_id: np.ndarray    # (T,) int, the epoch of the policy in force
     lambda_t: np.ndarray     # (T,)
     r_t: np.ndarray          # (T,), radius of the policy in force
     logdet_V: np.ndarray     # (T,)
@@ -215,14 +215,10 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
     record = TrajectoryRecord(
         mode="warmup", seed=seed, x=x, u=u, eta=nu, omega=omega,
         cost=_stage_costs(model, x, u),
-        policy_id=np.zeros(T0, dtype=int), epoch=np.zeros(T0, dtype=int),
-        lambda_t=np.full(T0, rho), r_t=nan.copy(), logdet_V=logdets,
-        beta_used=nan.copy(),
+        policy_id=np.zeros(T0, dtype=int), lambda_t=np.full(T0, rho),
+        r_t=nan.copy(), logdet_V=logdets, beta_used=nan.copy(),
         est_error=nan.copy(),
-        diagnostics={
-            "kappa0": cert0.kappa, "gamma0": cert0.gamma,
-            "theta0_error": nuclear_norm(Theta_0 - model.theta_star),
-        },
+        diagnostics={"theta0_error": nuclear_norm(Theta_0 - model.theta_star)},
     )
     return Theta_0, record
 
@@ -280,10 +276,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     omega = model.sigma_w * omega_rng.standard_normal((T, n))
     policy_id = np.zeros(T, dtype=int)
     lam_arr = np.zeros(T)
-    r_arr = np.zeros(T)
     logdet_arr = np.zeros(T)
-    beta_arr = np.zeros(T)
-    err_arr = np.zeros(T)
 
     history: list[PolicyEpoch] = []
     ledger = regret.RegretLedger(nu=params.nu, sigma_w=model.sigma_w)
@@ -308,13 +301,9 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         fire = (current is None) or schedules.should_update(logdetV, logdet_tau, beta_in_force)
         if fire:
             theta_hat = estimation.estimate(est, lam)
-            if params.radius_variant == "anchored":
-                r = estimation.confidence_radius(est, params.delta, lam, model.sigma_w,
-                                                 "anchored", eps=anchor_eps)
-            else:
-                r = estimation.confidence_radius(est, params.delta, lam, model.sigma_w,
-                                                 "unanchored",
-                                                 theta_bound=model.theta_bound)
+            r = estimation.confidence_radius(est, params.delta, lam, model.sigma_w,
+                                             params.radius_variant, eps=anchor_eps,
+                                             theta_bound=model.theta_bound)
             mu_t = synthesis.mu(r, model.theta_bound, V, params.mu_mode)
             if mu_override is not None:
                 mu_t = mu_override
@@ -366,9 +355,6 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             raise blow_up
         estimation.ingest(est, z[:end - lo], x[lo + 1:end + 1])
         policy_id[lo:end] = current.epoch_index
-        r_arr[lo:end] = current.r
-        beta_arr[lo:end] = current.beta
-        err_arr[lo:end] = current.est_error
         if end in checkpoints:
             containment.append((end, _holds_truth(
                 est, model, params, float(lam_arr[end - 1]), params.radius_variant,
@@ -377,9 +363,12 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             size = min(2 * size, _BLOCK)
         lo = end
 
+    def per_step(name):  # a per-epoch value at each step, from the policy in force
+        return np.array([getattr(p, name) for p in history])[policy_id]
+
     # instrumentation, from the record: q_t = z' V_t^{-1} z, the anynum
     # flags and the ledger, with V_t replayed a block of steps at a time
-    mu_steps = np.array([p.mu for p in history])[policy_id]
+    mu_steps = per_step("mu")
     q = np.empty(T)
     anynum = np.empty(T, dtype=bool)
     for lo, z, V in estimation.covariance_blocks(x, u, lam_arr):
@@ -391,13 +380,13 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     record = TrajectoryRecord(
         mode="aslo", seed=seed, x=x, u=u, eta=eta, omega=omega,
         cost=_stage_costs(model, x, u),
-        policy_id=policy_id, epoch=policy_id.copy(), lambda_t=lam_arr, r_t=r_arr,
-        logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr,
+        policy_id=policy_id, lambda_t=lam_arr, r_t=per_step("r"),
+        logdet_V=logdet_arr, beta_used=per_step("beta"),
+        est_error=per_step("est_error"),
         diagnostics={
             "synthesis_failures": failures,
             "containment": containment,
             "anynum_condition": anynum.tolist(),
-            "anchor_eps": float(anchor_eps),
         },
     )
     return record, history, ledger
@@ -444,13 +433,12 @@ def _concat_records(parts: list[TrajectoryRecord], seed: int) -> TrajectoryRecor
     xs = [parts[0].x] + [p.x[1:] for p in parts[1:]]
     offsets = np.cumsum([0] + [int(p.policy_id.max()) + 1 for p in parts[:-1]])
     pid = np.concatenate([p.policy_id + off for p, off in zip(parts, offsets)])
-    epoch = np.concatenate([p.epoch + off for p, off in zip(parts, offsets)])
     cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
     bounds = np.cumsum([p.T for p in parts]).tolist()
     return TrajectoryRecord(
         mode="doubling", seed=seed, x=np.concatenate(xs, axis=0),
         u=cat("u"), eta=cat("eta"), omega=cat("omega"), cost=cat("cost"),
-        policy_id=pid, epoch=epoch, lambda_t=cat("lambda_t"), r_t=cat("r_t"),
+        policy_id=pid, lambda_t=cat("lambda_t"), r_t=cat("r_t"),
         logdet_V=cat("logdet_V"), beta_used=cat("beta_used"),
         est_error=cat("est_error"),
         diagnostics={"segment_bounds": bounds},

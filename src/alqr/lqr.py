@@ -28,9 +28,12 @@ from .linalg import (
     sym,
 )
 
-# gamma is reported as 1 - eps_clip when the closed loop is nilpotent with
-# rho = 0, keeping gamma strictly inside (0, 1)
+# gamma is clipped to 1 - GAMMA_CLIP when a normal closed loop has rho below
+# it (M = 0 included), keeping gamma strictly inside (0, 1)
 GAMMA_CLIP = 1e-9
+# the Lyapunov scaling of a non-normal closed loop is floored here: as
+# rho_eff -> 0 (a nilpotent M), Qs = M / rho_eff and kappa grow without bound
+RHO_EFF_FLOOR = 1e-2
 
 
 @dataclass
@@ -224,7 +227,8 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
     Q_s' P Q_s <= P, Q_s = (1-gamma)^{-1}(A+BK).  For non-normal closed
     loops the scaling is backed off by a 1e-6 relative margin so the
     Lyapunov solve is well posed (at gamma = 1 - rho exactly, Q_s sits on
-    the unit circle and the series diverges).
+    the unit circle and the series diverges), and floored at
+    ``RHO_EFF_FLOOR`` (a nilpotent closed loop has rho = 0).
     """
     K = as_matrix(K, "K")
     if K.shape != (model.m, model.n):
@@ -233,22 +237,15 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
     rho = spectral_radius(M)
     if rho >= 1.0:
         raise NotStabilizingError(rho)
-    if rho == 0.0:
-        gamma = 1.0 - GAMMA_CLIP
-        H = np.eye(model.n)
-        L = M.copy()
-        kappa = max(1.0, spectral_norm(K))
-        return StabilityCert(kappa=kappa, gamma=gamma, H=H, L=L,
-                             spectral_radius=rho)
     if spectral_norm(M) <= rho * (1 + 1e-12):
         # normal closed loop: H = I certifies with gamma = 1 - rho exactly
-        gamma = 1.0 - rho
+        gamma = min(1.0 - rho, 1.0 - GAMMA_CLIP)
         H = np.eye(model.n)
         L = M.copy()
         kappa = max(1.0, spectral_norm(K))
         return StabilityCert(kappa=kappa, gamma=gamma, H=H, L=L,
                              spectral_radius=rho)
-    rho_eff = rho * (1 + 1e-6)
+    rho_eff = max(rho * (1 + 1e-6), RHO_EFF_FLOOR)
     gamma = 1.0 - rho_eff
     Qs = M / rho_eff
     # P solves Qs' P Qs + I = P (identity forcing), i.e. P = sum_k (Qs')^k Qs^k

@@ -140,11 +140,15 @@ def test_p6_stability(bench2x2, bench2x2_params, p5_runs):
             if g > gap_limit:
                 gap_violations += 1
                 guarded_violations += guarded
+    p = bench2x2_params
+    guard = 1.0 / (16.0 * p.kappa**10)  # mu |V^-1| under the mu-smallness condition
+    cap = p.alpha0 * p.sigma_w**2 / (4.0 * p.nu)  # mu |V^-1| under the practical cap
     check("P6 stability", rho_ok and max_norm <= 1e3 and guarded_violations == 0,
           f"all epoch gains stabilizing={rho_ok}, max|x|={max_norm:.2f}, "
           f"sequential-gap violations {gap_violations}/{gaps_seen} recorded "
           f"({guarded_violations} of {guarded_gaps} gaps under the mu-smallness "
-          f"condition, limit {gap_limit:.6f})")
+          f"condition, limit {gap_limit:.6f}; its guard mu|V^-1| <= {guard:.1e} "
+          f"against the practical cap {cap:.1e})")
 
 
 def test_p7_adaptive_beta_shape(bench2x2_params):

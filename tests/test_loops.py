@@ -203,7 +203,9 @@ class TestRunAslo:
         steps, calls = [], []
 
         def lambda_t(t, params):
-            steps.append(t)  # run_aslo evaluates lambda_t once per step
+            # run_aslo evaluates lambda_t for the steps of each block and again
+            # for the step that opens the next, just before a firing's synthesis
+            steps.append(t)
             return real_lambda(t, params)
 
         def fail_once(*args, **kwargs):
@@ -524,7 +526,6 @@ class TestSegmentOracle:
             model, theta0, eps, T, params, seed, **kwargs)
         for name, value in expect.items():
             assert np.array_equal(getattr(rec, name), value), name
-        assert np.array_equal(rec.epoch, expect["policy_id"])
         assert np.array_equal(rec.cost, per_step_costs(model, rec.x, rec.u))
         for key, value in diagnostics.items():
             assert rec.diagnostics[key] == value, key

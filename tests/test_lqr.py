@@ -27,6 +27,15 @@ def scalar_model(a, b, sigma_w=1.0):
                        sigma_w=sigma_w, theta_bound=2.0)
 
 
+def assert_certifies(cert, M):
+    """M = H L H^{-1} with |L| <= 1 - gamma and cond(H) <= kappa."""
+    recon = cert.H @ cert.L @ np.linalg.inv(cert.H)
+    assert spectral_norm(recon - M) <= 1e-8
+    assert spectral_norm(cert.L) <= 1 - cert.gamma + 1e-9
+    Hinv = np.linalg.inv(cert.H)
+    assert spectral_norm(cert.H) * spectral_norm(Hinv) <= cert.kappa + 1e-9
+
+
 def random_stable_model(rng, n, m, rho_target=0.9):
     A = rng.standard_normal((n, n))
     r = spectral_radius(A)
@@ -191,13 +200,13 @@ class TestStabilityCcertificate:
         rng = np.random.default_rng(19)
         m = random_stable_model(rng, 3, 3)
         K = solve_dare(m).K_star
-        cert = stability_certificate(m, K)
-        M = m.A + m.B @ K
-        recon = cert.H @ cert.L @ np.linalg.inv(cert.H)
-        assert spectral_norm(recon - M) <= 1e-8
-        assert spectral_norm(cert.L) <= 1 - cert.gamma + 1e-9
-        Hinv = np.linalg.inv(cert.H)
-        assert spectral_norm(cert.H) * spectral_norm(Hinv) <= cert.kappa + 1e-9
+        assert_certifies(stability_certificate(m, K), m.A + m.B @ K)
+
+    def test_nilpotent_closed_loop_certificate_is_valid(self):
+        # rho = 0 but |A + BK| = 1: H = I cannot certify gamma near 1
+        m = SystemModel(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
+                        Q=np.eye(2), R=[[1.0]], sigma_w=1.0)
+        assert_certifies(stability_certificate(m, [[0.0, 0.0]]), m.A)
 
     def test_not_stabilizing(self):
         m = SystemModel(A=[[1.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], sigma_w=1.0)
