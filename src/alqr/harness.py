@@ -87,8 +87,6 @@ class ExperimentConfig:
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported schema_version {self.schema_version}", field="schema_version")
-        if self.mode == "full-pipeline":
-            self.mode = "full"
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}", field="mode")
         if self.criterion not in CRITERION_ALIASES:
@@ -440,9 +438,7 @@ def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
         if len(pts) >= 4:
             taus = np.array([p[0] for p in pts], dtype=float)
             errs = np.array([p[1] for p in pts])
-            A = np.vstack([np.log(taus), np.ones(len(pts))]).T
-            coef, *_ = np.linalg.lstsq(A, np.log(errs), rcond=None)
-            agg["est_error_slope"] = float(coef[0])
+            agg["est_error_slope"] = regret._loglog_slope(taus, errs)
     return agg
 
 

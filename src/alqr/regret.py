@@ -190,6 +190,11 @@ def slope(series, window) -> float:
     y = series[mask]
     if np.any(y <= 0) or np.any(~np.isfinite(y)):
         raise ConfigurationError("series must be positive on the window", field="series")
-    A = np.vstack([np.log(t[mask]), np.ones(mask.sum())]).T
+    return _loglog_slope(t[mask], y)
+
+
+def _loglog_slope(x, y) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    A = np.vstack([np.log(x), np.ones(len(x))]).T
     coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
     return float(coef[0])

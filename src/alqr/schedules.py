@@ -84,7 +84,6 @@ class GFixedPoint:
     log10_tau_star: float
     log10_ln_tau_star_over_delta: float
     residual: float            # |G - RHS(G)| / G, via the log-space gap
-    iterations: int
 
 
 @dataclass
@@ -148,22 +147,18 @@ def _g_fixed_point(spec: GSpec) -> GFixedPoint:
     """
     if spec.phi <= 1:
         raise ScheduleError("G(phi) requires phi > 1")
-    iters = 0
     lo = math.log10(spec.alpha_bar)
     while spec.rhs_log10(lo) <= lo:
         lo -= 50.0
-        iters += 1
         if lo < -5000:
             raise ScheduleError("G(phi) bracketing failed from below")
     hi = max(lo + 1.0, 1.0)
     while spec.rhs_log10(hi) > hi:
         hi = hi * 2.0 if hi > 1 else hi + 10.0
-        iters += 1
         if hi > 1e301:
             raise ScheduleError("G(phi) bracketing failed from above")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        iters += 1
         if spec.rhs_log10(mid) > mid:
             lo = mid
         else:
@@ -181,7 +176,6 @@ def _g_fixed_point(spec: GSpec) -> GFixedPoint:
         log10_tau_star=log10_tau,
         log10_ln_tau_star_over_delta=log10_ln_ts,
         residual=residual,
-        iterations=iters,
     )
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alqr import harness, loops
+from alqr import harness, loops, synthesis
+from alqr.benchmarks import bench_2x2
 from alqr.cli import main as cli_main
-from alqr.exceptions import ConfigurationError
+from alqr.exceptions import ConfigurationError, SynthesisError
 from alqr.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -287,6 +288,34 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.errors) == 2
         assert all("BlowUp" in e["error"] for e in report.errors)
+
+    def test_decline_at_first_firing_fails_each_seed(self, monkeypatch):
+        def decline(*args, **kwargs):
+            raise SynthesisError("injected failure")
+
+        monkeypatch.setattr(synthesis, "synthesize_policy", decline)
+        cfg = ExperimentConfig(benchmark="bench-2x2", T=20, seeds=[0, 1], workers=1)
+        report = run_experiment(cfg)
+        assert [e["seed"] for e in report.errors] == [0, 1]
+        assert all("SynthesisError: injected failure" in e["error"]
+                   for e in report.errors)
+        assert report.per_seed == []
+
+    def test_model_matrices_match_named_benchmark(self, tmp_path):
+        m = bench_2x2()
+        model = {"A": m.A.tolist(), "B": m.B.tolist(), "Q": m.Q.tolist(),
+                 "R": m.R.tolist(), "theta_bound": 1.6}
+        named = smoke_config(tmp_path, benchmark="bench-2x2", T=300, seeds=[0, 1],
+                             checkpoints=[30, 300], out_dir=str(tmp_path / "named"))
+        given = smoke_config(tmp_path, benchmark=None, model=model, T=300,
+                             seeds=[0, 1], checkpoints=[30, 300],
+                             out_dir=str(tmp_path / "given"))
+        run_experiment(named)
+        run_experiment(given)
+        for seed in (0, 1):
+            name = f"seed_{seed:04d}.csv"
+            assert (tmp_path / "given" / name).read_bytes() == \
+                (tmp_path / "named" / name).read_bytes()
 
     def test_degenerate_barrier_solution_keeps_previous_policy(self):
         # unclamped mu makes the Riccati path decline at some firings (its

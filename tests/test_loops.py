@@ -195,6 +195,17 @@ class TestRunAslo:
                      seed=0, x0=[2e6, 0.0])
         assert "x_norm" in exc.value.diagnostics
 
+    def test_decline_at_first_firing_aborts(self, bench2x2, bench2x2_params,
+                                            bench2x2_anchor, monkeypatch):
+        # with no policy in force there is nothing to keep: the decline propagates
+        def decline(*args, **kwargs):
+            raise SynthesisError("injected failure")
+
+        monkeypatch.setattr(synthesis, "synthesize_policy", decline)
+        theta0, eps = bench2x2_anchor
+        with pytest.raises(SynthesisError, match="injected failure"):
+            run_aslo(bench2x2, theta0, eps, T=20, params=bench2x2_params, seed=0)
+
     def test_synthesis_failure_keeps_previous_policy(self, bench2x2, bench2x2_params,
                                                      bench2x2_anchor, monkeypatch):
         theta0, eps = bench2x2_anchor

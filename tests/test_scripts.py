@@ -1,4 +1,5 @@
-"""Smoke runs of the command-line scripts with tiny arguments."""
+"""Fresh-interpreter runs: the command-line scripts with tiny arguments, and
+the modules a run imports."""
 
 import os
 import subprocess
@@ -23,4 +24,16 @@ def test_script_exits_cleanly(tmp_path, script, args):
     cmd += [a.format(out=tmp_path / "out") for a in args]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_path_does_not_import_barrier_oracle():
+    # alqr.sdp is a test oracle; the harness and the CLI must not load it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, alqr.harness, alqr.cli; "
+            "assert 'alqr.sdp' not in sys.modules, 'alqr.sdp imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

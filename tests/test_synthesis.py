@@ -234,6 +234,15 @@ class TestSolveRelaxedRiccati:
         assert rel_err(K, K_ref) <= 1e-4
         assert rel_err(P, P_ref) <= 1e-4
 
+    def test_unstabilizable_estimate_declines(self):
+        # B-hat = 0 leaves A-hat = 1.5 I unstable under every gain
+        model = bench_2x2()
+        theta = np.vstack([1.5 * np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(SynthesisError) as exc:
+            synthesize_policy(theta, model, 0.0, np.eye(4))
+        assert str(exc.value) == ("Riccati path declined: NotStabilizableError: "
+                                  "doubling iteration diverged")
+
     def test_indefinite_input_weight_falls_back(self):
         # V^{-1} concentrated on the input block: R - mu tr(P) V^{-1}_uu is
         # not PSD at the relaxed optimum, so the Riccati path must decline and
