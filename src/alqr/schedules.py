@@ -36,29 +36,13 @@ def _log10_ln1p_pow10(e: float) -> float:
 def phi_bar(delta: float) -> float:
     """Largest phi with (log(1/delta)/log(t/delta))^phi sqrt(t) > 1 for t >= 1.
 
-    Equals the minimum over t > 1 of h(t) = (ln t / 2) / ln(ln(t/delta)/ln(1/delta)),
-    located numerically on a log grid over [1+1e-6, 1e12] with local
-    refinement, then backed off by a 1e-6 margin.
+    That is the infimum over t > 1 of h(t) = (ln t / 2) / ln(ln(t/delta)/ln(1/delta)),
+    less a 1e-6 margin.  With v = ln t / ln(1/delta), h = (ln(1/delta)/2) v/ln(1+v),
+    and v/ln(1+v) increases on v > 0, so the infimum is the t -> 1 limit ln(1/delta)/2.
     """
     if not 0 < delta < 1:
         raise ConfigurationError("delta must lie in (0, 1)", field="delta")
-    L = math.log(1.0 / delta)
-
-    def h(t):
-        denom = math.log(math.log(t / delta) / L)
-        return 0.5 * math.log(t) / denom
-
-    lo, hi = 1.0 + 1e-6, 1e12
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), 4001))
-    vals = np.array([h(t) for t in grid])
-    k = int(np.argmin(vals))
-    for _ in range(3):
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        grid = np.exp(np.linspace(np.log(a), np.log(b), 2001))
-        vals = np.array([h(t) for t in grid])
-        k = int(np.argmin(vals))
-    return float(vals[k]) - 1e-6
+    return 0.5 * math.log(1.0 / delta) - 1e-6
 
 
 def p_bar(t, delta: float, phi: float):
