@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alqr import loops, regret, schedules, synthesis
-from alqr.benchmarks import bench_2x2
+from alqr.benchmarks import bench_2x2, bench_3x2
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
 from alqr.estimation import (
     EstimatorState,
@@ -21,14 +21,13 @@ from alqr.linalg import logdet_pd, nuclear_norm, spectral_norm
 from alqr.loops import (
     _streams,
     perturbation_variance,
-    replay_states,
     run_aslo,
     run_doubling,
     run_fixed_policy,
     run_warmup,
     sample_perturbation,
 )
-from alqr.lqr import SystemModel, solve_dare, stability_certificate
+from alqr.lqr import SystemModel, solve_dare, stability_certificate, step
 from alqr.schedules import build_schedule, warmup_duration
 
 
@@ -137,6 +136,15 @@ class TestSamplePerturbation:
         assert np.array_equal(rows, np.array(one_by_one))
         with pytest.raises(ConfigurationError):
             sample_perturbation(np.arange(0, 5), bench2x2_params, rng)
+
+
+def replay_states(record, model):
+    """Re-simulate the state sequence from the stored inputs and noise."""
+    x = np.empty_like(record.x)
+    x[0] = record.x[0]
+    for s in range(record.T):
+        x[s + 1] = step(model, x[s], record.u[s], record.omega[s])
+    return x
 
 
 class TestRunAslo:
@@ -298,6 +306,77 @@ def per_step_rollout(model, K, T, seed, params, x0=None):
         u[s] = K @ x[s] + eta[s]
         x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
     return x, u
+
+
+def per_step_kernel(model, K, x, u, eta, omega, runner, lo, hi):
+    """``_rollout`` as the formula reads, with ``@`` and fresh temporaries."""
+    for s in range(lo, hi):
+        u[s] = K @ x[s] + eta[s]
+        x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
+        x_norm = float(np.linalg.norm(x[s + 1]))
+        if x_norm > loops.BLOWUP_NORM:
+            raise BlowUpError(f"{runner} state blow-up",
+                              diagnostics={"t": s + 1, "x_norm": x_norm})
+
+
+class TestRollout:
+    """The rollout kernel writes the bits of the per-step ``@`` formula into
+    its segment's rows and nothing else."""
+
+    SENTINEL = -7.25
+
+    @staticmethod
+    def arrays(model, lo, hi, x0, seed):
+        rng = np.random.default_rng(seed)
+        T = hi + 3  # rows after the segment; lo > 0 leaves rows before it
+        x = np.full((T + 1, model.n), TestRollout.SENTINEL)
+        x[lo] = x0
+        u = np.full((T, model.m), TestRollout.SENTINEL)
+        eta = rng.standard_normal((T, model.m))
+        omega = model.sigma_w * rng.standard_normal((T, model.n))
+        return x, u, eta, omega
+
+    @staticmethod
+    def gain(model, order, seed):
+        # the DARE gain with full-precision entries: @ gives different bits
+        # for its F-ordered and C-ordered copies on some steps
+        K = solve_dare(model).K_star + 1e-3 * np.random.default_rng(seed).standard_normal(
+            (model.m, model.n))
+        return np.asfortranarray(K) if order == "F" else np.ascontiguousarray(K)
+
+    @pytest.mark.parametrize("make", [bench_2x2, bench_3x2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lo, size", [(5, 1), (9, 2), (3, 256)])
+    def test_segment_equals_per_step_formula(self, make, order, lo, size):
+        model = make()
+        hi = lo + size
+        K = self.gain(model, order, seed=lo)
+        x0 = np.random.default_rng(size).standard_normal(model.n)
+        x, u, eta, omega = self.arrays(model, lo, hi, x0, seed=size)
+        x_ref, u_ref = x.copy(), u.copy()
+        loops._rollout(model, K, x, u, eta, omega, "test", lo, hi)
+        per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", lo, hi)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(u, u_ref)
+        # only u[lo:hi] and x[lo+1:hi+1] are written
+        assert np.all(x[:lo] == self.SENTINEL) and np.all(x[hi + 1:] == self.SENTINEL)
+        assert np.all(u[:lo] == self.SENTINEL) and np.all(u[hi:] == self.SENTINEL)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blow_up_on_first_row_mid_array(self, bench2x2, order):
+        lo, hi = 7, 7 + 256
+        K = self.gain(bench2x2, order, seed=0)
+        x, u, eta, omega = self.arrays(bench2x2, lo, hi, [3e6, -1e6], seed=1)
+        x_ref, u_ref = x.copy(), u.copy()
+        with pytest.raises(BlowUpError) as exc:
+            loops._rollout(bench2x2, K, x, u, eta, omega, "fixed-policy", lo, hi)
+        with pytest.raises(BlowUpError) as ref:
+            per_step_kernel(bench2x2, K, x_ref, u_ref, eta, omega, "fixed-policy", lo, hi)
+        assert str(exc.value) == str(ref.value) == "fixed-policy state blow-up"
+        assert exc.value.diagnostics == ref.value.diagnostics
+        assert exc.value.diagnostics["t"] == lo + 1
+        assert np.array_equal(x, x_ref) and np.array_equal(u, u_ref)
+        assert np.all(x[lo + 2:] == self.SENTINEL) and np.all(u[lo + 1:] == self.SENTINEL)
 
 
 class TestRunFixedPolicy:
