@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
 """Update-criterion comparison on matched seeds (common random numbers).
 
-Runs det-doubling, a fixed beta, and the adaptive beta rule side by side and
-prints per-seed update counts and cumulative regret.  Adaptive beta with
-paper constants is ~1e-11 at desk scale, so it updates every step: keep T
-small unless you have time to burn.
+Runs det-doubling, a fixed beta, and the adaptive beta rule side by side
+through the harness and prints per-seed update counts and cumulative regret.
+Adaptive beta with paper constants is ~1e-11 at desk scale, so it updates
+every step: keep T small unless you have time to burn.
 """
 
 import argparse
+import sys
 
-import numpy as np
-
-from alqr.benchmarks import get_benchmark, perturbed_gain, perturbed_theta
-from alqr.loops import run_aslo
-from alqr.lqr import solve_dare, stability_certificate
-from alqr.regret import realized_regret
-from alqr.schedules import build_schedule
+from alqr.harness import ExperimentConfig, run_experiment
 
 
 def main():
@@ -26,25 +21,24 @@ def main():
     ap.add_argument("--beta", type=float, default=3.0)
     args = ap.parse_args()
 
-    model = get_benchmark(args.benchmark)
-    J = solve_dare(model).J_star
-    cert0 = stability_certificate(model, perturbed_gain(model, 0.2, seed=0))
-    base = build_schedule(model, cert0=cert0, constants_mode="practical")
-    theta0 = perturbed_theta(model, 0.1, seed=3)
-    eps = float(np.linalg.norm(theta0 - model.theta_star)) * 1.05
-
     variants = {
-        "det2": base,
-        f"fixed-beta({args.beta})": base.with_criterion("fixed_beta", beta=args.beta),
-        "adaptive": base.with_criterion("adaptive_beta"),
+        "det2": {"criterion": "det2"},
+        f"fixed-beta({args.beta})": {"criterion": "fixed-beta", "beta": args.beta},
+        "adaptive": {"criterion": "adaptive"},
     }
+    reports = {name: run_experiment(ExperimentConfig(
+        benchmark=args.benchmark, T=args.T, seeds=list(range(args.seeds)), **kw))
+        for name, kw in variants.items()}
+    errors = [f"{name} seed {e['seed']} failed: {e['error']}"
+              for name, report in reports.items() for e in report.errors]
+    if errors:
+        sys.exit("\n".join(errors))
     print(f"{'seed':>4}  {'criterion':>18}  {'updates':>7}  {'regret':>10}")
     for seed in range(args.seeds):
-        for name, params in variants.items():
-            rec, hist, ledger = run_aslo(model, theta0, eps, T=args.T,
-                                         params=params, seed=seed)
-            reg = realized_regret(rec, J)[-1]
-            print(f"{seed:>4}  {name:>18}  {ledger.n_updates():>7}  {reg:>10.1f}")
+        for name, report in reports.items():
+            s = report.per_seed[seed]
+            print(f"{seed:>4}  {name:>18}  {s['n_updates']:>7}  "
+                  f"{s['final_cum_regret']:>10.1f}")
 
 
 if __name__ == "__main__":

@@ -3,15 +3,13 @@
 
 Theory mode carries the conservative constants in log10 (they overflow
 doubles); practical mode shows the desk-scale values actually used in
-simulation.
+simulation.  The schedule is the one the harness builds for the same config.
 """
 
 import argparse
 
-from alqr.benchmarks import get_benchmark, perturbed_gain
-from alqr.harness import json_dumps
-from alqr.lqr import stability_certificate
-from alqr.schedules import build_schedule, constants_report
+from alqr.harness import ExperimentConfig, json_dumps, shared_setup
+from alqr.schedules import constants_report
 
 
 def main():
@@ -26,12 +24,10 @@ def main():
                     choices=["proof", "statement"])
     args = ap.parse_args()
 
-    model = get_benchmark(args.benchmark)
-    cert0 = stability_certificate(model, perturbed_gain(model, 0.2, seed=0))
-    params = build_schedule(model, cert0=cert0, delta=args.delta, phi=args.phi,
-                            constants_mode=args.constants,
-                            tau_star_form=args.tau_star_form)
-    print(json_dumps(constants_report(params)))
+    config = ExperimentConfig(benchmark=args.benchmark, constants=args.constants,
+                              delta=args.delta, phi=args.phi,
+                              tau_star_form=args.tau_star_form)
+    print(json_dumps(constants_report(shared_setup(config).params)))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from . import loops, regret, schedules
 from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
 from .exceptions import ConfigurationError
 from .linalg import row_blocks, spectral_radius
-from .lqr import StabilityCert, SystemModel, solve_dare, stability_certificate
+from .lqr import SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gap
 
 log = logging.getLogger(__name__)
@@ -131,8 +131,7 @@ class ExperimentConfig:
         return get_benchmark(self.benchmark)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return out
+        return asdict(self)
 
 
 def parse_seed_range(text: str) -> list:
@@ -248,7 +247,7 @@ def read_trajectory_csv(path) -> dict:
     return dict(zip(CSV_COLUMNS, data.T))
 
 
-def coverage_check(reports, delta: float) -> float:
+def coverage_check(reports) -> float:
     """Fraction of (seed, checkpoint) pairs whose ellipsoid held the truth."""
     flags = []
     for rep in reports:
@@ -265,13 +264,13 @@ class SharedSetup:
 
     model: SystemModel
     K0: np.ndarray
-    cert0: StabilityCert
     params: schedules.ScheduleParams
     J_star: float
 
 
-def _build_shared(config: ExperimentConfig) -> SharedSetup:
-    """The model, initial gain K0 and its certificate, schedule and J*."""
+def shared_setup(config: ExperimentConfig) -> SharedSetup:
+    """How a config becomes a run: the model, the initial gain K0, the
+    schedule built on K0's certificate, and J*.  The one set-up of a run."""
     model = config.build_model()
     K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
     cert0 = stability_certificate(model, K0)
@@ -283,7 +282,7 @@ def _build_shared(config: ExperimentConfig) -> SharedSetup:
         radius_variant=config.radius_variant, mu_clamp=config.mu_clamp,
         tau_star_form=config.tau_star_form,
     )
-    return SharedSetup(model=model, K0=K0, cert0=cert0, params=params,
+    return SharedSetup(model=model, K0=K0, params=params,
                        J_star=solve_dare(model).J_star)
 
 
@@ -302,7 +301,7 @@ def _epoch_diagnostics(model, params, history):
 
 def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     """One isolated per-seed run; returns the summary plus its CSV columns."""
-    model, K0, cert0, params = shared.model, shared.K0, shared.cert0, shared.params
+    model, K0, params = shared.model, shared.K0, shared.params
     J_star = shared.J_star
     summary = {"seed": seed, "mode": config.mode, "J_star": J_star}
     columns = []
@@ -310,7 +309,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     if config.mode in ("warmup", "full"):
         eps_target = config.eps_target if config.eps_target is not None else 0.5
         T0 = config.T0 if config.T0 is not None else schedules.warmup_duration(
-            eps_target, params, kappa0=cert0.kappa, gamma0=cert0.gamma)
+            eps_target, params)
         Theta_0, wrec = loops.run_warmup(model, K0, T0, seed=seed, x0=config.x0)
         summary["T0"] = int(T0)
         summary["theta0_error"] = wrec.diagnostics["theta0_error"]
@@ -392,14 +391,7 @@ class AggregateReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "constants": self.constants,
-            "per_seed": self.per_seed,
-            "errors": self.errors,
-            "aggregate": self.aggregate,
-        }
+        return asdict(self)
 
 
 def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
@@ -414,7 +406,7 @@ def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
         if vals:
             agg[f"regret_mean_t{c}"] = float(np.mean(vals))
             agg[f"regret_std_t{c}"] = float(np.std(vals))
-    cov = coverage_check(summaries, config.delta)
+    cov = coverage_check(summaries)
     if not math.isnan(cov):
         agg["coverage_frequency"] = cov
     epochs = [s["epochs"] for s in summaries if "epochs" in s]
@@ -448,7 +440,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     Per-seed trajectory CSVs and the aggregate JSON land in ``out_dir`` when
     set.  Identical configs produce byte-identical outputs.
     """
-    shared = _build_shared(config)
+    shared = shared_setup(config)
     tasks = [(config, shared, seed) for seed in sorted(config.seeds)]
     results = {}
     if config.workers > 1:

@@ -1,5 +1,5 @@
-"""Ground-truth plant model, simulation step, exact LQR solutions, and
-strong-stability certification.
+"""Ground-truth plant model, exact LQR solutions, and strong-stability
+certification.
 
 The plant is x' = A x + B u + w with per-component noise std ``sigma_w``
 (noise covariance W = sigma_w^2 I). ``theta_bound`` is a known bound on the
@@ -122,20 +122,6 @@ class StabilityCert:
     H: np.ndarray
     L: np.ndarray
     spectral_radius: float
-
-
-def step(model: SystemModel, x, u, w):
-    """One plant transition: A x + B u + w."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if x.shape[0] != model.n:
-        raise ConfigurationError("state dimension mismatch", field="x")
-    if u.shape[0] != model.m:
-        raise ConfigurationError("input dimension mismatch", field="u")
-    if w.shape[0] != model.n:
-        raise ConfigurationError("noise dimension mismatch", field="w")
-    return model.A @ x + model.B @ u + w
 
 
 def _split_theta(theta, n):

@@ -80,10 +80,9 @@ class RegretLedger:
     def finalize(self, epoch_marks):
         self.epoch_marks = list(epoch_marks)
 
-    def n_updates(self, t=None):
-        """Criterion-fired updates by time t (the initial solve is not a switch)."""
-        marks = self.epoch_marks if t is None else [m for m in self.epoch_marks if m <= t]
-        return max(0, len(marks) - 1)
+    def n_updates(self):
+        """Criterion-fired updates (the initial solve is not a switch)."""
+        return max(0, len(self.epoch_marks) - 1)
 
     def terms(self):
         return dict(zip(R_NAMES, self.R.tolist()))
@@ -151,8 +150,7 @@ def term_bounds(T: int, params, traj_stats: dict) -> dict:
     b5 = 2.0 * sig * params.alpha1 * kap * X \
         * math.sqrt(8.0 * pbT * math.log(2.0 / delta)) * T**0.25
     b6 = 10.0 * params.alpha1 * m * sig**2 * kap**2 \
-        * (math.log(T / delta) / math.log(1.0 / delta)) ** (params.phi + 1) \
-        * math.sqrt(T)
+        * p_bar(T, delta, params.phi + 1) * math.sqrt(T)
     return dict(zip(R_NAMES, (b1, b2, b3, b4, b5, b6)))
 
 

@@ -64,9 +64,7 @@ def p_bar(t, delta: float, phi: float):
 class GFixedPoint:
     log10_G: float
     log10_branch1: float
-    log10_branch2: float
     log10_tau_star: float
-    log10_ln_tau_star_over_delta: float
     residual: float            # |G - RHS(G)| / G, via the log-space gap
 
 
@@ -114,10 +112,10 @@ class GSpec:
         b1 = (math.log10(self.sigma_w**2 / 40.0) + 0.5 * log10_tau
               + (self.phi - 1) * log10_ln_ts - self.phi * math.log10(lnd))
         b2 = self.log10_coef + math.log10(8 * d_tot) + ll
-        return b1, b2, log10_tau, log10_ln_ts
+        return b1, b2, log10_tau
 
     def rhs_log10(self, L):
-        b1, b2, _, _ = self.branches(L)
+        b1, b2, _ = self.branches(L)
         return max(b1, b2)
 
 
@@ -150,15 +148,13 @@ def _g_fixed_point(spec: GSpec) -> GFixedPoint:
         if hi - lo <= 1e-13 * max(1.0, abs(hi)):
             break
     L = hi  # the minimal valid G lies at the crossing; hi satisfies G >= RHS
-    b1, b2, log10_tau, log10_ln_ts = spec.branches(L)
+    b1, b2, log10_tau = spec.branches(L)
     dL = max(b1, b2) - L
     residual = abs(10.0**dL - 1.0) if abs(dL) < 1.0 else math.inf
     return GFixedPoint(
         log10_G=L,
         log10_branch1=b1,
-        log10_branch2=b2,
         log10_tau_star=log10_tau,
-        log10_ln_tau_star_over_delta=log10_ln_ts,
         residual=residual,
     )
 
@@ -350,14 +346,6 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         params = replace(params, eps_bar=eb, eps_under=eu,
                          log10_eps_bar=math.log10(eb), log10_eps_under=math.log10(eu))
     return params
-
-
-def g_of_phi(params: ScheduleParams) -> float:
-    """Regularization constant G(phi): the theory fixed point, or the
-    practical lambda_scale."""
-    if params.constants_mode == "theory":
-        return params.G_phi
-    return params.lambda_scale
 
 
 def lambda_t(t: float, params: ScheduleParams) -> float:

@@ -239,11 +239,11 @@ class TestEmitOracle:
 class TestCoverageCheck:
     def test_all_contained(self):
         reports = [{"containment": [[500, True], [1000, True]]}] * 3
-        assert coverage_check(reports, 0.1) == 1.0
+        assert coverage_check(reports) == 1.0
 
     def test_none_contained(self):
         reports = [{"containment": [[500, False]]}] * 2
-        assert coverage_check(reports, 0.1) == 0.0
+        assert coverage_check(reports) == 0.0
 
 
 class TestRunExperiment:

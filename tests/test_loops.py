@@ -27,7 +27,7 @@ from alqr.loops import (
     run_warmup,
     sample_perturbation,
 )
-from alqr.lqr import SystemModel, solve_dare, stability_certificate, step
+from alqr.lqr import SystemModel, solve_dare, stability_certificate
 from alqr.schedules import build_schedule, warmup_duration
 
 
@@ -143,7 +143,7 @@ def replay_states(record, model):
     x = np.empty_like(record.x)
     x[0] = record.x[0]
     for s in range(record.T):
-        x[s + 1] = step(model, x[s], record.u[s], record.omega[s])
+        x[s + 1] = model.A @ x[s] + model.B @ record.u[s] + record.omega[s]
     return x
 
 

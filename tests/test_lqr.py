@@ -3,11 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqr.exceptions import (
-    ConfigurationError,
-    NotStabilizableError,
-    NotStabilizingError,
-)
+from alqr.exceptions import NotStabilizableError, NotStabilizingError
 from alqr.linalg import spectral_norm, spectral_radius
 from alqr.lqr import (
     SystemModel,
@@ -15,7 +11,6 @@ from alqr.lqr import (
     nu_bound,
     solve_dare,
     stability_certificate,
-    step,
 )
 from alqr.sdp import exact_sdp
 
@@ -57,49 +52,6 @@ def value_iteration(model, tol=1e-12, max_iter=200_000):
             return Pn
         P = Pn
     raise AssertionError("value iteration did not converge")
-
-
-class TestStep:
-    def test_zero_dynamics(self):
-        m = scalar_model(0.0, 0.0)
-        assert step(m, [3.0], [7.0], [0.0]) == pytest.approx(0.0)
-
-    def test_direct_arithmetic(self):
-        m = scalar_model(1.0, 1.0)
-        assert step(m, [1.0], [2.0], [0.5])[0] == pytest.approx(3.5)
-
-    def test_against_dense_matvec_oracle(self):
-        rng = np.random.default_rng(7)
-        m = random_stable_model(rng, 3, 2)
-        x = rng.standard_normal(3)
-        u = rng.standard_normal(2)
-        w = rng.standard_normal(3)
-        # explicit row-by-row products, independent of the implementation
-        expect = np.array([
-            sum(m.A[i, j] * x[j] for j in range(3))
-            + sum(m.B[i, j] * u[j] for j in range(2)) + w[i]
-            for i in range(3)
-        ])
-        assert np.max(np.abs(step(m, x, u, w) - expect)) <= 1e-14
-
-    def test_dimension_mismatch(self):
-        m = scalar_model(1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            step(m, [1.0, 2.0], [0.0], [0.0])
-        with pytest.raises(ConfigurationError):
-            step(m, [1.0], [0.0, 1.0], [0.0])
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_stable_model(rng, 2, 2)
-        x1, x2 = rng.standard_normal((2, 2))
-        u1, u2 = rng.standard_normal((2, 2))
-        w1, w2 = rng.standard_normal((2, 2))
-        lhs = step(m, x1 + x2, u1 + u2, w1 + w2)
-        rhs = step(m, x1, u1, w1) + step(m, x2, u2, w2)
-        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestSolveDare:

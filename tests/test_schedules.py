@@ -13,7 +13,6 @@ from alqr.schedules import (
     build_schedule,
     constants_report,
     eps_targets,
-    g_of_phi,
     g_spec,
     lambda_t,
     p_bar,
@@ -68,7 +67,7 @@ class TestPBar:
 
 class TestGOfPhi:
     def test_practical_returns_scale(self, bench2x2_params):
-        assert g_of_phi(bench2x2_params) == bench2x2_params.lambda_scale
+        assert bench2x2_params.G_phi == bench2x2_params.lambda_scale
 
     def test_fixed_point_residual(self):
         params = small_theory_params()
