@@ -1,6 +1,7 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success, 2 configuration error, 3 any per-seed runner failure.
+Exit codes: 0 success, 2 configuration error (including one the schedule
+set-up finds), 3 any per-seed runner failure.
 The ALQR_LOG environment variable sets the log level (DEBUG/INFO/WARNING).
 """
 
@@ -11,7 +12,7 @@ import logging
 import os
 import sys
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, ScheduleError
 from .harness import ExperimentConfig, load_config, parse_seed_range, run_experiment
 
 
@@ -74,10 +75,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-    except ConfigurationError as exc:
-        print(f"config error ({exc.field}): {exc}", file=sys.stderr)
+        report = run_experiment(config)
+    except (ConfigurationError, ScheduleError) as exc:
+        # per-seed errors never escape run_experiment: these are set-up errors
+        print(f"config error ({getattr(exc, 'field', None)}): {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(config)
     agg = report.aggregate
     print(f"seeds ok: {agg.get('seed_count', 0)}  failed: {len(report.errors)}")
     for key in ("final_regret_mean", "regret_slope", "est_error_slope",

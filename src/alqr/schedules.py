@@ -242,8 +242,6 @@ def _alpha_under(kappa, gamma, sigma_w, n, m, theta_bound, chi, lambda1):
     The published form carries a stray log(t/delta) inside; the derivation's
     t-free constant is used here.
     """
-    if not 0 <= chi < 1:
-        raise ScheduleError("chi must lie in [0, 1)")
     e_chi = 1.0 / (1.0 - chi)
     kap_star = ((2 * kappa**2 * math.e * chi) / (lambda1 * gamma)) ** chi \
         * math.exp(gamma * (1.0 - math.e * chi / gamma)) if chi > 0 else math.exp(gamma)
@@ -268,6 +266,18 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         raise ConfigurationError(f"unknown criterion {criterion!r}", field="criterion")
     if not 0 < delta < 1:
         raise ConfigurationError("delta must lie in (0, 1)", field="delta")
+    if not 0 <= chi < 1:
+        raise ConfigurationError("chi must lie in [0, 1)", field="chi")
+    if not lambda_scale > 0:
+        raise ConfigurationError("lambda_scale must be > 0", field="lambda_scale")
+    if noise_scale is not None and not noise_scale >= 0:
+        raise ConfigurationError("noise_scale must be >= 0", field="noise_scale")
+    for name, value, allowed in (("mu_mode", mu_mode, ("paper", "lemma")),
+                                 ("radius_variant", radius_variant, ("anchored", "unanchored")),
+                                 ("tau_star_form", tau_star_form, ("proof", "statement"))):
+        if value not in allowed:
+            raise ConfigurationError(f"{name} must be one of {allowed}, got {value!r}",
+                                     field=name)
     if nu is None:
         if cert0 is None:
             raise ConfigurationError("need nu or an initial certificate", field="nu")

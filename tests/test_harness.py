@@ -317,7 +317,7 @@ class TestRunExperiment:
             assert (tmp_path / "given" / name).read_bytes() == \
                 (tmp_path / "named" / name).read_bytes()
 
-    def test_degenerate_barrier_solution_keeps_previous_policy(self):
+    def test_unclamped_mu_declines_keep_previous_policy(self):
         # unclamped mu makes the Riccati path decline at some firings (its
         # certificate fails or the doubling iteration does not converge);
         # each decline is a synthesis failure and the run keeps its old policy
@@ -404,6 +404,19 @@ class TestCli:
         p = tmp_path / "bad.json"
         p.write_text('{"benchmark": "scalar-golden", "delta": 2.0}')
         assert cli_main(["--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("phi", 1.0), ("chi", 1.0), ("lambda_scale", 0.0), ("mu_mode", "Lemma"),
+        ("noise_scale", -1.0), ("tau_star_form", "stmt"),
+    ])
+    def test_schedule_config_error_exit_code(self, tmp_path, capsys, field, value):
+        # values only the schedule set-up can judge: exit 2 naming the field
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"benchmark": "bench-2x2", "T": 5, field: value}))
+        assert cli_main(["--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error ({field}): ")
+        assert "Traceback" not in err
 
     def test_runner_failure_exit_code(self, tmp_path):
         p = tmp_path / "c.json"

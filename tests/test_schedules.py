@@ -281,6 +281,16 @@ class TestBuildSchedule:
             build_schedule(bench2x2, nu=100.0, criterion="relaxed_sequential",
                            chi=0.2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("chi", 1.0), ("chi", -0.1), ("lambda_scale", 0.0), ("lambda_scale", -1.0),
+        ("lambda_scale", math.nan), ("noise_scale", -1.0), ("mu_mode", "Lemma"),
+        ("radius_variant", "anchor"), ("tau_star_form", "stmt"),
+    ])
+    def test_out_of_domain_value_names_field(self, bench2x2, field, value):
+        with pytest.raises(ConfigurationError) as exc:
+            build_schedule(bench2x2, nu=100.0, **{field: value})
+        assert exc.value.field == field
+
     def test_det_double_forces_beta_one(self, bench2x2_params):
         assert bench2x2_params.beta == 1.0
 

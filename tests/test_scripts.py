@@ -1,5 +1,5 @@
-"""Fresh-interpreter runs: the command-line scripts with tiny arguments, and
-the modules a run imports."""
+"""Fresh-interpreter runs: the command-line scripts with tiny arguments, what
+they print against what the harness runs, and the modules a run imports."""
 
 import os
 import subprocess
@@ -8,23 +8,43 @@ from pathlib import Path
 
 import pytest
 
+from alqr.harness import ExperimentConfig, json_dumps, run_experiment
+
 ROOT = Path(__file__).resolve().parents[1]
 
-
-@pytest.mark.parametrize("script, args", [
+SCRIPT_CASES = [
     ("compare_criteria.py", ["--T", "60", "--seeds", "1"]),
     ("run_benchmark.py", ["--T", "200", "--seeds", "2", "--out", "{out}"]),
     ("constants_report.py", []),
-])
-def test_script_exits_cleanly(tmp_path, script, args):
+]
+
+
+def run_script(tmp_path, script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, str(ROOT / "scripts" / script)]
     cmd += [a.format(out=tmp_path / "out") for a in args]
-    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
+    return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=600)
+
+
+@pytest.mark.parametrize("script, args", SCRIPT_CASES)
+def test_script_exits_cleanly(tmp_path, script, args):
+    proc = run_script(tmp_path, script, args)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_script_has_a_clean_exit_case():
+    assert {p.name for p in (ROOT / "scripts").glob("*.py")} == \
+        {script for script, _ in SCRIPT_CASES}
+
+
+def test_constants_report_prints_what_the_harness_runs(tmp_path):
+    proc = run_script(tmp_path, "constants_report.py", ["--constants", "practical"])
+    assert proc.returncode == 0, proc.stderr
+    report = run_experiment(ExperimentConfig(benchmark="bench-2x2", T=5, seeds=[0]))
+    assert proc.stdout == json_dumps(report.constants) + "\n"
 
 
 def test_run_path_does_not_import_barrier_oracle():
