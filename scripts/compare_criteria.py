@@ -3,7 +3,7 @@
 
 Runs det-doubling, a fixed beta, and the adaptive beta rule side by side
 through the harness and prints per-seed update counts and cumulative regret.
-Adaptive beta with paper constants is ~1e-11 at desk scale, so it updates
+Adaptive beta is below 1e-16 on bench-2x2 (tau from 2 to 1e5), so it updates
 every step: keep T small unless you have time to burn.
 """
 
