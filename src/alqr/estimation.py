@@ -126,20 +126,6 @@ def estimate(state: EstimatorState, lambda_t: float) -> np.ndarray:
     return chol_solve(V, rhs)
 
 
-def lse_objective(state: EstimatorState, lambda_t: float, Theta) -> float:
-    """Regularized LS objective through the stored moments, up to the
-    Theta-independent sum |x|^2 (enough for minimizer checks).
-
-    e(Theta) = lambda tr((Theta-Theta_0)'(Theta-Theta_0)) + sum |x' - Theta' z|^2
-    """
-    Theta = np.asarray(Theta, dtype=float)
-    anchor = state.anchor if state.anchored else np.zeros_like(Theta)
-    D = Theta - anchor
-    val = lambda_t * float(np.sum(D * D))
-    val += float(np.sum(Theta * (state.gram @ Theta))) - 2.0 * float(np.sum(Theta * state.cross))
-    return val
-
-
 def confidence_radius(state: EstimatorState, delta: float, lambda_t: float,
                       sigma_w: float, variant: str = "anchored",
                       eps: float | None = None, theta_bound: float | None = None) -> float:

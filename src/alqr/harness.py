@@ -23,7 +23,7 @@ from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
 from .exceptions import ConfigurationError
 from .linalg import row_blocks, spectral_radius
 from .lqr import SystemModel, solve_dare, stability_certificate
-from .synthesis import sequential_gap
+from .synthesis import sequential_gaps
 
 log = logging.getLogger(__name__)
 
@@ -288,8 +288,7 @@ def shared_setup(config: ExperimentConfig) -> SharedSetup:
 
 def _epoch_diagnostics(model, params, history):
     rhos = [float(spectral_radius(model.A + model.B @ p.K)) for p in history]
-    gaps = [float(sequential_gap(history[i - 1].P_dual, history[i].P_dual))
-            for i in range(1, len(history))]
+    gaps = sequential_gaps([p.P_dual for p in history])
     gap_limit = 1.0 + params.gamma / 2.0
     return {
         "epoch_rho": rhos,

@@ -59,13 +59,13 @@ def psd_sqrt(M, floor=1e-12):
     return (U * np.sqrt(w)) @ U.T
 
 
-def psd_inv_sqrt(M, floor=1e-12):
+def psd_roots(M, floor=1e-12):
+    """(M^{1/2}, M^{-1/2}) of a PD matrix from one eigendecomposition."""
     w, U = np.linalg.eigh(sym(np.atleast_2d(M)))
     if w[0] <= 0:
         raise CertificateError(f"matrix is not PD (min eig {w[0]:.3g})")
-    w = np.maximum(w, floor)
-    return (U / np.sqrt(w)) @ U.T
-
+    root = np.sqrt(np.maximum(w, floor))
+    return (U * root) @ U.T, (U / root) @ U.T
 
 def chol_solve(A, B):
     """Solve A X = B for symmetric PD A via Cholesky."""
@@ -122,6 +122,7 @@ def solve_discrete_lyapunov(M, S):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n = M.shape[0]
-    A = np.eye(n * n) - np.kron(M, M)
+    # kron(M, M) as one broadcast product: the same single products, less overhead
+    A = np.eye(n * n) - (M[:, None, :, None] * M[None, :, None, :]).reshape(n * n, n * n)
     x = np.linalg.solve(A, S.reshape(-1))
     return sym(x.reshape(n, n))

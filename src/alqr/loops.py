@@ -307,7 +307,8 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             r = estimation.confidence_radius(est, params.delta, lam, model.sigma_w,
                                              params.radius_variant, eps=anchor_eps,
                                              theta_bound=model.theta_bound)
-            mu_t = synthesis.mu(r, model.theta_bound, V, params.mu_mode)
+            normV = spectral_norm(V)
+            mu_t = synthesis.mu(r, model.theta_bound, normV, params.mu_mode)
             if mu_override is not None:
                 mu_t = mu_override
             elif params.mu_clamp and params.constants_mode == "practical":
@@ -320,7 +321,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     epoch_index=0 if current is None else current.epoch_index + 1,
                     tau=t, K=K, P_dual=P,
                     mu=mu_t, r=r, beta=beta_in_force, lambda_tau=lam,
-                    logdet_V_tau=logdetV, normV_tau=spectral_norm(V),
+                    logdet_V_tau=logdetV, normV_tau=normV,
                     est_error=nuclear_norm(theta_hat - model.theta_star),
                 )
                 history.append(current)

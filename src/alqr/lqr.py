@@ -21,7 +21,7 @@ from .exceptions import (
 from .linalg import (
     as_matrix,
     min_eig,
-    psd_inv_sqrt,
+    psd_roots,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
@@ -131,40 +131,44 @@ def _split_theta(theta, n):
     return A, B
 
 
-def _riccati_residual(A, B, Q, R, P, S=None):
-    """DARE residual norm; S is the cross weight of a cost x'Qx + 2x'Su + u'Ru."""
-    G = B.T @ P @ A
-    F = A.T @ P @ B
-    if S is not None:
-        G, F = G + S.T, F + S
-    H = B.T @ P @ B + R
+def _riccati_residual(A, Q, P, F, H, G):
+    """DARE residual norm |Q + A'PA - F H^{-1} G - P|.
+
+    H = B'PB + R and G = B'PA + S' are the gain solve's own terms, reused;
+    F = A'PB + S.  S is the cross weight of a cost x'Qx + 2x'Su + u'Ru.
+    """
     return spectral_norm(Q + A.T @ P @ A - F @ np.linalg.solve(H, G) - P)
 
 
 def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
-    """Structure-preserving doubling iteration for the DARE."""
-    n = A.shape[0]
+    """Structure-preserving doubling iteration for the DARE.
+
+    Ak @ Minv is formed once and reused: ``Ak @ Minv @ X`` is evaluated left
+    to right, so An and Gn keep the bits of the written-out products.
+    """
+    eye = np.eye(A.shape[0])
     Ak = A.copy()
     Gk = B @ np.linalg.solve(R, B.T)
     Hk = Q.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            M = np.eye(n) + Gk @ Hk
             try:
-                Minv = np.linalg.inv(M)
+                Minv = np.linalg.inv(eye + Gk @ Hk)
             except np.linalg.LinAlgError as exc:
                 raise NotStabilizableError("doubling iteration broke down") from exc
-            An = Ak @ Minv @ Ak
-            Gn = Gk + Ak @ Minv @ Gk @ Ak.T
-            Hn = Hk + Ak.T @ Hk @ Minv @ Ak
-            if not (np.all(np.isfinite(An)) and np.all(np.isfinite(Gn))
-                    and np.all(np.isfinite(Hn))):
+            AkT = Ak.T
+            AM = Ak @ Minv
+            An = AM @ Ak
+            Gn = Gk + AM @ Gk @ AkT
+            Hn = Hk + AkT @ Hk @ Minv @ Ak
+            if not (np.isfinite(An).all() and np.isfinite(Gn).all()
+                    and np.isfinite(Hn).all()):
                 raise NotStabilizableError("doubling iteration diverged")
             # largest-entry norms: the test needs no SVD, and the quadratic
             # convergence leaves the returned iterate unchanged
-            delta = float(np.max(np.abs(Hn - Hk)))
+            delta = float(np.abs(Hn - Hk).max())
             Ak, Gk, Hk = An, sym(Gn), sym(Hn)
-            if delta <= tol * max(1.0, float(np.max(np.abs(Hk)))):
+            if delta <= tol * max(1.0, float(np.abs(Hk).max())):
                 return Hk
     raise NotStabilizableError("doubling iteration did not converge")
 
@@ -175,14 +179,15 @@ def _dare_cross(A, B, C):
     C = [[Q, S], [S', R]] weighs (x, u); the cross term is removed by the
     substitution u = v - R^{-1} S' x, which leaves the standard DARE of
     (A - B R^{-1} S', B) with cost Q - S R^{-1} S' on x and R on v.  Returns
-    (P, K) with K = -(R + B'PB)^{-1}(B'PA + S').
+    (P, K, H, G) with K = -H^{-1} G, H = B'PB + R and G = B'PA + S'.
     """
     n = A.shape[0]
     Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
     RiSt = np.linalg.solve(R, S.T)
     P = _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R)
-    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
-    return P, K
+    H = B.T @ P @ B + R
+    G = B.T @ P @ A + S.T
+    return P, -np.linalg.solve(H, G), H, G
 
 
 def solve_dare(model: SystemModel) -> OptimalSolution:
@@ -195,11 +200,12 @@ def solve_dare(model: SystemModel) -> OptimalSolution:
     if min_eig(R) <= 0:
         raise ConfigurationError("R must be PD for the DARE", field="R")
     P = _dare_doubling(A, B, Q, R)
-    res = _riccati_residual(A, B, Q, R, P)
+    H = B.T @ P @ B + R
+    G = B.T @ P @ A
+    res = _riccati_residual(A, Q, P, A.T @ P @ B, H, G)
     if not np.isfinite(res) or res > 1e-8:
         raise NotStabilizableError(f"DARE residual {res:.3g} exceeds 1e-8")
-    S = B.T @ P @ B + R
-    K = -np.linalg.solve(S, B.T @ P @ A)
+    K = -np.linalg.solve(H, G)
     if spectral_radius(A + B @ K) >= 1.0:
         raise NotStabilizableError("DARE gain failed to stabilize the closed loop")
     J = float(np.trace(P)) * model.sigma_w**2
@@ -236,7 +242,7 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
     Qs = M / rho_eff
     # P solves Qs' P Qs + I = P (identity forcing), i.e. P = sum_k (Qs')^k Qs^k
     P = solve_discrete_lyapunov(Qs.T, np.eye(model.n))
-    H = psd_inv_sqrt(P)
+    H = psd_roots(P)[1]
     Hinv = np.linalg.inv(H)
     L = Hinv @ M @ H
     kappa = max(spectral_norm(H) * spectral_norm(Hinv), spectral_norm(K))

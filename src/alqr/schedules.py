@@ -222,12 +222,6 @@ class ScheduleParams:
     kappa0: float = math.nan
     gamma0: float = math.nan
 
-    def with_criterion(self, criterion, beta=None):
-        out = replace(self, criterion=criterion)
-        if beta is not None:
-            out = replace(out, beta=beta)
-        return out
-
 
 def _alpha_bar(kappa, gamma, sigma_w, n, m, theta_bound):
     # state-norm parameter alpha set to kappa (its minimal admissible value)
@@ -445,15 +439,6 @@ def adaptive_beta(tau: float, r_tau: float, params: ScheduleParams) -> float:
         * math.sqrt(r_tau * math.log(tau / delta))
     )
     return float(math.sqrt(2.0 * math.log(inner) / denom))
-
-
-def beta_floor(kappa: float, gamma: float, n: int, m: int) -> float:
-    """(1+zeta)^{n+m} - 1 with zeta = kappa^2/(4 gamma)."""
-    zeta = kappa**2 / (4.0 * gamma)
-    log_term = (n + m) * math.log1p(zeta)
-    if log_term > 700:
-        return math.inf
-    return math.expm1(log_term)
 
 
 def anynum_condition(mu_t, V_t, kappa: float):

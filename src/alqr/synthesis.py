@@ -24,8 +24,7 @@ from .exceptions import (
 from .linalg import (
     chol_solve,
     min_eig,
-    psd_inv_sqrt,
-    psd_sqrt,
+    psd_roots,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
@@ -38,15 +37,15 @@ RICCATI_TOL = 1e-8
 RICCATI_MAX_ITER = 30
 
 
-def mu(r_t: float, theta_bound: float, V_t, mode: str = "lemma") -> float:
-    """Relaxation magnitude for radius r_t.
+def mu(r_t: float, theta_bound: float, normV: float, mode: str = "lemma") -> float:
+    """Relaxation magnitude for radius r_t and normV = |V| (spectral norm).
 
     mode="paper" is the literal algorithm statement r + sqrt(r) theta |V|^{1/2};
     mode="lemma" carries the factor 2 the perturbation lemma actually needs.
     """
     if r_t < 0:
         raise ValueError("r_t must be >= 0")
-    root = np.sqrt(r_t) * theta_bound * np.sqrt(spectral_norm(V_t))
+    root = np.sqrt(r_t) * theta_bound * np.sqrt(normV)
     if mode == "paper":
         return float(r_t + root)
     if mode == "lemma":
@@ -76,6 +75,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     n, m = model.n, model.m
     A, B = _split_theta(theta_hat, n)
     V_inv = sym(chol_solve(V_t, np.eye(n + m)))
+    eye_n = np.eye(n)
     C0 = np.zeros((n + m, n + m))
     C0[:n, :n] = sym(model.Q)
     C0[n:, n:] = sym(model.R)
@@ -92,7 +92,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
         LiV = np.linalg.solve(L, V_inv[n:, n:])
         s_max = 1.0 / (mu * spectral_norm(np.linalg.solve(L, LiV.T)))
     s, lo, hi = 0.0, 0.0, s_max
-    C, P, K = solve_at(s)
+    C, P, K, H, G = solve_at(s)
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
         tr = float(np.trace(P))
         f = tr - s
@@ -100,7 +100,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
             lo = s
         else:
             hi = s
-        IK = np.vstack([np.eye(n), K])
+        IK = np.vstack([eye_n, K])
         X = solve_discrete_lyapunov((A + B @ K).T, IK.T @ V_inv @ IK)
         slope = mu * float(np.trace(X))  # -d tr P*/ds
         step = f / (1.0 + slope)
@@ -113,13 +113,14 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
             break
         s_next = s + step
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
-        C, P, K = solve_at(s)
+        C, P, K, H, G = solve_at(s)
 
-    if min_eig(C[n:, n:] + B.T @ P @ B) <= 0:
+    # H = B'PB + R~ and G = B'PA + S' are the gain solve's own terms
+    if min_eig(H) <= 0:
         raise CertificateError("R~ + B'PB is not PD")
     if min_eig(P) < 0:
         raise CertificateError(f"P is not PSD (min eig {min_eig(P):.3g})")
-    res = _riccati_residual(A, B, C[:n, :n], C[n:, n:], P, S=C[:n, n:])
+    res = _riccati_residual(A, C[:n, :n], P, A.T @ P @ B + C[:n, n:], H, G)
     if not res <= RICCATI_TOL * max(1.0, spectral_norm(P)):
         raise CertificateError(f"Riccati residual {res:.3g} too large")
     if mu > 0 and not abs(float(np.trace(P)) - s) <= RICCATI_TOL * max(1.0, s):
@@ -142,13 +143,17 @@ def synthesize_policy(theta_hat, model, mu_t, V_t):
             f"Riccati path declined: {type(exc).__name__}: {exc}") from exc
 
 
+def sequential_gaps(Ps) -> list:
+    """|P_{i+1}^{-1/2} P_i^{1/2}| for each consecutive pair of value matrices,
+    H = P^{1/2} from symmetric eigensystems.  Each P is eigendecomposed once,
+    and a P that is not PD raises CertificateError."""
+    roots = [psd_roots(np.asarray(P, dtype=float)) for P in Ps]
+    return [spectral_norm(nxt[1] @ prev[0]) for prev, nxt in zip(roots, roots[1:])]
+
+
 def sequential_gap(P_prev, P_next) -> float:
-    """|P_next^{-1/2} P_prev^{1/2}| with H = P^{1/2} from symmetric eigensystems."""
-    P_prev = np.atleast_2d(np.asarray(P_prev, dtype=float))
-    P_next = np.atleast_2d(np.asarray(P_next, dtype=float))
-    if min_eig(P_prev) <= 0 or min_eig(P_next) <= 0:
-        raise CertificateError("sequential gap needs PD value matrices")
-    return spectral_norm(psd_inv_sqrt(P_next) @ psd_sqrt(P_prev))
+    """|P_next^{-1/2} P_prev^{1/2}|; see ``sequential_gaps``."""
+    return sequential_gaps([P_prev, P_next])[0]
 
 
 def perturbation_check(X, Delta, P, V, r: float, slack: float = 1e-10) -> bool:

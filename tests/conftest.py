@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,5 +64,5 @@ def adaptive_runs(bench2x2, bench2x2_params, bench2x2_anchor):
     criterion fires every step and each step costs one policy synthesis;
     the comparison is therefore sized small (reported, never asserted).
     """
-    params = bench2x2_params.with_criterion("adaptive_beta")
+    params = replace(bench2x2_params, criterion="adaptive_beta")
     return _run_batch(bench2x2, params, bench2x2_anchor, seeds=range(2), T=400)

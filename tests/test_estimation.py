@@ -16,10 +16,23 @@ from alqr.estimation import (
     estimate,
     estimation_error_bound,
     ingest,
-    lse_objective,
     min_eig_prediction,
 )
 from alqr.exceptions import ConfigurationError
+
+
+def lse_objective(state: EstimatorState, lambda_t: float, Theta) -> float:
+    """Regularized LS objective through the stored moments, up to the
+    Theta-independent sum |x|^2 (enough for minimizer checks).
+
+    e(Theta) = lambda tr((Theta-Theta_0)'(Theta-Theta_0)) + sum |x' - Theta' z|^2
+    """
+    Theta = np.asarray(Theta, dtype=float)
+    anchor = state.anchor if state.anchored else np.zeros_like(Theta)
+    D = Theta - anchor
+    val = lambda_t * float(np.sum(D * D))
+    val += float(np.sum(Theta * (state.gram @ Theta))) - 2.0 * float(np.sum(Theta * state.cross))
+    return val
 
 
 def fresh(dim_z=2, dim_x=1, anchor=None, eps=None):

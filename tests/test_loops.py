@@ -549,7 +549,7 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
             else:
                 r = confidence_radius(est, params.delta, lam, model.sigma_w,
                                       "unanchored", theta_bound=model.theta_bound)
-            mu_t = synthesis.mu(r, model.theta_bound, V, params.mu_mode)
+            mu_t = synthesis.mu(r, model.theta_bound, spectral_norm(V), params.mu_mode)
             if mu_override is not None:
                 mu_t = mu_override
             elif params.mu_clamp and params.constants_mode == "practical":
@@ -639,7 +639,9 @@ class TestSegmentOracle:
     def test_criteria(self, bench2x2, bench2x2_params, bench2x2_anchor,
                       criterion, beta, T):
         theta0, eps = bench2x2_anchor
-        params = bench2x2_params.with_criterion(criterion, beta=beta)
+        params = replace(bench2x2_params, criterion=criterion)
+        if beta is not None:
+            params = replace(params, beta=beta)
         _, hist = self.assert_same(bench2x2, theta0, eps, T, params, seed=4)
         assert len(hist) >= 5
 
@@ -716,7 +718,7 @@ class TestSegmentOracle:
         # det V to grow 1e5-fold: a block rolls it out past the step that
         # fires on the growth, and a row past that step runs away
         theta0, eps = bench2x2_anchor
-        params = bench2x2_params.with_criterion("fixed_beta", beta=1e5)
+        params = replace(bench2x2_params, criterion="fixed_beta", beta=1e5)
         calls = self.hand_out_gain(monkeypatch, 2, 8.95 * np.eye(2), then_decline=False)
         rollout, raised = loops._rollout, []
 

@@ -69,7 +69,7 @@ class TestDecompose:
                                          bench2x2_anchor):
         theta0, eps = bench2x2_anchor
         # a huge fixed beta keeps the first policy for the whole run
-        params = bench2x2_params.with_criterion("fixed_beta", beta=1e12)
+        params = replace(bench2x2_params, criterion="fixed_beta", beta=1e12)
         rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=120, params=params, seed=2)
         assert len(hist) == 1
         R = decompose(rec, hist, params, bench2x2)
@@ -150,7 +150,7 @@ class TestScalarOracle:
     def test_ledger_decompose_and_flags(self, bench2x2, bench2x2_params,
                                         bench2x2_anchor, criterion, mu_override):
         theta0, eps = bench2x2_anchor
-        params = bench2x2_params.with_criterion(criterion)
+        params = replace(bench2x2_params, criterion=criterion)
         rec, hist, ledger = run_aslo(bench2x2, theta0, eps, T=2500, params=params,
                                      seed=8, mu_override=mu_override)
         R, flags = scalar_instrumentation(rec, hist, params, bench2x2)

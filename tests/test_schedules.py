@@ -9,7 +9,6 @@ from alqr.schedules import (
     _g_fixed_point,
     adaptive_beta,
     anynum_condition,
-    beta_floor,
     build_schedule,
     constants_report,
     eps_targets,
@@ -20,6 +19,15 @@ from alqr.schedules import (
     should_update,
     warmup_duration,
 )
+
+
+def beta_floor(kappa: float, gamma: float, n: int, m: int) -> float:
+    """(1+zeta)^{n+m} - 1 with zeta = kappa^2/(4 gamma)."""
+    zeta = kappa**2 / (4.0 * gamma)
+    log_term = (n + m) * math.log1p(zeta)
+    if log_term > 700:
+        return math.inf
+    return math.expm1(log_term)
 
 
 def small_theory_params():

@@ -48,12 +48,14 @@ def test_constants_report_prints_what_the_harness_runs(tmp_path):
 
 
 def test_run_path_does_not_import_barrier_oracle():
-    # alqr.sdp is a test oracle; the harness and the CLI must not load it
+    # alqr.sdp is a test oracle and scipy a test-only dependency (its DARE and
+    # Lyapunov solvers would also change bits); the harness and the CLI load neither
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys, alqr.harness, alqr.cli; "
-            "assert 'alqr.sdp' not in sys.modules, 'alqr.sdp imported'")
+            "loaded = [m for m in ('alqr.sdp', 'scipy') if m in sys.modules]; "
+            "assert not loaded, f'imported: {loaded}'")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

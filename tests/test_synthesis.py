@@ -1,14 +1,31 @@
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from alqr import estimation, lqr, synthesis
 from alqr.benchmarks import bench_2x2
 from alqr.exceptions import (
     CertificateError,
     DegenerateSolutionError,
     InvalidSampleError,
+    NotStabilizableError,
     SynthesisError,
 )
+from alqr.harness import ExperimentConfig, _epoch_diagnostics, shared_setup
+from alqr.linalg import (
+    chol_solve,
+    psd_roots,
+    psd_sqrt,
+    solve_discrete_lyapunov,
+    spectral_norm,
+    sym,
+)
+from alqr.loops import _mu_cap, run_aslo, run_fixed_policy
 from alqr.lqr import SystemModel, solve_dare
+from alqr.schedules import lambda_t
 from alqr.sdp import (
     build_relaxed_primal,
     extract_policy,
@@ -47,14 +64,14 @@ def primal_objective(model, Sigma):
 
 class TestMu:
     def test_paper_mode(self):
-        assert mu(4.0, 2.0, 9.0 * np.eye(2), "paper") == pytest.approx(16.0)
+        assert mu(4.0, 2.0, 9.0, "paper") == pytest.approx(16.0)
 
     def test_lemma_mode(self):
-        assert mu(4.0, 2.0, 9.0 * np.eye(2), "lemma") == pytest.approx(28.0)
+        assert mu(4.0, 2.0, 9.0, "lemma") == pytest.approx(28.0)
 
     def test_exact_knowledge(self):
-        assert mu(0.0, 2.0, 9.0 * np.eye(2), "paper") == 0.0
-        assert mu(0.0, 2.0, 9.0 * np.eye(2), "lemma") == 0.0
+        assert mu(0.0, 2.0, 9.0, "paper") == 0.0
+        assert mu(0.0, 2.0, 9.0, "lemma") == 0.0
 
 
 class TestBuildRelaxedPrimal:
@@ -185,6 +202,25 @@ def rel_err(X, ref):
     return float(np.max(np.abs(X - ref)) / max(1.0, np.max(np.abs(ref))))
 
 
+def bisect_case():
+    """(model, theta, mu, V) of a Newton probe past the input-weight boundary.
+
+    bench-2x2 with mu_clamp=False, seed 0: the synthesis at tau = 2.
+    R~(s) = R - mu s (V^{-1})_uu is PD only below s_max = 0.043654; the
+    fixed point is at 0.043380, but the first Newton step from s = 0 lands
+    at 0.0461, where the solve used to decline.
+    """
+    theta = np.array([[1.133798320454824, -0.10493332882485934],
+                      [0.11716676607740346, 0.926687885913614],
+                      [1.1031385104794076, -0.09829881006313526],
+                      [-0.3720287865588053, 1.2029095551999411]])
+    lam = 2.995732273553991
+    V = np.diag([lam, lam, 0.0, 0.0])
+    V[2:, 2:] = [[4.292070390609641, -3.078757493115257],
+                 [-3.078757493115257, 10.307673175933884]]
+    return bench_2x2(), theta, 68.62383629731475, V
+
+
 class TestSolveRelaxedRiccati:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 1)])
     def test_matches_barrier_oracle(self, n, m):
@@ -211,20 +247,7 @@ class TestSolveRelaxedRiccati:
         assert np.array_equal(K_pol, K) and np.array_equal(P_pol, P)
 
     def test_newton_probe_past_input_weight_boundary_bisects(self):
-        # bench-2x2 with mu_clamp=False, seed 0: the synthesis at tau = 2.
-        # R~(s) = R - mu s (V^{-1})_uu is PD only below s_max = 0.043654; the
-        # fixed point is at 0.043380, but the first Newton step from s = 0
-        # lands at 0.0461, where the solve used to decline
-        model = bench_2x2()
-        theta = np.array([[1.133798320454824, -0.10493332882485934],
-                          [0.11716676607740346, 0.926687885913614],
-                          [1.1031385104794076, -0.09829881006313526],
-                          [-0.3720287865588053, 1.2029095551999411]])
-        lam = 2.995732273553991
-        V = np.diag([lam, lam, 0.0, 0.0])
-        V[2:, 2:] = [[4.292070390609641, -3.078757493115257],
-                     [-3.078757493115257, 10.307673175933884]]
-        mu_t = 68.62383629731475
+        model, theta, mu_t, V = bisect_case()
         L = np.linalg.cholesky(model.R)
         LiV = np.linalg.solve(L, np.linalg.inv(V)[2:, 2:])
         s_max = 1.0 / (mu_t * np.max(np.linalg.eigvalsh(np.linalg.solve(L, LiV.T))))
@@ -257,6 +280,233 @@ class TestSolveRelaxedRiccati:
         _, P_ref = barrier_oracle(model.theta_star, model, mu_t, V)
         R_tilde = model.R - mu_t * np.trace(P_ref) * np.linalg.inv(V)[2:, 2:]
         assert np.min(np.linalg.eigvalsh(R_tilde)) < 0
+
+
+def oracle_dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
+    """The doubling iteration with every product written out in full."""
+    n = A.shape[0]
+    Ak = A.copy()
+    Gk = B @ np.linalg.solve(R, B.T)
+    Hk = Q.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            Minv = np.linalg.inv(np.eye(n) + Gk @ Hk)
+            An = Ak @ Minv @ Ak
+            Gn = Gk + Ak @ Minv @ Gk @ Ak.T
+            Hn = Hk + Ak.T @ Hk @ Minv @ Ak
+            assert np.all(np.isfinite(An)) and np.all(np.isfinite(Gn)) \
+                and np.all(np.isfinite(Hn))
+            delta = float(np.max(np.abs(Hn - Hk)))
+            Ak, Gk, Hk = An, sym(Gn), sym(Hn)
+            if delta <= tol * max(1.0, float(np.max(np.abs(Hk)))):
+                return Hk
+    raise AssertionError("oracle doubling did not converge")
+
+
+def oracle_lyapunov(M, S):
+    n = M.shape[0]
+    x = np.linalg.solve(np.eye(n * n) - np.kron(M, M), S.reshape(-1))
+    return sym(x.reshape(n, n))
+
+
+def oracle_relaxed_riccati(theta, model, mu_t, V, trail):
+    """``solve_relaxed_riccati``'s Newton loop, expression for expression,
+    on the oracle DARE and Lyapunov solves; the certificate is left out.
+    Appends to ``trail`` each cost C(s) the loop solves at and each X."""
+    n, m = model.n, model.m
+    A, B = theta[:n, :].T, theta[n:, :].T
+    V_inv = sym(chol_solve(V, np.eye(n + m)))
+    C0 = np.zeros((n + m, n + m))
+    C0[:n, :n] = sym(model.Q)
+    C0[n:, n:] = sym(model.R)
+
+    def solve_at(s):
+        C = C0 - mu_t * s * V_inv
+        trail.append(C)
+        Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
+        RiSt = np.linalg.solve(R, S.T)
+        P = oracle_dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R)
+        return P, -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
+
+    s_max = math.inf
+    if mu_t > 0:
+        L = np.linalg.cholesky(C0[n:, n:])
+        LiV = np.linalg.solve(L, V_inv[n:, n:])
+        s_max = 1.0 / (mu_t * spectral_norm(np.linalg.solve(L, LiV.T)))
+    s, lo, hi = 0.0, 0.0, s_max
+    P, K = solve_at(s)
+    for _ in range(synthesis.RICCATI_MAX_ITER if mu_t > 0 else 0):
+        tr = float(np.trace(P))
+        f = tr - s
+        if f > 0:
+            lo = s
+        else:
+            hi = s
+        IK = np.vstack([np.eye(n), K])
+        X = oracle_lyapunov((A + B @ K).T, IK.T @ V_inv @ IK)
+        trail.append(X)
+        slope = mu_t * float(np.trace(X))
+        step = f / (1.0 + slope)
+        if (abs(f) <= 0.1 * synthesis.RICCATI_TOL * max(1.0, s)
+                and slope * abs(step) <= 1e-12 * max(1.0, tr)):
+            break
+        s_next = s + step
+        s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
+        P, K = solve_at(s)
+    return K, sym(P)
+
+
+def oracle_gap(P_prev, P_next):
+    """|P_next^{-1/2} P_prev^{1/2}| from a fresh eigensystem of each P."""
+    w, U = np.linalg.eigh(sym(P_prev))
+    root_prev = (U * np.sqrt(np.maximum(w, 1e-12))) @ U.T
+    w, U = np.linalg.eigh(sym(P_next))
+    inv_root_next = (U / np.sqrt(np.maximum(w, 1e-12))) @ U.T
+    return spectral_norm(inv_root_next @ root_prev)
+
+
+def estimate_inputs(name, T=200, seed=11):
+    """(model, theta-hat, [0, clamped mu], V) after a fixed-gain rollout of K0."""
+    setup = shared_setup(ExperimentConfig(benchmark=name, T=T, seeds=[0]))
+    model, params = setup.model, setup.params
+    _, est, _ = run_fixed_policy(model, setup.K0, T, seed=seed, params=params)
+    lam = lambda_t(T, params)
+    V = est.covariance(lam)
+    r = estimation.confidence_radius(est, params.delta, lam, model.sigma_w, "unanchored",
+                                     theta_bound=model.theta_bound)
+    mu_t = min(synthesis.mu(r, model.theta_bound, spectral_norm(V), params.mu_mode),
+               _mu_cap(params, V))
+    return model, estimation.estimate(est, lam), [0.0, mu_t], V
+
+
+class TestRiccatiOracle:
+    """Synthesis reproduces the written-out doubling DARE, Kronecker Lyapunov
+    solve and Newton loop bit for bit, so no product is reassociated: the
+    gain, the value matrix, each Newton iterate's cost C(s) and each X of
+    the slope d tr P*/ds agree."""
+
+    @staticmethod
+    def trace_newton(monkeypatch):
+        """Record each cost C(s) that synthesis hands to the DARE, and each
+        solution X of the slope's Lyapunov equation, in order."""
+        trail = []
+        real_cross, real_lyap = synthesis._dare_cross, synthesis.solve_discrete_lyapunov
+
+        def cross(A, B, C):
+            trail.append(C.copy())
+            return real_cross(A, B, C)
+
+        def lyap(M, S):
+            trail.append(real_lyap(M, S))
+            return trail[-1]
+
+        monkeypatch.setattr(synthesis, "_dare_cross", cross)
+        monkeypatch.setattr(synthesis, "solve_discrete_lyapunov", lyap)
+        return trail
+
+    @staticmethod
+    def assert_same(theta, model, mu_t, V, K, P, trail):
+        ref = []
+        K_ref, P_ref = oracle_relaxed_riccati(theta, model, mu_t, V, ref)
+        assert np.array_equal(K, K_ref) and np.array_equal(P, P_ref)
+        assert len(trail) == len(ref)
+        assert all(np.array_equal(c, r) for c, r in zip(trail, ref))
+
+    def solve_and_compare(self, monkeypatch, theta, model, mu_t, V):
+        trail = self.trace_newton(monkeypatch)
+        K, P = solve_relaxed_riccati(theta, model, mu_t, V)
+        self.assert_same(theta, model, mu_t, V, K, P, trail)
+        return trail
+
+    @pytest.mark.parametrize("name", ["bench-2x2", "bench-3x2"])
+    def test_bench_estimates(self, monkeypatch, name):
+        model, theta, mus, V = estimate_inputs(name)
+        assert mus[1] > 0
+        assert len(self.solve_and_compare(monkeypatch, theta, model, mus[0], V)) == 1
+        assert len(self.solve_and_compare(monkeypatch, theta, model, mus[1], V)) > 2
+
+    def test_bisect_case(self, monkeypatch):
+        model, theta, mu_t, V = bisect_case()
+        self.solve_and_compare(monkeypatch, theta, model, mu_t, V)
+
+    def test_every_firing_of_adaptive_run(self, bench2x2, bench2x2_params,
+                                          bench2x2_anchor, monkeypatch):
+        trail = self.trace_newton(monkeypatch)
+        seen, real = [], synthesis.synthesize_policy
+
+        def spy(theta, model, mu_t, V):
+            start = len(trail)
+            out = real(theta, model, mu_t, V)
+            seen.append((theta.copy(), mu_t, V.copy(), out, trail[start:]))
+            return out
+
+        monkeypatch.setattr(synthesis, "synthesize_policy", spy)
+        params = replace(bench2x2_params, criterion="adaptive_beta")
+        theta0, eps = bench2x2_anchor
+        _, hist, _ = run_aslo(bench2x2, theta0, eps, T=60, params=params, seed=4)
+        assert len(seen) == len(hist) == 60
+        for theta, mu_t, V, (K, P), costs in seen:
+            self.assert_same(theta, bench2x2, mu_t, V, K, P, costs)
+            M = theta[:2].T + theta[2:].T @ K
+            S = np.eye(2) + K.T @ K
+            assert np.array_equal(solve_discrete_lyapunov(M.T, S), oracle_lyapunov(M.T, S))
+        # one eigensystem per P gives both of its roots with the bits of two
+        for p in hist:
+            w, U = np.linalg.eigh(sym(p.P_dual))
+            root, inv_root = psd_roots(p.P_dual)
+            assert np.array_equal(root, psd_sqrt(p.P_dual))
+            assert np.array_equal(inv_root, (U / np.sqrt(np.maximum(w, 1e-12))) @ U.T)
+        gaps = _epoch_diagnostics(bench2x2, params, hist)["sequential_gaps"]
+        pairs = list(zip(hist, hist[1:]))
+        assert gaps == [sequential_gap(a.P_dual, b.P_dual) for a, b in pairs]
+        assert gaps == [oracle_gap(a.P_dual, b.P_dual) for a, b in pairs]
+
+    @pytest.mark.parametrize("model", [bench_2x2(), golden_model()])
+    def test_solve_dare(self, model):
+        sol = solve_dare(model)
+        A, B, Q, R = model.A, model.B, sym(model.Q), sym(model.R)
+        P = oracle_dare_doubling(A, B, Q, R)
+        assert np.array_equal(sol.P_star, sym(P))
+        assert np.array_equal(sol.K_star, -np.linalg.solve(B.T @ P @ B + R, B.T @ P @ A))
+
+    def test_doubling_exits(self):
+        one = np.ones((1, 1))
+        # I + G H = 1 + (-1)(1) is singular
+        with pytest.raises(NotStabilizableError, match="^doubling iteration broke down$"):
+            lqr._dare_doubling(0.5 * one, one, one, -one)
+        with pytest.raises(NotStabilizableError, match="^doubling iteration diverged$"):
+            lqr._dare_doubling(1.5 * np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
+        with pytest.raises(NotStabilizableError, match="^doubling iteration did not converge$"):
+            lqr._dare_doubling(0.9 * one, one, one, one, max_iter=1)
+
+
+class TestCertificateChecks:
+    """Each final check of ``solve_relaxed_riccati`` declines a result that
+    fails it; the doctored solves stand in for a doubling that went wrong."""
+
+    @staticmethod
+    def doctor(monkeypatch, change):
+        real = synthesis._dare_cross
+        monkeypatch.setattr(synthesis, "_dare_cross",
+                            lambda A, B, C: change(*real(A, B, C)))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda P, K, H, G: (P, K, -H, G), "R~ + B'PB is not PD"),
+        (lambda P, K, H, G: (-P, K, H, G), "P is not PSD"),
+        (lambda P, K, H, G: (P + 1e-3 * np.eye(len(P)), K, H, G), "Riccati residual"),
+        (lambda P, K, H, G: (P, K - 10.0, H, G), "does not stabilise"),
+    ], ids=["gain-weight", "psd", "residual", "stability"])
+    def test_check_declines(self, monkeypatch, change, message):
+        model = bench_2x2()
+        self.doctor(monkeypatch, change)
+        with pytest.raises(CertificateError, match=re.escape(message)):
+            solve_relaxed_riccati(model.theta_star, model, 0.0, np.eye(4))
+
+    def test_trace_off_fixed_point_declines(self, monkeypatch):
+        model, theta, mu_t, V = bisect_case()
+        monkeypatch.setattr(synthesis, "RICCATI_MAX_ITER", 0)  # P stays at s = 0
+        with pytest.raises(CertificateError, match="misses s"):
+            solve_relaxed_riccati(theta, model, mu_t, V)
 
 
 class TestSequentialGap:
@@ -297,7 +547,6 @@ class TestPerturbationCheck:
             Gv = rng.standard_normal((d, d))
             V = Gv @ Gv.T + 0.5 * np.eye(d)
             r = float(rng.uniform(0.01, 5.0))
-            from alqr.linalg import psd_sqrt
             M = r * np.linalg.inv(V)
             Gd = rng.standard_normal((d, d))
             Gd *= rng.uniform(0, 1) / max(np.linalg.norm(Gd, 2), 1e-12)
