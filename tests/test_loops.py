@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,63 @@ class TestRollout:
         assert exc.value.diagnostics["t"] == lo + 1
         assert np.array_equal(x, x_ref) and np.array_equal(u, u_ref)
         assert np.all(x[lo + 2:] == self.SENTINEL) and np.all(u[lo + 1:] == self.SENTINEL)
+
+    # kicks of the process noise at steps lo + offset, as (offset, omega row):
+    # a runaway at the last row of the first chunk, at the first row of the
+    # second, and one that the rows rolled after it carry past the largest float
+    KICKS = {
+        "last-of-chunk": [(loops._BLOCK - 1, [3e6, 0.0])],
+        "first-of-next": [(loops._BLOCK, [0.0, -2e6])],
+        "overflow": [(40, [2e6, 0.0]), (41, [1.5e308, 1.5e308]), (42, [1.5e308, 1.5e308])],
+    }
+
+    @pytest.mark.parametrize("make", [bench_2x2, bench_3x2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", sorted(KICKS))
+    def test_blow_up_across_chunks(self, make, order, case):
+        model = make()
+        lo, hi = 5, 5 + 2 * loops._BLOCK + 88
+        K = self.gain(model, order, seed=2)
+        x, u, eta, omega = self.arrays(model, lo, hi, np.ones(model.n), seed=4)
+        for offset, kick in self.KICKS[case]:
+            omega[lo + offset, :2] = kick
+        first = lo + self.KICKS[case][0][0]
+        if case == "overflow":  # the rows rolled past the runaway do overflow
+            xs, us = x.copy(), u.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in range(lo, first + 3):
+                    us[s] = K @ xs[s] + eta[s]
+                    xs[s + 1] = model.A @ xs[s] + model.B @ us[s] + omega[s]
+            assert not np.all(np.isfinite(xs[first + 3]))
+        x_ref, u_ref = x.copy(), u.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as exc:
+                loops._rollout(model, K, x, u, eta, omega, "ASLO", lo, hi)
+        with pytest.raises(BlowUpError) as ref:
+            per_step_kernel(model, K, x_ref, u_ref, eta, omega, "ASLO", lo, hi)
+        assert exc.value.diagnostics == ref.value.diagnostics
+        assert exc.value.diagnostics["t"] == first + 1
+        assert np.array_equal(x, x_ref) and np.array_equal(u, u_ref)
+        # the rows rolled past the runaway hold what they held before
+        assert np.all(x[first + 2:] == self.SENTINEL) and np.all(u[first + 1:] == self.SENTINEL)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_near_threshold_and_nan_states_pass(self, order):
+        # a row the stacked norm flags but the exact test passes, then nan rows
+        model = bench_2x2()
+        lo, hi = 3, 3 + loops._BLOCK + 20
+        K = self.gain(model, order, seed=5)
+        x, u, eta, omega = self.arrays(model, lo, hi, np.zeros(model.n), seed=6)
+        omega[lo + 10] = [9e5, 0.0]
+        omega[lo + 200] = [np.nan, 0.0]
+        x_ref, u_ref = x.copy(), u.copy()
+        loops._rollout(model, K, x, u, eta, omega, "test", lo, hi)
+        per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", lo, hi)
+        assert 0.5 * loops.BLOWUP_NORM**2 < x[lo + 11].dot(x[lo + 11]) <= loops.BLOWUP_NORM**2
+        assert np.isnan(x[lo + 201, 0]) and np.all(np.isnan(x[lo + 202:hi + 1]))
+        assert np.array_equal(x, x_ref, equal_nan=True)
+        assert np.array_equal(u, u_ref, equal_nan=True)
 
 
 class TestRunFixedPolicy:
