@@ -7,6 +7,7 @@ reassembled per query because lambda_t drifts over time.  All logs natural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,12 +184,12 @@ def estimation_error_bound(tau: int, params) -> float:
     """Epoch-start estimation-error bound.
 
     (sqrt40 / (sigma sqrt(p_bar_tau) tau^{1/4})) *
-    (sigma sqrt(2 n log((n/delta)(1 + abar/G) tau)) + sqrt(lambda_tau) eps)
+    (sigma sqrt(2 n log((n/delta)(1 + abar/G) tau)) + sqrt(lambda_tau) eps_bar)
 
-    In theory mode G is astronomically large, so abar/G -> 0 and the
-    sqrt(lambda) eps product is evaluated in log space (it underflows to 0).
+    lambda_tau is ``lambda_t``'s; abar/G and sqrt(lambda_tau) eps_bar are
+    evaluated in log10, since theory-mode G overflows doubles.
     """
-    from .schedules import lambda_t as lambda_fn, p_bar
+    from .schedules import p_bar
 
     if tau < 1:
         raise ConfigurationError("tau must be >= 1", field="tau")
@@ -197,13 +198,13 @@ def estimation_error_bound(tau: int, params) -> float:
     delta = params.delta
     pb = p_bar(tau, delta, params.phi)
     lead = np.sqrt(40.0) / (sigma * np.sqrt(pb) * tau**0.25)
-    if params.constants_mode == "theory":
-        ratio = 10.0 ** (np.log10(max(params.alpha_bar, 1e-300)) - params.log10_G)
-        log_lam = params.log10_G + np.log10(np.log(tau / delta))
-        log_term = 0.5 * log_lam + params.log10_eps_bar  # log10(sqrt(lambda) eps)
-        tail = 10.0**log_term if log_term < 300 else np.inf
+    ratio = 10.0 ** (math.log10(params.alpha_bar) - params.log10_G)
+    if params.criterion == "relaxed_sequential":
+        log10_G, power = params.log10_G_star, 1.0 / (1.0 - params.chi)
     else:
-        ratio = params.alpha_bar / params.G_phi
-        tail = np.sqrt(lambda_fn(tau, params)) * params.eps_bar
+        log10_G, power = params.log10_G, 1.0
+    log_lam = log10_G + power * math.log10(math.log(tau / delta))
+    log_term = 0.5 * log_lam + params.log10_eps_bar  # log10(sqrt(lambda) eps)
+    tail = 10.0**log_term if log_term < 300 else np.inf
     inner = 2.0 * n * np.log((n / delta) * (1.0 + ratio) * tau)
     return float(lead * (sigma * np.sqrt(inner) + tail))

@@ -3,8 +3,10 @@ epsilon targets, warm-up duration, update criteria, and the adaptive beta rule.
 
 Theory-mode constants involve kappa^10 factors and tau_* towers that overflow
 doubles, so everything on that path is carried in log10; practical mode swaps
-in user scale factors with the same schedule shapes.  All logs are natural
-unless a name says log10.
+in user scale factors with the same schedule shapes.  One table holds the two
+(a1, a2) constant sets (base and relaxed-sequential), and both modes compute
+the epsilon targets through one log10 route.  All logs are natural unless a
+name says log10.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class GSpec:
         else:
             log10_ls = (self.log10_a1 + 0.5 * math.log10(4 * self.alpha_bar * d_tot)
                         + self.phi * math.log10(lnd) - math.log10(self.sigma_w))
-            expo = 10.0 ** (log10_ls / (self.phi - 1))
+            log10_expo = log10_ls / (self.phi - 1)
+            expo = 10.0**log10_expo if log10_expo < 300 else math.inf
             log10_tau = math.log10(self.delta) + expo
             log10_ln_ts = math.log10(LN10) + math.log10(expo)
         b1 = (math.log10(self.sigma_w**2 / 40.0) + 0.5 * log10_tau
@@ -159,26 +162,39 @@ def _g_fixed_point(spec: GSpec) -> GFixedPoint:
     )
 
 
+def _log10_a(params: "ScheduleParams", star: bool):
+    """log10 (a1, a2) = log10 (c1, c2) kappa^p theta_bound: (10240, 256, 10) is the
+    base constant set and (1280, 32, 2) the relaxed-sequential one (star)."""
+    c1, c2, p = (1280.0, 32.0, 2) if star else (10240.0, 256.0, 10)
+    log10_kap, log10_tb = math.log10(params.kappa), math.log10(params.theta_bound)
+    return (math.log10(c1) + p * log10_kap + log10_tb,
+            math.log10(c2) + p * log10_kap + log10_tb)
+
+
 def g_spec(params: "ScheduleParams", star: bool = False) -> GSpec:
     """GSpec for the base constants, or the relaxed-sequential ones (star)."""
-    tb, kap = params.theta_bound, params.kappa
-    if star:
-        return GSpec(
-            delta=params.delta, phi=params.phi, sigma_w=params.sigma_w,
-            n=params.n, m=params.m, alpha_bar=params.alpha_under,
-            log10_a1=math.log10(1280.0) + 2 * math.log10(kap) + math.log10(tb),
-            log10_coef=2 * (math.log10(32.0) + 2 * math.log10(kap)
-                            + math.log10(tb) + math.log10(params.sigma_w)),
-            tau_star_form=params.tau_star_form,
-        )
+    log10_a1, log10_a2 = _log10_a(params, star)
     return GSpec(
         delta=params.delta, phi=params.phi, sigma_w=params.sigma_w,
-        n=params.n, m=params.m, alpha_bar=params.alpha_bar,
-        log10_a1=math.log10(10240.0) + 10 * math.log10(kap) + math.log10(tb),
-        log10_coef=2 * (math.log10(256.0) + 10 * math.log10(kap)
-                        + math.log10(tb) + math.log10(params.sigma_w)),
+        n=params.n, m=params.m,
+        alpha_bar=params.alpha_under if star else params.alpha_bar,
+        log10_a1=log10_a1,
+        log10_coef=2 * (log10_a2 + math.log10(params.sigma_w)),
         tau_star_form=params.tau_star_form,
     )
+
+
+def _log10_eps_target(params: "ScheduleParams", alpha: float, log10_G: float,
+                      star: bool) -> float:
+    """log10 of an anchor-quality target min(b1, b2, 2 theta_bound), where
+    b1 = sigma sqrt(alpha 4 n^2 (n+m) / G) and
+    b2 = (1 + sigma^2/(40 G ln(1/delta))) / a2.
+    """
+    sig, n, m = params.sigma_w, params.n, params.m
+    b1 = math.log10(sig) + 0.5 * math.log10(alpha * 4 * n * n * (n + m)) - 0.5 * log10_G
+    x = math.log10(sig**2 / (40.0 * math.log(1.0 / params.delta))) - log10_G
+    b2 = -_log10_a(params, star)[1] + (x if x >= 300 else math.log1p(10.0**x) / LN10)
+    return min(b1, b2, math.log10(2 * params.theta_bound))
 
 
 @dataclass
@@ -266,7 +282,8 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         raise ConfigurationError("lambda_scale must be > 0", field="lambda_scale")
     if noise_scale is not None and not noise_scale >= 0:
         raise ConfigurationError("noise_scale must be >= 0", field="noise_scale")
-    for name, value, allowed in (("mu_mode", mu_mode, ("paper", "lemma")),
+    for name, value, allowed in (("constants_mode", constants_mode, ("theory", "practical")),
+                                 ("mu_mode", mu_mode, ("paper", "lemma")),
                                  ("radius_variant", radius_variant, ("anchored", "unanchored")),
                                  ("tau_star_form", tau_star_form, ("proof", "statement"))):
         if value not in allowed:
@@ -306,11 +323,6 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         fp = _g_fixed_point(g_spec(params, star=False))
         log10_G = fp.log10_G
         G = 10.0**log10_G if log10_G < 300 else math.inf
-        # eps targets in log10: branch1 and branch2 of each min
-        a2_log = math.log10(256.0) + math.log10(tb) + 10 * math.log10(kappa)
-        e1 = math.log10(sig) + 0.5 * math.log10(ab * 4 * n * n * (n + m)) - 0.5 * log10_G
-        e2 = -a2_log  # the (1 + sigma^2/(40 G ln(1/delta))) factor -> 1 for huge G
-        log10_eps_bar = min(e1, e2, math.log10(2 * tb))
         # relaxed-sequential constants: joint fixed point of G_* and alpha_under
         au = ab
         log10_Gs = log10_G
@@ -324,17 +336,11 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
             au = au_new
             if moved <= 1e-9 * max(1.0, abs(log10_Gs)):
                 break
-        a2s_log = math.log10(32.0) + math.log10(tb) + 2 * math.log10(kappa)
-        es1 = math.log10(sig) + 0.5 * math.log10(au * 4 * n * n * (n + m)) - 0.5 * log10_Gs
-        log10_eps_under = min(es1, -a2s_log, math.log10(2 * tb))
         params = replace(
             params, log10_G=log10_G, G_phi=G,
             log10_G_star=log10_Gs,
             G_star=10.0**log10_Gs if log10_Gs < 300 else math.inf,
             log10_tau_star=fp.log10_tau_star, alpha_under=au,
-            log10_eps_bar=log10_eps_bar, log10_eps_under=log10_eps_under,
-            eps_bar=10.0**log10_eps_bar if log10_eps_bar > -300 else 0.0,
-            eps_under=10.0**log10_eps_under if log10_eps_under > -300 else 0.0,
             noise_scale=1.0 if noise_scale is None else noise_scale,
         )
     else:
@@ -346,10 +352,11 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
             log10_G_star=math.log10(G), alpha_under=au,
             noise_scale=(1.0 / kappa**2) if noise_scale is None else noise_scale,
         )
-        eb, eu = eps_targets(params)
-        params = replace(params, eps_bar=eb, eps_under=eu,
-                         log10_eps_bar=math.log10(eb), log10_eps_under=math.log10(eu))
-    return params
+    leb = _log10_eps_target(params, params.alpha_bar, params.log10_G, star=False)
+    leu = _log10_eps_target(params, params.alpha_under, params.log10_G_star, star=True)
+    return replace(params, log10_eps_bar=leb, log10_eps_under=leu,
+                   eps_bar=10.0**leb if leb > -300 else 0.0,
+                   eps_under=10.0**leu if leu > -300 else 0.0)
 
 
 def lambda_t(t: float, params: ScheduleParams) -> float:
@@ -359,21 +366,6 @@ def lambda_t(t: float, params: ScheduleParams) -> float:
     if params.criterion == "relaxed_sequential":
         return params.G_star * math.log(t / params.delta) ** (1.0 / (1.0 - params.chi))
     return params.G_phi * math.log(t / params.delta)
-
-
-def eps_targets(params: ScheduleParams):
-    """(eps_bar, eps_under): anchor-quality targets, clamped at 2 theta_bound."""
-    sig, tb, n, m = params.sigma_w, params.theta_bound, params.n, params.m
-    lnd = math.log(1.0 / params.delta)
-
-    def target(alpha, G, a2):
-        b1 = sig * math.sqrt(alpha * 4 * n * n * (n + m)) / math.sqrt(G)
-        b2 = (1.0 / a2) * (1.0 + sig**2 / (40.0 * G * lnd))
-        return min(b1, b2, 2.0 * tb)
-
-    eb = target(params.alpha_bar, params.G_phi, 256.0 * tb * params.kappa**10)
-    eu = target(params.alpha_under, params.G_star, 32.0 * tb * params.kappa**2)
-    return eb, eu
 
 
 def warmup_duration(eps_target: float, params: ScheduleParams,
@@ -425,12 +417,8 @@ def adaptive_beta(tau: float, r_tau: float, params: ScheduleParams) -> float:
     if r_tau <= 0:
         raise ConfigurationError("r_tau must be > 0", field="r_tau")
     delta = params.delta
-    if params.constants_mode == "theory" and params.log10_G > 300:
-        ratio = 0.0
-        g_plus = math.inf
-    else:
-        ratio = params.alpha_bar / params.G_phi
-        g_plus = params.G_phi + params.alpha_bar * tau
+    ratio = params.alpha_bar / params.G_phi
+    g_plus = params.G_phi + params.alpha_bar * tau
     inner = (1.0 + ratio * tau) * math.log(1.0 / delta) * math.log(tau / delta)
     if inner <= 1.0:
         raise ScheduleError("adaptive beta log argument <= 1")

@@ -19,6 +19,8 @@ from alqr.estimation import (
     min_eig_prediction,
 )
 from alqr.exceptions import ConfigurationError
+from alqr.harness import ExperimentConfig, shared_setup
+from alqr.schedules import build_schedule, lambda_t, p_bar
 
 
 def lse_objective(state: EstimatorState, lambda_t: float, Theta) -> float:
@@ -239,3 +241,26 @@ class TestEstimationErrorBound:
                          for t in taus])
         slope = np.polyfit(np.log(taus), np.log(vals), 1)[0]
         assert -0.35 < slope < -0.20
+
+    @pytest.mark.parametrize("criterion, chi", [("det_double", 0.0),
+                                                ("relaxed_sequential", 0.1)])
+    def test_practical_matches_linear_form(self, golden, criterion, chi):
+        # a large lambda scale makes sqrt(lambda_tau) eps_bar a visible share
+        params = build_schedule(golden, nu=2.0, criterion=criterion, chi=chi,
+                                beta=3.0, lambda_scale=1e12)
+        sigma, n, delta = params.sigma_w, params.n, params.delta
+        for tau in (1, 7, 100, 12345):
+            lead = math.sqrt(40.0) / (sigma * math.sqrt(p_bar(tau, delta, params.phi))
+                                      * tau**0.25)
+            inner = 2.0 * n * math.log((n / delta) * (1.0 + params.alpha_bar / params.G_phi)
+                                       * tau)
+            tail = math.sqrt(lambda_t(tau, params)) * params.eps_bar
+            assert tail > 1e-3 * sigma * math.sqrt(inner)
+            assert estimation_error_bound(tau, params) == pytest.approx(
+                lead * (sigma * math.sqrt(inner) + tail), rel=1e-12, abs=0)
+
+    def test_theory_mode_finite(self):
+        params = shared_setup(ExperimentConfig(benchmark="bench-3x2",
+                                               constants="theory")).params
+        for tau in (1, 100, 10**6):
+            assert 0 < estimation_error_bound(tau, params) < math.inf

@@ -464,6 +464,14 @@ class TestCli:
         assert err.startswith(f"config error ({field}): ")
         assert "Traceback" not in err
 
+    def test_schedule_error_exit_code(self, tmp_path, capsys):
+        # the statement-form tau_* of bench-3x2's theory constants leaves no G(phi)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"benchmark": "bench-3x2", "constants": "theory",
+                                 "tau_star_form": "statement"}))
+        assert cli_main(["--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_runner_failure_exit_code(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alqr.exceptions import ConfigurationError
+from alqr.harness import ExperimentConfig, shared_setup
 from alqr.lqr import SystemModel
 from alqr.schedules import (
     _g_fixed_point,
@@ -11,7 +13,6 @@ from alqr.schedules import (
     anynum_condition,
     build_schedule,
     constants_report,
-    eps_targets,
     g_spec,
     lambda_t,
     p_bar,
@@ -28,6 +29,24 @@ def beta_floor(kappa: float, gamma: float, n: int, m: int) -> float:
     if log_term > 700:
         return math.inf
     return math.expm1(log_term)
+
+
+def eps_targets(params):
+    """(eps_bar, eps_under) in linear arithmetic: min(b1, b2, 2 theta_bound) with
+    b1 = sigma sqrt(alpha 4 n^2 (n+m)) / sqrt(G) and
+    b2 = (1/a2) (1 + sigma^2/(40 G ln(1/delta))), a2 = 256 theta kappa^10 for
+    eps_bar and 32 theta kappa^2 for eps_under."""
+    sig, tb, n, m = params.sigma_w, params.theta_bound, params.n, params.m
+    lnd = math.log(1.0 / params.delta)
+
+    def target(alpha, G, a2):
+        b1 = sig * math.sqrt(alpha * 4 * n * n * (n + m)) / math.sqrt(G)
+        b2 = (1.0 / a2) * (1.0 + sig**2 / (40.0 * G * lnd))
+        return min(b1, b2, 2.0 * tb)
+
+    eb = target(params.alpha_bar, params.G_phi, 256.0 * tb * params.kappa**10)
+    eu = target(params.alpha_under, params.G_star, 32.0 * tb * params.kappa**2)
+    return eb, eu
 
 
 def small_theory_params():
@@ -143,21 +162,27 @@ class TestLambdaT:
 
 class TestEpsTargets:
     def test_positive(self, bench2x2_params):
-        eb, eu = eps_targets(bench2x2_params)
-        assert eb > 0 and eu > 0
+        assert bench2x2_params.eps_bar > 0 and bench2x2_params.eps_under > 0
 
     def test_relaxed_needs_looser_neighborhood(self, bench2x2_params):
-        eb, eu = eps_targets(bench2x2_params)
-        assert eu >= eb
+        assert bench2x2_params.eps_under >= bench2x2_params.eps_bar
 
     def test_clamped_at_twice_theta_bound(self):
         m = SystemModel(A=[[0.0]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                         sigma_w=1.0, theta_bound=1.2)
         params = build_schedule(m, nu=0.6, delta=0.1, phi=1.1,
                                 constants_mode="practical", lambda_scale=1e-6)
+        assert params.eps_bar <= 2 * m.theta_bound + 1e-12
+        assert params.eps_under <= 2 * m.theta_bound + 1e-12
+
+    @pytest.mark.parametrize("plant", ["scalar-golden", "bench-2x2", "bench-3x2"])
+    def test_practical_targets_match_linear_formula(self, plant):
+        params = shared_setup(ExperimentConfig(benchmark=plant)).params
         eb, eu = eps_targets(params)
-        assert eb <= 2 * m.theta_bound + 1e-12
-        assert eu <= 2 * m.theta_bound + 1e-12
+        assert params.eps_bar == pytest.approx(eb, rel=1e-12, abs=0)
+        assert params.eps_under == pytest.approx(eu, rel=1e-12, abs=0)
+        assert params.log10_eps_bar == pytest.approx(math.log10(eb), rel=0, abs=1e-13)
+        assert params.log10_eps_under == pytest.approx(math.log10(eu), rel=0, abs=1e-13)
 
 
 class TestWarmupDuration:
@@ -226,6 +251,11 @@ class TestAdaptiveBeta:
         with pytest.raises(ConfigurationError):
             adaptive_beta(0, 1.0, bench2x2_params)
 
+    def test_overflowed_G_gives_zero(self):
+        # theory-mode G past 1e300 is stored as inf: abar/G = 0 and sqrt(G + abar tau) = inf
+        params = replace(small_theory_params(), G_phi=math.inf, log10_G=400.0)
+        assert adaptive_beta(100, 5.0, params) == 0.0
+
 
 class TestBetaFloor:
     def test_direct(self):
@@ -293,6 +323,7 @@ class TestBuildSchedule:
         ("chi", 1.0), ("chi", -0.1), ("lambda_scale", 0.0), ("lambda_scale", -1.0),
         ("lambda_scale", math.nan), ("noise_scale", -1.0), ("mu_mode", "Lemma"),
         ("radius_variant", "anchor"), ("tau_star_form", "stmt"),
+        ("constants_mode", "Theory"),
     ])
     def test_out_of_domain_value_names_field(self, bench2x2, field, value):
         with pytest.raises(ConfigurationError) as exc:

@@ -40,10 +40,13 @@ def test_every_script_has_a_clean_exit_case():
         {script for script, _ in SCRIPT_CASES}
 
 
-def test_constants_report_prints_what_the_harness_runs(tmp_path):
-    proc = run_script(tmp_path, "constants_report.py", ["--constants", "practical"])
+@pytest.mark.parametrize("constants", ["practical", "theory"])
+def test_constants_report_prints_what_the_harness_runs(tmp_path, constants):
+    proc = run_script(tmp_path, "constants_report.py", ["--constants", constants])
     assert proc.returncode == 0, proc.stderr
-    report = run_experiment(ExperimentConfig(benchmark="bench-2x2", T=5, seeds=[0]))
+    report = run_experiment(ExperimentConfig(benchmark="bench-2x2", T=5, seeds=[0],
+                                             constants=constants))
+    assert not report.errors
     assert proc.stdout == json_dumps(report.constants) + "\n"
 
 
