@@ -78,7 +78,9 @@ def main(argv=None) -> int:
         report = run_experiment(config)
     except (ConfigurationError, ScheduleError) as exc:
         # per-seed errors never escape run_experiment: these are set-up errors
-        print(f"config error ({getattr(exc, 'field', None)}): {exc}", file=sys.stderr)
+        field = getattr(exc, "field", None)
+        where = f" ({field})" if field else ""
+        print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     agg = report.aggregate
     print(f"seeds ok: {agg.get('seed_count', 0)}  failed: {len(report.errors)}")

@@ -59,10 +59,13 @@ def _step_sums(a, b, carry):
     return np.cumsum(S, axis=0, out=S)
 
 
-def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
+def ingest(state: EstimatorState, z, x_next, sum_gram: bool = True) -> EstimatorState:
     """Accumulate one transition (z_t, x_{t+1}), or k rows of them, in place.
 
     Rows add in step order a block at a time: the bits of k one-row ingests.
+    ``sum_gram=False`` adds the cross moments only, for a caller that sums
+    the same rows into ``state.gram`` itself (``covariance_blocks(...,
+    gram=state.gram)``).
     """
     z = np.asarray(z, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
@@ -74,13 +77,14 @@ def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
         raise ConfigurationError("z and x_next must hold the same rows", field="x_next")
     z, x_next = z.reshape(-1, state.dim_z), x_next.reshape(-1, state.dim_x)
     for lo, hi in row_blocks(len(z)):
-        state.gram[...] = _step_sums(z[lo:hi], z[lo:hi], state.gram)[-1]
+        if sum_gram:
+            state.gram[...] = _step_sums(z[lo:hi], z[lo:hi], state.gram)[-1]
         state.cross[...] = _step_sums(z[lo:hi], x_next[lo:hi], state.cross)[-1]
     state.t += len(z)
     return state
 
 
-def covariance_blocks(x, u, lambda_t, ingested: bool = False):
+def covariance_blocks(x, u, lambda_t, ingested: bool = False, gram=None):
     """Replay the covariances of a recorded trajectory, a block at a time.
 
     Yields (lo, z, V) per block of steps s = lo..lo+k-1 with z[j] = (x_s, u_s)
@@ -88,6 +92,8 @@ def covariance_blocks(x, u, lambda_t, ingested: bool = False):
     ``ingested``).  The Gram sums add in step order from zero, carried across
     blocks, so V[j] has the bits of ``covariance`` at that step of the run.
     ``lambda_t`` is one value per step or a single value for all of them.
+    ``gram``, a (p, p) array, receives in place the Gram sum through each
+    block's last row as that block is yielded.
     """
     T = u.shape[0]
     p = x.shape[1] + u.shape[1]
@@ -96,6 +102,8 @@ def covariance_blocks(x, u, lambda_t, ingested: bool = False):
     for lo, hi in row_blocks(T):
         z = np.hstack([x[lo:hi], u[lo:hi]])
         V, carry = step_covariances(z, lam[lo:hi], carry, ingested)
+        if gram is not None:
+            gram[...] = carry
         yield lo, z, V
 
 

@@ -470,7 +470,10 @@ class TestCli:
         p.write_text(json.dumps({"benchmark": "bench-3x2", "constants": "theory",
                                  "tau_star_form": "statement"}))
         assert cli_main(["--config", str(p)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "(None)" not in err
+        assert "config error: G(phi) bracketing failed" in err
 
     def test_runner_failure_exit_code(self, tmp_path):
         p = tmp_path / "c.json"

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alqr import loops, regret, schedules, synthesis
-from alqr.benchmarks import bench_2x2, bench_3x2
+from alqr import estimation, loops, regret, schedules, synthesis
+from alqr.benchmarks import bench_2x2, bench_3x2, perturbed_gain
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
 from alqr.estimation import (
     EstimatorState,
@@ -219,14 +219,14 @@ class TestRunAslo:
                                                      bench2x2_anchor, monkeypatch):
         theta0, eps = bench2x2_anchor
         real = synthesis.synthesize_policy
-        real_lambda = schedules.lambda_t
+        real_estimate = estimation.estimate
         steps, calls = [], []
 
-        def lambda_t(t, params):
-            # run_aslo evaluates lambda_t for the steps of each block and again
-            # for the step that opens the next, just before a firing's synthesis
-            steps.append(t)
-            return real_lambda(t, params)
+        def estimate(est, lam):
+            # a firing at step t estimates Theta from the est.t = t - 1 rows
+            # ingested before it, just before its synthesis
+            steps.append(est.t + 1)
+            return real_estimate(est, lam)
 
         def fail_once(*args, **kwargs):
             # the first firing from t = 50 on fails; early epochs fire every step
@@ -235,7 +235,7 @@ class TestRunAslo:
                 raise SynthesisError("injected failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(schedules, "lambda_t", lambda_t)
+        monkeypatch.setattr(estimation, "estimate", estimate)
         monkeypatch.setattr(synthesis, "synthesize_policy", fail_once)
         rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=400,
                                 params=bench2x2_params, seed=3)
@@ -476,6 +476,27 @@ class TestComputedAfterTheLoop:
             expect.append(logdet_pd(est.covariance(rho)))
         assert np.array_equal(rec.logdet_V, expect)
         assert np.array_equal(theta0, estimate(est, rho))
+
+    def test_warmup_moments_equal_ingest(self, monkeypatch):
+        # a full-3x2-shaped warm-up over more than two blocks: the Gram taken
+        # from the log-det sums and the cross moments equal a plain ingest's
+        model = bench_3x2()
+        K0 = perturbed_gain(model, 0.2, seed=0)
+        seen = []
+        real_estimate = estimation.estimate
+
+        def spy(est, lam):
+            seen.append(est)
+            return real_estimate(est, lam)
+
+        monkeypatch.setattr(estimation, "estimate", spy)
+        theta0, rec = run_warmup(model, K0, 700, seed=1879296147)
+        (est,) = seen
+        replay = EstimatorState(dim_z=model.n + model.m, dim_x=model.n)
+        ingest(replay, np.hstack([rec.x[:-1], rec.u]), rec.x[1:])
+        assert est.t == replay.t == 700
+        assert np.array_equal(est.gram, replay.gram)
+        assert np.array_equal(est.cross, replay.cross)
 
     def test_warmup_and_aslo_costs(self, bench2x2, bench2x2_gain, bench2x2_params,
                                    bench2x2_anchor):
@@ -773,10 +794,10 @@ class TestSegmentOracle:
     def test_speculative_blow_up_past_a_firing_does_not_raise(
             self, bench2x2, bench2x2_params, bench2x2_anchor, monkeypatch):
         # one gain with closed-loop gain ~10 under a criterion that waits for
-        # det V to grow 1e5-fold: a block rolls it out past the step that
+        # det V to grow 1e6-fold: a block rolls it out past the step that
         # fires on the growth, and a row past that step runs away
         theta0, eps = bench2x2_anchor
-        params = replace(bench2x2_params, criterion="fixed_beta", beta=1e5)
+        params = replace(bench2x2_params, criterion="fixed_beta", beta=1e6)
         calls = self.hand_out_gain(monkeypatch, 2, 8.95 * np.eye(2), then_decline=False)
         rollout, raised = loops._rollout, []
 
@@ -810,3 +831,37 @@ class TestSegmentOracle:
         assert str(exc.value) == str(ref.value)
         assert exc.value.diagnostics == ref.value.diagnostics
         assert exc.value.diagnostics["t"] > 20
+
+
+class TestAsloBookkeeping:
+    """What a run costs outside the rollout kernel, on bench-2x2 under det2."""
+
+    def test_blocks_sized_from_the_last_epoch_waste_less(self, bench2x2, bench2x2_params,
+                                                         bench2x2_anchor, monkeypatch):
+        # blocks that restarted at 1 row after each firing and doubled asked
+        # _rollout for 2692 rows in 145 blocks on this run (30 epochs)
+        rollout, asked = loops._rollout, []
+
+        def spy(*args):
+            asked.append(args[-1] - args[-2])
+            return rollout(*args)
+
+        monkeypatch.setattr(loops, "_rollout", spy)
+        theta0, eps = bench2x2_anchor
+        run_aslo(bench2x2, theta0, eps, T=2000, params=bench2x2_params, seed=0)
+        assert sum(asked) < 2692
+        assert len(asked) < 145
+
+    def test_screen_decides_every_anynum_flag(self, bench2x2, bench2x2_params,
+                                              bench2x2_anchor, monkeypatch):
+        exact_flags, exact = schedules._exact_flags, []
+
+        def spy(mu, V, rhs):
+            exact.append(len(V))
+            return exact_flags(mu, V, rhs)
+
+        monkeypatch.setattr(schedules, "_exact_flags", spy)
+        theta0, eps = bench2x2_anchor
+        rec, _, _ = run_aslo(bench2x2, theta0, eps, T=2000, params=bench2x2_params, seed=0)
+        assert len(rec.diagnostics["anynum_condition"]) == 2000
+        assert sum(exact) == 0

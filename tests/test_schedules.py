@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from alqr.estimation import step_covariances
 from alqr.exceptions import ConfigurationError
 from alqr.harness import ExperimentConfig, shared_setup
 from alqr.lqr import SystemModel
@@ -14,6 +17,7 @@ from alqr.schedules import (
     build_schedule,
     constants_report,
     g_spec,
+    lambda_steps,
     lambda_t,
     p_bar,
     phi_bar,
@@ -158,6 +162,19 @@ class TestLambdaT:
                                  criterion="relaxed_sequential", chi=0.0, beta=3.0)
         for t in (1, 7, 190, 4096):
             assert lambda_t(t, relaxed) == pytest.approx(lambda_t(t, base))
+
+    @pytest.mark.parametrize("criterion, chi", [("det_double", 0.0),
+                                                ("relaxed_sequential", 0.3)])
+    def test_steps_have_lambda_t_bits(self, bench2x2_params, criterion, chi):
+        p = replace(bench2x2_params, criterion=criterion, chi=chi, G_star=1.7)
+        lam = lambda_steps(5000, p)
+        assert lam.dtype == np.float64 and lam.shape == (5000,)
+        assert lam.tolist() == [lambda_t(t, p) for t in range(1, 5001)]
+        if criterion == "relaxed_sequential":
+            expect = [1.7 * math.log(t / p.delta) ** (1.0 / 0.7) for t in range(1, 5001)]
+        else:
+            expect = [p.G_phi * math.log(t / p.delta) for t in range(1, 5001)]
+        assert lam.tolist() == expect
 
 
 class TestEpsTargets:
@@ -306,6 +323,63 @@ class TestAnynumCondition:
             anynum_condition(1.0, V[3], 2.0)
         with pytest.raises(ConfigurationError):
             anynum_condition(1.0, V, 2.0)
+
+
+def gram_stack(seed, k, p, scale, lam, carry_rows):
+    """k covariances lam_j I + S_j from step_covariances, S summed over
+    carry_rows earlier rows and the rows before each; returns (V, lam, terms).
+    The rows are correlated, so min diag V can lie far above its least
+    eigenvalue."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    mix = scale * (10.0 ** rng.uniform(-3.0, 0.0, p))[:, None] * Q
+    _, carry = step_covariances(rng.standard_normal((carry_rows + 1, p)) @ mix,
+                                np.ones(carry_rows + 1), np.zeros((p, p)))
+    lams = lam * rng.choice([1.0, 1.0, 1.5, 2.0], size=k)
+    V, _ = step_covariances(rng.standard_normal((k, p)) @ mix, lams, carry)
+    return V, lams, carry_rows + 1 + k
+
+
+class TestAnynumScreen:
+    """Flags screened from bounds on the least eigenvalue equal the flags of
+    the eigvalsh path, element for element, and raise where it raises."""
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 300), p=st.integers(1, 5),
+           scale=st.sampled_from([0.0, 1e-9, 1e-3, 0.3, 1.0, 40.0, 1e4]),
+           lam=st.one_of(st.just(1.0), st.floats(0.5, 2.0), st.floats(1e-3, 1e3)),
+           kappa=st.floats(1.0, 60.0),
+           carry_rows=st.sampled_from([0, 3, 50, 3000]))
+    @settings(max_examples=80, deadline=None)
+    # V = I + S with S tiny: w_min and mu tie within the rounding of eigvalsh
+    @example(seed=0, k=18, p=3, scale=1e-9, lam=1.0, kappa=1.0, carry_rows=0)
+    def test_screened_flags_equal_eigvalsh_path(self, seed, k, p, scale, lam, kappa,
+                                                carry_rows):
+        V, lams, terms = gram_stack(seed, k, p, scale, lam, carry_rows)
+        rng = np.random.default_rng(seed + 1)
+        # mu within a few ulps of 1/(16 kappa^10), where w_min near 1 ties,
+        # far from it on either side, or zero
+        guard = 1.0 / (16.0 * kappa**10)
+        near = guard * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, size=k))
+        far = guard * 10.0 ** rng.uniform(-30.0, 30.0, size=k)
+        mu = np.where(rng.random(k) < 0.5, near, far)
+        mu[rng.random(k) < 0.05] = 0.0
+        screened = anynum_condition(mu, V, kappa, lam=lams, terms=terms)
+        assert screened.dtype == bool
+        assert screened.tolist() == anynum_condition(mu, V, kappa).tolist()
+        assert anynum_condition(mu[0], V[0], kappa, lam=lams[0], terms=terms) \
+            == anynum_condition(mu[0], V[0], kappa)
+
+    def test_non_pd_in_stack_raises(self):
+        V, lams, terms = gram_stack(0, 40, 3, 1e-3, 1.0, 10)
+        # V[17] = -I + S with S small: not PD
+        V[17] += (-1.0 - lams[17]) * np.eye(3)
+        lams[17] = -1.0
+        with pytest.raises(ConfigurationError):
+            anynum_condition(1e-6, V, 2.0)
+        with pytest.raises(ConfigurationError):
+            anynum_condition(1e-6, V, 2.0, lam=lams, terms=terms)
+        with pytest.raises(ConfigurationError):
+            anynum_condition(0.0, V[17], 2.0, lam=lams[17], terms=terms)
 
 
 class TestBuildSchedule:
