@@ -59,13 +59,19 @@ def _step_sums(a, b, carry):
     return np.cumsum(S, axis=0, out=S)
 
 
-def ingest(state: EstimatorState, z, x_next, sum_gram: bool = True) -> EstimatorState:
+def gram_sums(state: EstimatorState, z) -> np.ndarray:
+    """S[j] = state.gram + z_0 z_0' + ... + z_j z_j' for each row of z, in step
+    order: what ``state.gram`` holds after ingesting z_0..z_j, bit for bit,
+    without ingesting them.  ``ingest(..., grams=S[:k])`` commits k rows."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    return _step_sums(z, z, state.gram)
+
+
+def ingest(state: EstimatorState, z, x_next, grams=None) -> EstimatorState:
     """Accumulate one transition (z_t, x_{t+1}), or k rows of them, in place.
 
     Rows add in step order a block at a time: the bits of k one-row ingests.
-    ``sum_gram=False`` adds the cross moments only, for a caller that sums
-    the same rows into ``state.gram`` itself (``covariance_blocks(...,
-    gram=state.gram)``).
+    ``grams``, the ``gram_sums`` of the same rows, sets the Gram from them.
     """
     z = np.asarray(z, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
@@ -77,23 +83,21 @@ def ingest(state: EstimatorState, z, x_next, sum_gram: bool = True) -> Estimator
         raise ConfigurationError("z and x_next must hold the same rows", field="x_next")
     z, x_next = z.reshape(-1, state.dim_z), x_next.reshape(-1, state.dim_x)
     for lo, hi in row_blocks(len(z)):
-        if sum_gram:
-            state.gram[...] = _step_sums(z[lo:hi], z[lo:hi], state.gram)[-1]
+        state.gram[...] = (_step_sums(z[lo:hi], z[lo:hi], state.gram)[-1] if grams is None
+                           else grams[hi - 1])
         state.cross[...] = _step_sums(z[lo:hi], x_next[lo:hi], state.cross)[-1]
     state.t += len(z)
     return state
 
 
-def covariance_blocks(x, u, lambda_t, ingested: bool = False, gram=None):
+def covariance_blocks(x, u, lambda_t):
     """Replay the covariances of a recorded trajectory, a block at a time.
 
     Yields (lo, z, V) per block of steps s = lo..lo+k-1 with z[j] = (x_s, u_s)
-    and V[j] = lambda_s I + S, where S sums z_r z_r' over r < s (r <= s when
-    ``ingested``).  The Gram sums add in step order from zero, carried across
-    blocks, so V[j] has the bits of ``covariance`` at that step of the run.
-    ``lambda_t`` is one value per step or a single value for all of them.
-    ``gram``, a (p, p) array, receives in place the Gram sum through each
-    block's last row as that block is yielded.
+    and V[j] = lambda_s I + S, where S sums z_r z_r' over r < s.  The Gram
+    sums add in step order from zero, carried across blocks, so V[j] has the
+    bits of ``covariance`` at that step of the run.  ``lambda_t`` is one
+    value per step or a single value for all of them.
     """
     T = u.shape[0]
     p = x.shape[1] + u.shape[1]
@@ -101,25 +105,21 @@ def covariance_blocks(x, u, lambda_t, ingested: bool = False, gram=None):
     carry = np.zeros((p, p))
     for lo, hi in row_blocks(T):
         z = np.hstack([x[lo:hi], u[lo:hi]])
-        V, carry = step_covariances(z, lam[lo:hi], carry, ingested)
-        if gram is not None:
-            gram[...] = carry
+        V, carry = step_covariances(z, lam[lo:hi], carry)
         yield lo, z, V
 
 
-def step_covariances(z, lambda_t, carry, ingested: bool = False):
+def step_covariances(z, lambda_t, carry):
     """Covariances of consecutive steps with rows z_0..z_{k-1} and their Gram.
 
     Returns (V, S): V[j] = lambda_j I + carry + z_0 z_0' + ... + z_{j-1} z_{j-1}'
-    (through z_j when ``ingested``) and S = carry + z_0 z_0' + ... + z_{k-1} z_{k-1}',
-    summed in step order, so with ``carry`` the Gram before z_0, V[j] has the
-    bits of ``covariance`` at that step.  ``lambda_t`` holds one value per row.
+    and S = carry + z_0 z_0' + ... + z_{k-1} z_{k-1}', summed in step order,
+    so with ``carry`` the Gram before z_0, V[j] has the bits of
+    ``covariance`` at that step.  ``lambda_t`` holds one value per row.
     """
     S = _step_sums(z, z, carry)
-    last = S[-1]
-    if not ingested:
-        S = np.concatenate([carry[None], S[:-1]])
-    return lambda_t[:, None, None] * np.eye(z.shape[1]) + S, last
+    before = np.concatenate([carry[None], S[:-1]])
+    return lambda_t[:, None, None] * np.eye(z.shape[1]) + before, S[-1]
 
 
 def estimate(state: EstimatorState, lambda_t: float) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Algorithm runners: warm-up identification, the adaptive SDP-based control
 loop (ASLO), and the doubling-trick baseline.
 
-Each runner owns one RNG seeded per trajectory and split into independent
-streams for process noise, control perturbation, and warm-up perturbation,
-so matched seeds share noise realizations across criterion variants.  Step
-arrays are indexed s = 0..T-1 for algorithm times t = s+1 (warm-up: t = s).
+Each runner sets its trajectory up through ``_trajectory``, which splits one
+RNG seeded per trajectory into independent streams for process noise,
+control perturbation, and warm-up perturbation, so matched seeds share
+noise realizations across criterion variants; the runner draws only its
+perturbation.  Step arrays are indexed s = 0..T-1 for algorithm times
+t = s+1 (warm-up: t = s).
 
 Every runner steps the plant through ``_rollout`` and ingests the moments
 from the record after it: the warm-up all T0 steps, ``run_fixed_policy`` one
 checkpoint segment at a time, and ASLO one fixed-gain segment at a time.
+The warm-up and ASLO take V_t from the ``gram_sums`` that ``ingest`` commits.
 Between two policy updates ASLO is a fixed-gain rollout too; it rolls the
 gain out over a block of steps, takes the determinant criterion of the
 block's later steps from one stacked log-det, and keeps the steps before
@@ -111,6 +114,17 @@ def _streams(seed):
         for k in range(3))
 
 
+def _trajectory(model: SystemModel, T: int, seed, x0):
+    """x (T+1, n) from x0 (zero when None), u (T, m), the process noise omega
+    (T, n), and the ASLO- and warm-up-perturbation generators of ``seed``."""
+    omega_rng, eta_rng, nu_rng = _streams(seed)
+    x = np.zeros((T + 1, model.n))
+    if x0 is not None:
+        x[0] = np.asarray(x0, dtype=float)
+    omega = model.sigma_w * omega_rng.standard_normal((T, model.n))
+    return x, np.zeros((T, model.m)), omega, eta_rng, nu_rng
+
+
 def perturbation_variance(t, params: schedules.ScheduleParams):
     """2 sigma^2 kappa^2 p_bar_t / sqrt(t) * noise_scale.
 
@@ -155,12 +169,12 @@ def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
     ``np.ascontiguousarray(K)`` would change the outputs.
 
     The runaway check runs once per chunk of at most ``_BLOCK`` rows, not
-    once per step, which takes a full-3x2 warm-up from about 3.6 to 3.1 us
-    a step.  The chunk is rolled out with overflow warnings off; one
-    stacked squared norm picks the rows that may have run away, with a
-    margin of 2 for its rounding (nan rows too), and each of them is tested
-    in step order as a single step would be.  Rows rolled past the first
-    runaway, which may have overflowed, get back what they held before.
+    once per step, to keep it off the per-step path.  The chunk is rolled
+    out with overflow warnings off; one stacked squared norm picks the rows
+    that may have run away, with a margin of 2 for its rounding (nan rows
+    too), and each of them is tested in step order as a single step would
+    be.  Rows rolled past the first runaway, which may have overflowed, get
+    back what they held before.
     """
     Kx, Ax, Bu, add, limit = K.dot, model.A.dot, model.B.dot, np.add, BLOWUP_NORM**2
     Bus = np.empty(x.shape[1])
@@ -206,32 +220,25 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
     """Warm-up identification under u = K0 x + nu, nu ~ N(0, 2 sigma^2 kappa0^2 I).
 
     Returns (Theta_0, record) where Theta_0 is the ridge estimate with
-    regularizer rho = sigma^2 / theta_bound^2 pulled toward zero.
+    regularizer rho = sigma^2 / theta_bound^2 pulled toward zero.  Each
+    block's ``gram_sums`` give its log det V and are committed by ``ingest``.
     """
     if T0 < 1:
         raise ConfigurationError("T0 must be >= 1", field="T0")
     K0 = np.atleast_2d(np.asarray(K0, dtype=float))
     cert0 = stability_certificate(model, K0)  # raises if K0 is not stabilizing
     n, m = model.n, model.m
-    omega_rng, _, nu_rng = _streams(seed)
+    x, u, omega, _, nu_rng = _trajectory(model, T0, seed, x0)
     rho = model.sigma_w**2 / model.theta_bound**2
-    nu_std = math.sqrt(2.0) * model.sigma_w * cert0.kappa
-
-    est = estimation.EstimatorState(dim_z=n + m, dim_x=n)
-    x = np.zeros((T0 + 1, n))
-    if x0 is not None:
-        x[0] = np.asarray(x0, dtype=float)
-    u = np.zeros((T0, m))
-    nu = nu_std * nu_rng.standard_normal((T0, m))
-    omega = model.sigma_w * omega_rng.standard_normal((T0, n))
+    nu = math.sqrt(2.0) * model.sigma_w * cert0.kappa * nu_rng.standard_normal((T0, m))
     _rollout(model, K0, x, u, nu, omega, "warm-up", 0, T0)
-    # log det V after each ingest, V = rho I + S, and the moments themselves:
-    # the Gram is summed once, for both
+    est = estimation.EstimatorState(dim_z=n + m, dim_x=n)
     logdets = np.empty(T0)
-    for lo, z, V in estimation.covariance_blocks(x, u, max(rho, 1e-300), ingested=True,
-                                                 gram=est.gram):
-        logdets[lo:lo + len(z)] = logdet_pd(V)
-        estimation.ingest(est, z, x[lo + 1:lo + 1 + len(z)], sum_gram=False)
+    for lo, hi in row_blocks(T0):  # log det V after each ingest, V = rho I + S
+        z = np.hstack([x[lo:hi], u[lo:hi]])
+        S = estimation.gram_sums(est, z)
+        logdets[lo:hi] = logdet_pd(max(rho, 1e-300) * np.eye(n + m) + S)
+        estimation.ingest(est, z, x[lo + 1:hi + 1], grams=S)
     if rho > 0:
         Theta_0 = estimation.estimate(est, rho)
     else:  # degenerate sigma_w = 0: minimum-norm solution of S Theta = C
@@ -275,18 +282,17 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     at step t, tau_prev being the one before (0 at the first), sets the
     block size to (t - tau_prev) // 4 rows, at least 1, and it doubles while
     no step fires, at most ``linalg._BLOCK`` rows and never past the next
-    checkpoint.  Epochs grow slowly, so blocks that restarted at 1 row after
-    each firing paid a block's fixed cost (a log-det, ``step_covariances``,
-    ``ingest`` and a rollout call) about twice as often: on aslo-2x2 at
-    benchmark seed 1 the rule rolls 11,194 rows in 114 blocks, where
-    restarting at 1 rolled 11,933 in 230.  V_t of the block's later steps
-    comes from the step-order Gram sums, and one stacked log-det flags the
-    first of them whose criterion fires (or whose V_t is not PD).  The rows
-    before it are kept and ingested, and the next block opens at it.  A
-    blow-up in the block stands only if no step up to it fires.  The
-    record, history and diagnostics have the bits of stepping one step at a
-    time, whatever the block sizes.  The anynum flags are screened from
-    bounds on the least eigenvalue of each V_t (see
+    checkpoint.  Epochs grow slowly, and each block pays a fixed cost (a
+    log-det, ``gram_sums``, ``ingest`` and a rollout call), so blocks that
+    restarted at 1 row after each firing would pay it about twice as often.
+    V_t of the block's later steps comes from the block's ``gram_sums``, and
+    one stacked log-det flags the first of them whose criterion fires (or
+    whose V_t is not PD).  The rows before it are ingested from the same
+    sums, so each kept row enters the Gram once, and the next block opens
+    at it.  A blow-up in the block stands only if no step up to it fires.
+    The record, history and diagnostics have the bits of stepping one step
+    at a time, whatever the block sizes.  The anynum flags are screened
+    from bounds on the least eigenvalue of each V_t (see
     ``schedules.anynum_condition``).
     """
     if T < 1:
@@ -297,18 +303,13 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             field="constants_mode")
     n, m = model.n, model.m
     Theta_0 = np.asarray(Theta_0, dtype=float)
-    omega_rng, eta_rng, _ = _streams(seed)
     est = estimation.EstimatorState(dim_z=n + m, dim_x=n, anchor=Theta_0,
                                     anchor_error=anchor_eps)
-    x = np.zeros((T + 1, n))
-    if x0 is not None:
-        x[0] = np.asarray(x0, dtype=float)
+    x, u, omega, eta_rng, _ = _trajectory(model, T, seed, x0)
     if np.linalg.norm(x[0]) > BLOWUP_NORM:
         raise BlowUpError("initial state beyond the runaway threshold",
                           diagnostics={"t": 0, "x_norm": float(np.linalg.norm(x[0]))})
-    u = np.zeros((T, m))
     eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
-    omega = model.sigma_w * omega_rng.standard_normal((T, n))
     policy_id = np.zeros(T, dtype=int)
     lam_arr = (schedules.lambda_steps(T, params) if lambda_override is None
                else np.full(T, float(lambda_override)))
@@ -375,11 +376,11 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         except BlowUpError as exc:  # it stands unless a step up to it fires
             blow_up, hi = exc, exc.diagnostics["t"]
         z = np.concatenate([x[lo:hi], u[lo:hi]], axis=1)
+        S = estimation.gram_sums(est, z)
         end = hi
         if hi - lo > 1:  # the criterion of steps lo+2..hi from the rows before each
-            V_blk, _ = estimation.step_covariances(z[:-1], lam_arr[lo + 1:hi], est.gram,
-                                                   ingested=True)
-            logdets = logdet_pd(V_blk, strict=False)  # nan where V is not PD
+            logdets = logdet_pd(lam_arr[lo + 1:hi, None, None] * np.eye(n + m) + S[:-1],
+                                strict=False)  # nan where V is not PD
             # the first step that fires, or whose own checks would raise, opens the next block
             limit = math.log1p(beta_in_force) + logdet_tau
             flagged = np.flatnonzero(~(logdets <= limit))
@@ -388,7 +389,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             logdet_arr[lo + 1:end] = logdets[:end - lo - 1]
         if blow_up is not None and end == hi:
             raise blow_up
-        estimation.ingest(est, z[:end - lo], x[lo + 1:end + 1])
+        estimation.ingest(est, z[:end - lo], x[lo + 1:end + 1], grams=S[:end - lo])
         policy_id[lo:end] = current.epoch_index
         if end in checkpoints:
             containment.append((end, _holds_truth(
@@ -441,17 +442,12 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n, m = model.n, model.m
-    omega_rng, eta_rng, _ = _streams(seed)
     theta0, eps = (None, None) if anchor is None else anchor
     variant = "unanchored" if anchor is None else "anchored"
     est = estimation.EstimatorState(dim_z=n + m, dim_x=n, anchor=theta0,
                                     anchor_error=eps)
-    x = np.zeros((T + 1, n))
-    if x0 is not None:
-        x[0] = np.asarray(x0, dtype=float)
-    u = np.zeros((T, m))
+    x, u, omega, eta_rng, _ = _trajectory(model, T, seed, x0)
     eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
-    omega = model.sigma_w * omega_rng.standard_normal((T, n))
     containment = []
     checkpoints = {int(c) for c in checkpoints if 1 <= int(c) <= T}
     lo = 0
@@ -488,8 +484,8 @@ def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
 
     Each segment spends ceil(sqrt(T_i)) steps on warm-up and the remainder on
     the SDP loop with the regularizer frozen at its horizon value
-    lambda = G log(T_i/delta).  The plant state carries across restarts;
-    every warm-up and ASLO segment draws from its own child of the seed.
+    lambda_t(max(T_i, 2)).  The plant state carries across restarts; every
+    warm-up and ASLO segment draws from its own child of the seed.
     """
     if base_horizon < 1:
         raise ConfigurationError("base_horizon must be >= 1", field="base_horizon")
@@ -506,12 +502,11 @@ def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
         x_cur = wrec.x[-1]
         rest = Ti - w_i
         if rest > 0:
-            lam_fix = params.G_phi * math.log(max(Ti, 2) / params.delta)
             arec, _, _ = run_aslo(
                 model, Theta_0,
                 anchor_eps=2.0 * model.theta_bound, T=rest, params=params,
                 seed=seeds[2 * i + 1], x0=x_cur,
-                lambda_override=lam_fix)
+                lambda_override=schedules.lambda_t(max(Ti, 2), params))
             parts.append(arec)
             x_cur = arec.x[-1]
         done += Ti

@@ -15,6 +15,7 @@ from alqr.estimation import (
     ellipsoid_contains,
     estimate,
     estimation_error_bound,
+    gram_sums,
     ingest,
     min_eig_prediction,
 )
@@ -49,20 +50,18 @@ class TestCovarianceBlocks:
         u = rng.standard_normal((T, m))
         lam = rng.uniform(1.0, 3.0, T)
         st_ = fresh(dim_z=n + m, dim_x=n)
-        before, after = [], []
+        before = []
         for s in range(T):
             before.append(st_.covariance(lam[s]))
             ingest(st_, np.concatenate([x[s], u[s]]), x[s + 1])
-            after.append(st_.covariance(lam[s]))
-        for ingested, expect in ((False, before), (True, after)):
-            blocks = list(covariance_blocks(x, u, lam, ingested=ingested))
-            assert len(blocks) > 2
-            assert [lo for lo, _, _ in blocks] == np.cumsum(
-                [0] + [len(z) for _, z, _ in blocks[:-1]]).tolist()
-            assert np.array_equal(np.concatenate([z for _, z, _ in blocks]),
-                                  np.hstack([x[:-1], u]))
-            assert np.array_equal(np.concatenate([V for _, _, V in blocks]),
-                                  np.array(expect))
+        blocks = list(covariance_blocks(x, u, lam))
+        assert len(blocks) > 2
+        assert [lo for lo, _, _ in blocks] == np.cumsum(
+            [0] + [len(z) for _, z, _ in blocks[:-1]]).tolist()
+        assert np.array_equal(np.concatenate([z for _, z, _ in blocks]),
+                              np.hstack([x[:-1], u]))
+        assert np.array_equal(np.concatenate([V for _, _, V in blocks]),
+                              np.array(before))
 
 
 class TestIngest:
@@ -100,6 +99,21 @@ class TestIngest:
             assert np.array_equal(rows.gram, one.gram)
             assert np.array_equal(rows.cross, one.cross)
             assert rows.t == one.t == 100 + k
+
+    def test_gram_sums_hand_off_has_ingest_bits(self):
+        # the sums of a speculative block, of which the first k rows are kept
+        rng = np.random.default_rng(1)
+        Z, X = rng.standard_normal((300, 4)) * 3.0, rng.standard_normal((300, 2))
+        start = ingest(fresh(dim_z=4, dim_x=2), Z[:40], X[:40])
+        for k in (1, 37, 256):
+            plain, handed = copy.deepcopy(start), copy.deepcopy(start)
+            ingest(plain, Z[40:40 + k], X[40:40 + k])
+            S = gram_sums(handed, Z[40:44 + k])
+            assert handed.t == 40 and np.array_equal(handed.gram, start.gram)
+            ingest(handed, Z[40:40 + k], X[40:40 + k], grams=S[:k])
+            assert np.array_equal(handed.gram, plain.gram)
+            assert np.array_equal(handed.cross, plain.cross)
+            assert handed.t == plain.t == 40 + k
 
     def test_dimension_mismatch(self):
         for z, x_next in (([1.0], [0.0]),

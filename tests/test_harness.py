@@ -121,6 +121,48 @@ class TestLoadConfig:
         assert parse_seed_range("4,7") == [4, 7]
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(schema_version=2), "schema_version"),
+        (dict(mode="bogus"), "mode"),
+        (dict(criterion="bogus"), "criterion"),
+        (dict(constants="bogus"), "constants"),
+        (dict(T=0), "T"),
+        (dict(T0=0), "T0"),
+        (dict(seeds=[]), "seeds"),
+        (dict(benchmark=None), "benchmark"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_invalid_config_names_field(self, overrides, field):
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(**overrides)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("text, field", [
+        (None, "path"),
+        ("{", "path"),
+        ('{"T": "ten"}', None),
+    ], ids=["unreadable", "invalid-json", "wrong-type"])
+    def test_unloadable_config(self, tmp_path, text, field):
+        p = tmp_path / "c.json"
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(ConfigurationError) as exc:
+            load_config(p)
+        assert exc.value.field == field
+
+    def test_emit_rejects_unknown_format(self, tmp_path):
+        with pytest.raises(ConfigurationError) as exc:
+            emit({}, "xml", tmp_path / "out.xml")
+        assert exc.value.field == "format"
+
+    def test_reading_a_csv_checks_its_header(self, tmp_path):
+        p = tmp_path / "seed_0000.csv"
+        p.write_text("t,cost\n1,2\n")
+        with pytest.raises(ConfigurationError) as exc:
+            read_trajectory_csv(p)
+        assert exc.value.field == "path"
+
+
 class TestEmit:
     def test_header_only_for_empty_trajectory(self, tmp_path):
         path = emit(trajectory_columns(empty_record(), 1.0), "csv", tmp_path / "t.csv")

@@ -437,6 +437,21 @@ class TestRollout:
         assert np.array_equal(u, u_ref, equal_nan=True)
 
 
+class TestRunnerGuards:
+    @pytest.mark.parametrize("run, field", [
+        (lambda m, K, p, a: run_warmup(m, K, 0, seed=0), "T0"),
+        (lambda m, K, p, a: run_aslo(m, *a, T=0, params=p, seed=0), "T"),
+        (lambda m, K, p, a: run_aslo(m, *a, T=10, seed=0, params=replace(
+            p, constants_mode="theory", G_phi=math.inf)), "constants_mode"),
+        (lambda m, K, p, a: run_doubling(m, K, 0, 10, params=p, seed=0), "base_horizon"),
+    ], ids=["warmup-T0", "aslo-T", "aslo-infinite-G", "doubling-base-horizon"])
+    def test_out_of_domain_run_rejected(self, bench2x2, bench2x2_gain, bench2x2_params,
+                                        bench2x2_anchor, run, field):
+        with pytest.raises(ConfigurationError) as exc:
+            run(bench2x2, bench2x2_gain, bench2x2_params, bench2x2_anchor)
+        assert exc.value.field == field
+
+
 class TestRunFixedPolicy:
     def test_blow_up_on_unstable_loop(self, bench2x2, bench2x2_params):
         K, x0 = np.zeros((2, 2)), [50.0, 50.0]
@@ -588,6 +603,19 @@ class TestRunDoubling:
         reg_d = float(np.sum(rec_d.cost) - 300 * J)
         reg_a = float(np.sum(rec_a.cost) - 300 * J)
         assert math.isfinite(reg_d) and math.isfinite(reg_a)
+
+    def test_segments_freeze_lambda_t_at_their_horizon(self, bench2x2, bench2x2_gain):
+        # relaxed-sequential's lambda_t carries G* and the log power 1/(1-chi)
+        params = build_schedule(bench2x2, cert0=stability_certificate(bench2x2, bench2x2_gain),
+                                delta=0.1, constants_mode="practical",
+                                criterion="relaxed_sequential", chi=0.1)
+        rec = run_doubling(bench2x2, bench2x2_gain, 16, 16 * 7, params=params, seed=4)
+        bounds = [0] + rec.diagnostics["segment_bounds"]
+        # warm-up and ASLO parts alternate; segment i spans T_i = 16 * 2**i steps
+        aslo_parts = list(zip(bounds[1::2], bounds[2::2]))
+        assert len(aslo_parts) == 3
+        for i, (lo, hi) in enumerate(aslo_parts):
+            assert np.all(rec.lambda_t[lo:hi] == schedules.lambda_t(16 * 2**i, params))
 
 
 def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,

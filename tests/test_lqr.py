@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alqr.exceptions import NotStabilizableError, NotStabilizingError
+from alqr.exceptions import ConfigurationError, NotStabilizableError, NotStabilizingError
 from alqr.linalg import spectral_norm, spectral_radius
 from alqr.lqr import (
     SystemModel,
@@ -165,6 +165,38 @@ class TestStabilityCcertificate:
         with pytest.raises(NotStabilizingError) as exc:
             stability_certificate(m, [[0.0]])
         assert exc.value.spectral_radius == pytest.approx(1.5)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("overrides, field, match", [
+        (dict(A=[[0.5, 0.1]]), "A", "A must be square"),
+        (dict(B=[[1.0], [1.0]]), "B", "B row count"),
+        (dict(Q=np.eye(2)), "Q", "Q must be n x n"),
+        (dict(R=np.eye(2)), "R", "R must be m x m"),
+        (dict(Q=[[-1.0]]), "Q", "must be PSD"),
+        (dict(R=[[-1.0]]), "Q", "must be PSD"),
+        (dict(alpha0=2.0), "alpha0", "<= Q <="),
+        (dict(R=[[5.0]], alpha0=1.0, alpha1=2.0), "alpha0", "<= R <="),
+        (dict(sigma_w=-1.0), "sigma_w", "sigma_w"),
+        (dict(theta_bound=0.1), "theta_bound", "exceeds theta_bound"),
+    ], ids=["A-not-square", "B-rows", "Q-shape", "R-shape", "Q-not-psd", "R-not-psd",
+            "Q-alpha-bounds", "R-alpha-bounds", "negative-sigma", "theta-bound"])
+    def test_invalid_model_rejected(self, overrides, field, match):
+        spec = dict(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], sigma_w=1.0)
+        with pytest.raises(ConfigurationError, match=match) as exc:
+            SystemModel(**{**spec, **overrides})
+        assert exc.value.field == field
+
+    def test_dare_needs_positive_definite_R(self):
+        m = SystemModel(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[0.0]])
+        with pytest.raises(ConfigurationError) as exc:
+            solve_dare(m)
+        assert exc.value.field == "R"
+
+    def test_certificate_needs_an_m_by_n_gain(self):
+        with pytest.raises(ConfigurationError) as exc:
+            stability_certificate(scalar_model(0.5, 1.0), np.zeros((2, 1)))
+        assert exc.value.field == "K"
 
 
 class TestNuBound:

@@ -1,7 +1,9 @@
 """Fresh-interpreter runs: the command-line scripts with tiny arguments, what
 they print against what the harness runs, and the modules a run imports."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ SCRIPT_CASES = [
     ("compare_criteria.py", ["--T", "60", "--seeds", "1"]),
     ("run_benchmark.py", ["--T", "200", "--seeds", "2", "--out", "{out}"]),
     ("constants_report.py", []),
+    ("output_digests.py", []),
 ]
 
 
@@ -48,6 +51,19 @@ def test_constants_report_prints_what_the_harness_runs(tmp_path, constants):
                                              constants=constants))
     assert not report.errors
     assert proc.stdout == json_dumps(report.constants) + "\n"
+
+
+def test_output_digests_prints_one_sha256_per_config(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", ROOT / "scripts" / "output_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    proc = run_script(tmp_path, "output_digests.py", [])
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert [name for name, _ in lines] == list(script.CONFIGS)
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+    assert not list(tmp_path.iterdir())  # it writes into a temporary directory
 
 
 def test_run_path_does_not_import_barrier_oracle():
