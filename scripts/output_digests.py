@@ -28,6 +28,8 @@ CONFIGS = {
                      checkpoints=[1000]),
     "warmup-scalar": dict(benchmark="scalar-golden", mode="warmup", T0=800, seeds=[0, 1]),
     "aslo-unanchored-paper-mu": dict(ASLO, radius_variant="unanchored", mu_mode="paper"),
+    "aslo-no-mu-clamp": dict(ASLO, criterion="det2", T=300, seeds=[0, 1], checkpoints=[300],
+                             mu_clamp=False),
 }
 
 

@@ -34,8 +34,10 @@ def sym(M):
 
 
 def spectral_norm(M):
+    """Largest singular value: the first of the descending list that the
+    SVD returns, which is the value ``np.linalg.norm(M, 2)`` takes the max of."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def nuclear_norm(M):

@@ -144,31 +144,44 @@ def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
     """Structure-preserving doubling iteration for the DARE.
 
     Ak @ Minv is formed once and reused: ``Ak @ Minv @ X`` is evaluated left
-    to right, so An and Gn keep the bits of the written-out products.
+    to right, so An and Gn keep the bits of the written-out products.  Each
+    step writes An, Gn and Hn into one fresh (3, n, n) array, so one call
+    tests all three for finiteness and one symmetrises Gn and Hn together.
     """
-    eye = np.eye(A.shape[0])
+    n = A.shape[0]
+    eye = np.eye(n)
     Ak = A.copy()
     Gk = B @ np.linalg.solve(R, B.T)
     Hk = Q.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
+            IGH = Gk @ Hk
+            IGH += eye
             try:
-                Minv = np.linalg.inv(eye + Gk @ Hk)
+                Minv = np.linalg.inv(IGH)
             except np.linalg.LinAlgError as exc:
                 raise NotStabilizableError("doubling iteration broke down") from exc
             AkT = Ak.T
             AM = Ak @ Minv
-            An = AM @ Ak
-            Gn = Gk + AM @ Gk @ AkT
-            Hn = Hk + AkT @ Hk @ Minv @ Ak
-            if not (np.isfinite(An).all() and np.isfinite(Gn).all()
-                    and np.isfinite(Hn).all()):
+            new = np.empty((3, n, n))
+            An, Gn, Hn = new
+            np.matmul(AM, Ak, out=An)
+            np.matmul(AM @ Gk, AkT, out=Gn)
+            Gn += Gk
+            np.matmul(AkT @ Hk @ Minv, Ak, out=Hn)
+            Hn += Hk
+            if not np.isfinite(new).all():
                 raise NotStabilizableError("doubling iteration diverged")
             # largest-entry norms: the test needs no SVD, and the quadratic
-            # convergence leaves the returned iterate unchanged
-            delta = float(np.abs(Hn - Hk).max())
-            Ak, Gk, Hk = An, sym(Gn), sym(Hn)
-            if delta <= tol * max(1.0, float(np.abs(Hk).max())):
+            # convergence leaves the returned iterate unchanged.  A max of
+            # abs values is exact, and no nan gets past the test above, so
+            # Python's max over the few entries equals numpy's, for less.
+            delta = max(map(abs, (Hn - Hk).ravel().tolist()))
+            GH = new[1:]
+            GH = GH + GH.transpose(0, 2, 1)
+            GH *= 0.5  # sym(Gn), sym(Hn)
+            Ak, Gk, Hk = An, GH[0], GH[1]
+            if delta <= tol * max(1.0, max(map(abs, Hk.ravel().tolist()))):
                 return Hk
     raise NotStabilizableError("doubling iteration did not converge")
 
@@ -185,8 +198,9 @@ def _dare_cross(A, B, C):
     Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
     RiSt = np.linalg.solve(R, S.T)
     P = _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R)
-    H = B.T @ P @ B + R
-    G = B.T @ P @ A + S.T
+    BtP = B.T @ P
+    H = BtP @ B + R
+    G = BtP @ A + S.T
     return P, -np.linalg.solve(H, G), H, G
 
 
@@ -200,8 +214,9 @@ def solve_dare(model: SystemModel) -> OptimalSolution:
     if min_eig(R) <= 0:
         raise ConfigurationError("R must be PD for the DARE", field="R")
     P = _dare_doubling(A, B, Q, R)
-    H = B.T @ P @ B + R
-    G = B.T @ P @ A
+    BtP = B.T @ P
+    H = BtP @ B + R
+    G = BtP @ A
     res = _riccati_residual(A, Q, P, A.T @ P @ B, H, G)
     if not np.isfinite(res) or res > 1e-8:
         raise NotStabilizableError(f"DARE residual {res:.3g} exceeds 1e-8")

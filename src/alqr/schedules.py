@@ -59,8 +59,10 @@ def p_bar(t, delta: float, phi: float):
     if steps.size and steps.min() < 1:
         raise ConfigurationError("t must be >= 1", field="t")
     log_inv_delta = math.log(1.0 / delta)
-    vals = [(math.log(k / delta) / log_inv_delta) ** phi for k in steps.tolist()]
-    return float(vals[0]) if np.ndim(t) == 0 else np.array(vals)
+    vals = ((math.log(k / delta) / log_inv_delta) ** phi for k in steps.tolist())
+    if np.ndim(t) == 0:
+        return float(next(vals))
+    return np.fromiter(vals, dtype=float, count=steps.size)
 
 
 @dataclass

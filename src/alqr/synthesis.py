@@ -75,7 +75,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     n, m = model.n, model.m
     A, B = _split_theta(theta_hat, n)
     V_inv = sym(chol_solve(V_t, np.eye(n + m)))
-    eye_n = np.eye(n)
+    IK = np.eye(n + m, n)  # [I; K], its K rows filled in at each Newton step
     C0 = np.zeros((n + m, n + m))
     C0[:n, :n] = sym(model.Q)
     C0[n:, n:] = sym(model.R)
@@ -94,15 +94,15 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     s, lo, hi = 0.0, 0.0, s_max
     C, P, K, H, G = solve_at(s)
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
-        tr = float(np.trace(P))
+        tr = float(P.trace())
         f = tr - s
         if f > 0:
             lo = s
         else:
             hi = s
-        IK = np.vstack([eye_n, K])
+        IK[n:] = K
         X = solve_discrete_lyapunov((A + B @ K).T, IK.T @ V_inv @ IK)
-        slope = mu * float(np.trace(X))  # -d tr P*/ds
+        slope = mu * float(X.trace())  # -d tr P*/ds
         step = f / (1.0 + slope)
         if not math.isfinite(step):
             raise CertificateError("Newton step on s is not finite")
@@ -123,7 +123,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     res = _riccati_residual(A, C[:n, :n], P, A.T @ P @ B + C[:n, n:], H, G)
     if not res <= RICCATI_TOL * max(1.0, spectral_norm(P)):
         raise CertificateError(f"Riccati residual {res:.3g} too large")
-    if mu > 0 and not abs(float(np.trace(P)) - s) <= RICCATI_TOL * max(1.0, s):
+    if mu > 0 and not abs(float(P.trace()) - s) <= RICCATI_TOL * max(1.0, s):
         raise CertificateError(f"tr P = {np.trace(P):.12g} misses s = {s:.12g}")
     if not spectral_radius(A + B @ K) < 1.0:
         raise CertificateError("Riccati gain does not stabilise the estimate")

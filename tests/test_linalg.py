@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alqr.exceptions import CertificateError
-from alqr.linalg import logdet_pd, matvec_rows, quad_rows, row_blocks
+from alqr.linalg import logdet_pd, matvec_rows, quad_rows, row_blocks, spectral_norm
 
 
 def spd_stack(rng, k, p):
@@ -55,3 +55,28 @@ class TestRowHelpers:
         assert len(bounds) > 2
         assert bounds[0][0] == 0 and bounds[-1][1] == 2500
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+
+
+class TestSpectralNorm:
+    """``spectral_norm`` takes the SVD's first value; it must keep the bits of
+    ``np.linalg.norm(M, 2)``, the max over the same singular values."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 5])
+    def test_bits_equal_two_norm(self, rows, cols, order):
+        rng = np.random.default_rng(100 * rows + 10 * cols + (order == "F"))
+        scales = 10.0 ** rng.uniform(-6, 6, size=200)
+        for scale in scales:
+            M = np.asarray(scale * rng.standard_normal((rows, cols)), order=order)
+            assert np.array_equal(spectral_norm(M), float(np.linalg.norm(M, 2)))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (5, 5), (4, 1)])
+    def test_zero_and_rank_one(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        zero = np.zeros((rows, cols))
+        assert np.array_equal(spectral_norm(zero), float(np.linalg.norm(zero, 2)))
+        assert spectral_norm(zero) == 0.0
+        u, v = rng.standard_normal(rows), rng.standard_normal(cols)
+        for M in (np.outer(u, v), np.asfortranarray(np.outer(u, v))):
+            assert np.array_equal(spectral_norm(M), float(np.linalg.norm(M, 2)))

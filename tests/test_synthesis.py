@@ -365,9 +365,9 @@ def oracle_gap(P_prev, P_next):
     return spectral_norm(inv_root_next @ root_prev)
 
 
-def estimate_inputs(name, T=200, seed=11):
+def config_inputs(config, T=200, seed=11):
     """(model, theta-hat, [0, clamped mu], V) after a fixed-gain rollout of K0."""
-    setup = shared_setup(ExperimentConfig(benchmark=name, T=T, seeds=[0]))
+    setup = shared_setup(config)
     model, params = setup.model, setup.params
     _, est, _ = run_fixed_policy(model, setup.K0, T, seed=seed, params=params)
     lam = lambda_t(T, params)
@@ -377,6 +377,34 @@ def estimate_inputs(name, T=200, seed=11):
     mu_t = min(synthesis.mu(r, model.theta_bound, spectral_norm(V), params.mu_mode),
                _mu_cap(params, V))
     return model, estimation.estimate(est, lam), [0.0, mu_t], V
+
+
+def estimate_inputs(name, T=200, seed=11):
+    """``config_inputs`` on a named benchmark plant."""
+    return config_inputs(ExperimentConfig(benchmark=name, T=T, seeds=[0]), T, seed)
+
+
+# every (n, m) of the north star's n + m <= 5, m > n and m = 1 among them
+PLANT_SHAPES = [(n, m) for n in range(1, 5) for m in range(1, 6 - n)]
+
+
+def plant_inputs(n, m, T=200, seed=11):
+    """``config_inputs`` on a seeded random stable plant of shape (n, m)."""
+    plant = random_stable_model(np.random.default_rng(10 * n + m), n, m)
+    spec = {key: getattr(plant, key).tolist() for key in ("A", "B", "Q", "R")}
+    config = ExperimentConfig(benchmark=None, model=spec, T=T, seeds=[0])
+    return config_inputs(config, T, seed)
+
+
+def outcome(solve, *args):
+    """The shapes and bits of what a solve returns, or the type and message
+    of what it raises."""
+    try:
+        out = solve(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    arrays = out if isinstance(out, tuple) else (out,)
+    return "returned", [(a.shape, a.tobytes()) for a in arrays]
 
 
 class TestRiccatiOracle:
@@ -460,6 +488,23 @@ class TestRiccatiOracle:
         pairs = list(zip(hist, hist[1:]))
         assert gaps == [sequential_gap(a.P_dual, b.P_dual) for a, b in pairs]
         assert gaps == [oracle_gap(a.P_dual, b.P_dual) for a, b in pairs]
+
+    @pytest.mark.parametrize("n, m", PLANT_SHAPES)
+    def test_random_plant_of_each_shape(self, monkeypatch, n, m):
+        model, theta, mus, V = plant_inputs(n, m)
+        assert mus[1] > 0
+        Q, R = sym(model.Q), sym(model.R)
+        for A, B in ((model.A, model.B), (theta[:n].T, theta[n:].T)):
+            assert outcome(lqr._dare_doubling, A, B, Q, R) == \
+                outcome(oracle_dare_doubling, A, B, Q, R)
+        trail = self.trace_newton(monkeypatch)
+        for mu_t in mus:
+            ref = []
+            trail.clear()
+            assert outcome(solve_relaxed_riccati, theta, model, mu_t, V) == \
+                outcome(oracle_relaxed_riccati, theta, model, mu_t, V, ref)
+            assert len(trail) == len(ref)
+            assert all(np.array_equal(c, r) for c, r in zip(trail, ref))
 
     @pytest.mark.parametrize("model", [bench_2x2(), golden_model()])
     def test_solve_dare(self, model):
