@@ -30,6 +30,7 @@ CONFIGS = {
     "aslo-unanchored-paper-mu": dict(ASLO, radius_variant="unanchored", mu_mode="paper"),
     "aslo-no-mu-clamp": dict(ASLO, criterion="det2", T=300, seeds=[0, 1], checkpoints=[300],
                              mu_clamp=False),
+    "aslo-det2-pool": dict(ASLO, criterion="det2", workers=2),
 }
 
 

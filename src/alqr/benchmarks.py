@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import AlqrError, ConfigurationError
 from .lqr import SystemModel, solve_dare
 
 
@@ -75,7 +75,7 @@ def perturbed_gain(model: SystemModel, rel_error: float = 0.2, seed: int = 0):
             nominal = SystemModel(A=A, B=B, Q=model.Q, R=model.R,
                                   sigma_w=max(model.sigma_w, 1.0))
             K = solve_dare(nominal).K_star
-        except Exception:
+        except (AlqrError, np.linalg.LinAlgError):
             continue
         if spectral_radius(model.A + model.B @ K) < 1.0:
             return K

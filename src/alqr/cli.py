@@ -13,7 +13,7 @@ import os
 import sys
 
 from .exceptions import ConfigurationError, ScheduleError
-from .harness import ExperimentConfig, load_config, parse_seed_range, run_experiment
+from .harness import ExperimentConfig, load_config, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", choices=["theory", "practical"])
     p.add_argument("--T", type=int, metavar="N")
     p.add_argument("--seeds", metavar="a..b", help="seed range a..b or comma list")
-    p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     p.add_argument("--benchmark", metavar="NAME",
                    help="named plant (scalar-golden, bench-2x2, bench-3x2)")
     p.add_argument("--beta", type=float)
@@ -38,33 +38,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config)
-        raw = config.to_dict()
-    else:
-        raw = ExperimentConfig().to_dict()
-    if args.mode:
-        raw["mode"] = args.mode
-    if args.criterion:
-        raw["criterion"] = args.criterion
-    if args.constants:
-        raw["constants"] = args.constants
-    if args.T is not None:
-        raw["T"] = args.T
-    if args.seeds:
-        raw["seeds"] = parse_seed_range(args.seeds)
-    if args.out:
-        raw["out_dir"] = args.out
-    if args.benchmark:
-        raw["benchmark"] = args.benchmark
-        raw["model"] = None
-    if args.beta is not None:
-        raw["beta"] = args.beta
-    if args.delta is not None:
-        raw["delta"] = args.delta
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    return ExperimentConfig(**raw)
+    """The config file's fields (or the defaults) with each given flag on top;
+    every flag but --config has its config field as its destination, and a
+    flag given as an empty string counts as not given."""
+    config = load_config(args.config) if args.config else ExperimentConfig()
+    given = {k: v for k, v in vars(args).items()
+             if k != "config" and v is not None and v != ""}
+    if "benchmark" in given:
+        given["model"] = None  # a named plant replaces the file's matrices
+    return ExperimentConfig(**{**config.to_dict(), **given})
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -109,6 +110,8 @@ class ExperimentConfig:
         self.seeds = [int(s) for s in self.seeds]
         if not self.seeds:
             raise ConfigurationError("at least one seed is required", field="seeds")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigurationError("seeds must be distinct", field="seeds")
         self.checkpoints = sorted(int(c) for c in self.checkpoints)
         if self.checkpoints and self.checkpoints[0] < 1:
             raise ConfigurationError("checkpoints must be >= 1", field="checkpoints")
@@ -138,10 +141,13 @@ class ExperimentConfig:
 def parse_seed_range(text: str) -> list:
     """Parse "a..b" (inclusive) or a comma list into seed integers."""
     text = text.strip()
-    if ".." in text:
-        a, b = text.split("..", maxsplit=1)
-        return list(range(int(a), int(b) + 1))
-    return [int(p) for p in text.split(",") if p.strip()]
+    try:
+        if ".." in text:
+            a, b = text.split("..", maxsplit=1)
+            return list(range(int(a), int(b) + 1))
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ConfigurationError(f"bad seed range {text!r}", field="seeds") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -409,7 +415,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         summary.update(_epoch_diagnostics(model, params, history))
     elif config.mode == "doubling":
         rec = loops.run_doubling(model, K0, config.base_horizon, config.T,
-                                 params, seed=seed)
+                                 params, seed=seed, x0=config.x0)
         columns.append(trajectory_columns(rec, J_star))
         rr = columns[-1]["cum_regret"]
         summary.update({
@@ -444,7 +450,9 @@ class AggregateReport:
         return asdict(self)
 
 
-def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
+def _aggregate(config: ExperimentConfig, summaries: list, tails: list) -> dict:
+    """Monte Carlo statistics of the seeds' summaries; ``tails`` holds each
+    seed's last T cumulative regrets, for the pooled regret slope."""
     agg = {"seed_count": len(summaries)}
     regrets = [s["final_cum_regret"] for s in summaries if "final_cum_regret" in s]
     if regrets:
@@ -466,11 +474,9 @@ def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
     viol = [s["bound_violations"] for s in summaries if "bound_violations" in s]
     if viol:
         agg["bound_violations_total"] = int(np.sum(viol))
-    # pooled slopes from the emitted columns
-    if summaries and "columns" in summaries[0] and config.mode in ("aslo", "full"):
+    if tails and config.mode in ("aslo", "full"):
         T = config.T
-        series = [s["columns"]["cum_regret"][-T:] for s in summaries]
-        mean_curve = np.mean(series, axis=0)
+        mean_curve = np.mean(tails, axis=0)
         lo = max(10, T // 10)
         if lo < T and np.all(mean_curve[lo - 1: T] > 0):
             agg["regret_slope"] = regret.slope(mean_curve, (lo, T))
@@ -487,46 +493,31 @@ def _aggregate(config: ExperimentConfig, summaries: list) -> dict:
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute the configured mode for every seed and aggregate the results.
 
-    Per-seed trajectory CSVs and the aggregate JSON land in ``out_dir`` when
-    set.  Identical configs produce byte-identical outputs.
+    One pass in seed order: a failed seed is recorded as an error; a
+    successful seed's CSV is written to ``out_dir`` (when set) as soon as it
+    ends, and only its summary and its last T cumulative regrets are kept.
+    The aggregate JSON follows.  Identical configs produce byte-identical
+    outputs.
     """
     shared = shared_setup(config)
     tasks = [(config, shared, seed) for seed in sorted(config.seeds)]
-    results = {}
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for seed, summary, err in pool.map(_worker, tasks):
-                results[seed] = (summary, err)
-    else:
-        for task in tasks:
-            seed, summary, err = _worker(task)
-            results[seed] = (summary, err)
-
-    summaries, errors = [], []
-    for seed in sorted(results):
-        summary, err = results[seed]
-        if err is not None:
-            errors.append({"seed": seed, "error": err})
-        else:
+    summaries, errors, tails = [], [], []
+    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+        for seed, summary, err in (pool.map if pool else map)(_worker, tasks):
+            if err is not None:
+                errors.append({"seed": seed, "error": err})
+                continue
+            columns = summary.pop("columns")
+            if config.out_dir:
+                emit(columns, "csv", os.path.join(config.out_dir, f"seed_{seed:04d}.csv"))
             summaries.append(summary)
-
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        for s in summaries:
-            emit(s["columns"], "csv",
-                 os.path.join(config.out_dir, f"seed_{s['seed']:04d}.csv"))
-
-    agg = _aggregate(config, summaries)
-    per_seed = []
-    for s in summaries:
-        slim = {k: v for k, v in s.items() if k != "columns"}
-        per_seed.append(slim)
+            tails.append(columns["cum_regret"][-config.T:])
     report = AggregateReport(
         config=config.to_dict(),
         constants=schedules.constants_report(shared.params),
-        per_seed=per_seed,
+        per_seed=summaries,
         errors=errors,
-        aggregate=agg,
+        aggregate=_aggregate(config, summaries, tails),
     )
     if config.out_dir:
         emit(report.to_dict(), "json", os.path.join(config.out_dir, "aggregate.json"))

@@ -478,9 +478,10 @@ def _concat_records(parts: list[TrajectoryRecord], seed: int) -> TrajectoryRecor
 
 
 def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
-                 params: schedules.ScheduleParams, seed: int) -> TrajectoryRecord:
+                 params: schedules.ScheduleParams, seed: int, x0=None) -> TrajectoryRecord:
     """Doubling-trick baseline: restart a horizon-aware variant on segments
-    T_i = base 2^i until total_T steps have elapsed.
+    T_i = base 2^i until total_T steps have elapsed, from the state x0
+    (default zero).
 
     Each segment spends ceil(sqrt(T_i)) steps on warm-up and the remainder on
     the SDP loop with the regularizer frozen at its horizon value
@@ -492,7 +493,7 @@ def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
     parts = []
     done = 0
     i = 0
-    x_cur = None
+    x_cur = x0
     seeds = np.random.SeedSequence(seed).spawn(64)
     while done < total_T:
         Ti = min(base_horizon * 2**i, total_T - done)

@@ -131,13 +131,14 @@ def _split_theta(theta, n):
     return A, B
 
 
-def _riccati_residual(A, Q, P, F, H, G):
-    """DARE residual norm |Q + A'PA - F H^{-1} G - P|.
+def _riccati_residual(A, Q, P, F, K):
+    """DARE residual norm |Q + A'PA + F K - P|, with F = A'PB + S and the
+    gain K = -H^{-1} G, so F K = -F H^{-1} G.
 
-    H = B'PB + R and G = B'PA + S' are the gain solve's own terms, reused;
-    F = A'PB + S.  S is the cross weight of a cost x'Qx + 2x'Su + u'Ru.
+    S is the cross weight of a cost x'Qx + 2x'Su + u'Ru.  Adding F K has
+    the bits of subtracting F H^{-1} G: negation is exact in IEEE arithmetic.
     """
-    return spectral_norm(Q + A.T @ P @ A - F @ np.linalg.solve(H, G) - P)
+    return spectral_norm(Q + A.T @ P @ A + F @ K - P)
 
 
 def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
@@ -192,7 +193,7 @@ def _dare_cross(A, B, C):
     C = [[Q, S], [S', R]] weighs (x, u); the cross term is removed by the
     substitution u = v - R^{-1} S' x, which leaves the standard DARE of
     (A - B R^{-1} S', B) with cost Q - S R^{-1} S' on x and R on v.  Returns
-    (P, K, H, G) with K = -H^{-1} G, H = B'PB + R and G = B'PA + S'.
+    (P, K, H) with K = -H^{-1} G, H = B'PB + R and G = B'PA + S'.
     """
     n = A.shape[0]
     Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
@@ -201,7 +202,7 @@ def _dare_cross(A, B, C):
     BtP = B.T @ P
     H = BtP @ B + R
     G = BtP @ A + S.T
-    return P, -np.linalg.solve(H, G), H, G
+    return P, -np.linalg.solve(H, G), H
 
 
 def solve_dare(model: SystemModel) -> OptimalSolution:
@@ -215,12 +216,10 @@ def solve_dare(model: SystemModel) -> OptimalSolution:
         raise ConfigurationError("R must be PD for the DARE", field="R")
     P = _dare_doubling(A, B, Q, R)
     BtP = B.T @ P
-    H = BtP @ B + R
-    G = BtP @ A
-    res = _riccati_residual(A, Q, P, A.T @ P @ B, H, G)
+    K = -np.linalg.solve(BtP @ B + R, BtP @ A)
+    res = _riccati_residual(A, Q, P, A.T @ P @ B, K)
     if not np.isfinite(res) or res > 1e-8:
         raise NotStabilizableError(f"DARE residual {res:.3g} exceeds 1e-8")
-    K = -np.linalg.solve(H, G)
     if spectral_radius(A + B @ K) >= 1.0:
         raise NotStabilizableError("DARE gain failed to stabilize the closed loop")
     J = float(np.trace(P)) * model.sigma_w**2

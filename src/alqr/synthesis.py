@@ -92,7 +92,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
         LiV = np.linalg.solve(L, V_inv[n:, n:])
         s_max = 1.0 / (mu * spectral_norm(np.linalg.solve(L, LiV.T)))
     s, lo, hi = 0.0, 0.0, s_max
-    C, P, K, H, G = solve_at(s)
+    C, P, K, H = solve_at(s)
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
         tr = float(P.trace())
         f = tr - s
@@ -113,14 +113,14 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
             break
         s_next = s + step
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
-        C, P, K, H, G = solve_at(s)
+        C, P, K, H = solve_at(s)
 
-    # H = B'PB + R~ and G = B'PA + S' are the gain solve's own terms
+    # H = B'PB + R~ is the gain solve's own term
     if min_eig(H) <= 0:
         raise CertificateError("R~ + B'PB is not PD")
     if min_eig(P) < 0:
         raise CertificateError(f"P is not PSD (min eig {min_eig(P):.3g})")
-    res = _riccati_residual(A, C[:n, :n], P, A.T @ P @ B + C[:n, n:], H, G)
+    res = _riccati_residual(A, C[:n, :n], P, A.T @ P @ B + C[:n, n:], K)
     if not res <= RICCATI_TOL * max(1.0, spectral_norm(P)):
         raise CertificateError(f"Riccati residual {res:.3g} too large")
     if mu > 0 and not abs(float(P.trace()) - s) <= RICCATI_TOL * max(1.0, s):

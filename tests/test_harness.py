@@ -9,6 +9,7 @@ import pytest
 
 from alqr import harness, loops, synthesis
 from alqr.benchmarks import bench_2x2
+from alqr.cli import build_parser, config_from_args
 from alqr.cli import main as cli_main
 from alqr.exceptions import ConfigurationError, SynthesisError
 from alqr.harness import (
@@ -136,6 +137,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError) as exc:
             ExperimentConfig(**overrides)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("seeds", [[0, 0], [2, 1, 2], "1,1", "0..2,2"])
+    def test_duplicate_seeds_rejected(self, seeds):
+        # each seed runs once: a repeat would run twice and keep one summary
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(seeds=seeds)
+        assert exc.value.field == "seeds"
+
+    @pytest.mark.parametrize("text", ["abc", "1..x", "0,1.5"])
+    def test_malformed_seed_range_names_field(self, text):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_seed_range(text)
+        assert exc.value.field == "seeds"
 
     @pytest.mark.parametrize("text, field", [
         (None, "path"),
@@ -448,6 +462,27 @@ class TestRunExperiment:
         with open(tmp_path / "out" / "aggregate.json") as fh:
             assert "regret_slope" not in json.load(fh)["aggregate"]
 
+    @pytest.mark.parametrize("mode", ["aslo", "full", "warmup", "doubling"])
+    def test_every_mode_starts_at_x0(self, tmp_path, mode):
+        cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode=mode, T=40, T0=25,
+                           seeds=[0, 1], base_horizon=16, x0=[5e6, 0.0])
+        report = run_experiment(cfg)
+        assert [e["seed"] for e in report.errors] == [0, 1]
+        assert all("BlowUp" in e["error"] for e in report.errors)
+
+    def test_one_pass_writes_each_seed_before_the_next(self, tmp_path, monkeypatch):
+        order, real_run, real_emit = [], harness.run_seed, harness.emit
+        monkeypatch.setattr(harness, "run_seed", lambda c, sh, seed: (
+            order.append(("run", seed)), real_run(c, sh, seed))[1])
+        monkeypatch.setattr(harness, "emit", lambda obj, fmt, path: (
+            order.append(("emit", os.path.basename(path))), real_emit(obj, fmt, path))[1])
+        report = run_experiment(smoke_config(tmp_path, seeds=[2, 0, 1]))
+        assert order == [("run", 0), ("emit", "seed_0000.csv"), ("run", 1),
+                         ("emit", "seed_0001.csv"), ("run", 2),
+                         ("emit", "seed_0002.csv"), ("emit", "aggregate.json")]
+        assert [s["seed"] for s in report.per_seed] == [0, 1, 2]
+        assert all("columns" not in s for s in report.per_seed)
+
     def test_doubling_mode_smoke(self, tmp_path):
         cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",
                            T=60, base_horizon=16)
@@ -523,6 +558,56 @@ class TestCli:
             "benchmark": "bench-2x2", "mode": "aslo", "T": 20,
             "seeds": [0], "x0": [5e6, 0.0]}))
         assert cli_main(["--config", str(p)]) == 3
+
+    FILE = {"benchmark": "bench-2x2", "mode": "aslo", "criterion": "det2",
+            "constants": "practical", "T": 50, "seeds": [0, 1], "out_dir": "file_out",
+            "beta": 1.5, "delta": 0.05, "workers": 1, "x0": [1.0, 0.0]}
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["--mode", "doubling"], "mode", "doubling"),
+        (["--criterion", "relaxed-seq"], "criterion", "relaxed_sequential"),
+        (["--constants", "theory"], "constants", "theory"),
+        (["--T", "7"], "T", 7),
+        (["--seeds", "3..5"], "seeds", [3, 4, 5]),
+        (["--out", "flag_out"], "out_dir", "flag_out"),
+        (["--benchmark", "bench-3x2"], "benchmark", "bench-3x2"),
+        (["--beta", "2.5"], "beta", 2.5),
+        (["--delta", "0.2"], "delta", 0.2),
+        (["--workers", "2"], "workers", 2),
+    ], ids=lambda v: v if isinstance(v, str) and not v.startswith("-") else None)
+    def test_flag_overrides_config_file(self, tmp_path, argv, field, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(self.FILE))
+        config = config_from_args(build_parser().parse_args(["--config", str(p)] + argv))
+        expected = load_config(p).to_dict()
+        expected[field] = value
+        assert config.to_dict() == expected
+
+    def test_no_flag_keeps_config_file(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(self.FILE))
+        config = config_from_args(build_parser().parse_args(["--config", str(p)]))
+        assert config.to_dict() == load_config(p).to_dict()
+
+    def test_benchmark_flag_clears_model(self, tmp_path):
+        m = bench_2x2()
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"benchmark": None, "model": {
+            "A": m.A.tolist(), "B": m.B.tolist(), "Q": m.Q.tolist(), "R": m.R.tolist()}}))
+        config = config_from_args(build_parser().parse_args(
+            ["--config", str(p), "--benchmark", "scalar-golden"]))
+        assert config.model is None and config.build_model().name == "scalar-golden"
+
+    @pytest.mark.parametrize("flag_value, file_value", [
+        ("abc", "abc"), ("1,1", [0, 0]),
+    ], ids=["malformed", "duplicate"])
+    def test_bad_seeds_exit_code(self, tmp_path, capsys, flag_value, file_value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"benchmark": "scalar-golden", "seeds": file_value}))
+        for argv in (["--seeds", flag_value], ["--config", str(p)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error (seeds): ") and "Traceback" not in err
 
     def test_criterion_flag(self, tmp_path):
         rc = cli_main(["--benchmark", "scalar-golden", "--T", "15",

@@ -604,6 +604,16 @@ class TestRunDoubling:
         reg_a = float(np.sum(rec_a.cost) - 300 * J)
         assert math.isfinite(reg_d) and math.isfinite(reg_a)
 
+    def test_first_warm_up_starts_at_x0(self, bench2x2, bench2x2_params, bench2x2_gain):
+        args = (bench2x2, bench2x2_gain, 16, 100)
+        rec = run_doubling(*args, params=bench2x2_params, seed=9, x0=[3.0, -2.0])
+        zero = run_doubling(*args, params=bench2x2_params, seed=9)
+        assert np.array_equal(rec.x[0], [3.0, -2.0])
+        assert np.array_equal(rec.omega, zero.omega)  # the same noise, another start
+        assert not np.array_equal(rec.cost, zero.cost)
+        with pytest.raises(BlowUpError):
+            run_doubling(*args, params=bench2x2_params, seed=9, x0=[5e6, 0.0])
+
     def test_segments_freeze_lambda_t_at_their_horizon(self, bench2x2, bench2x2_gain):
         # relaxed-sequential's lambda_t carries G* and the log power 1/(1-chi)
         params = build_schedule(bench2x2, cert0=stability_certificate(bench2x2, bench2x2_gain),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alqr import benchmarks
 from alqr.exceptions import ConfigurationError, NotStabilizableError, NotStabilizingError
 from alqr.linalg import spectral_norm, spectral_radius
 from alqr.lqr import (
@@ -91,6 +92,33 @@ class TestSolveDare:
         m = scalar_model(1.0, 1.0, sigma_w=2.0)
         sol = solve_dare(m)
         assert sol.J_star == pytest.approx(np.trace(sol.P_star) * 4.0)
+
+
+class TestPerturbedGain:
+    """``perturbed_gain`` redraws the offset only when a solve fails as a
+    plant can: with a package error or a LinAlgError."""
+
+    @pytest.mark.parametrize("error", [NotStabilizableError("injected"),
+                                       np.linalg.LinAlgError("injected")])
+    def test_solver_failures_are_redrawn(self, monkeypatch, error):
+        calls = []
+
+        def failing(model):
+            calls.append(model)
+            raise error
+
+        monkeypatch.setattr(benchmarks, "solve_dare", failing)
+        with pytest.raises(ConfigurationError, match="could not build"):
+            benchmarks.perturbed_gain(benchmarks.bench_2x2())
+        assert len(calls) == 32
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(model):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(benchmarks, "solve_dare", broken)
+        with pytest.raises(TypeError, match="injected"):
+            benchmarks.perturbed_gain(benchmarks.bench_2x2())
 
 
 class TestExactSdp:

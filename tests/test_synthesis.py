@@ -530,20 +530,27 @@ class TestCertificateChecks:
     fails it; the doctored solves stand in for a doubling that went wrong."""
 
     @staticmethod
-    def doctor(monkeypatch, change):
-        real = synthesis._dare_cross
-        monkeypatch.setattr(synthesis, "_dare_cross",
-                            lambda A, B, C: change(*real(A, B, C)))
+    def doctor(change):
+        def fault(monkeypatch):
+            real = synthesis._dare_cross
+            monkeypatch.setattr(synthesis, "_dare_cross",
+                                lambda A, B, C: change(*real(A, B, C)))
+        return fault
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda P, K, H, G: (P, K, -H, G), "R~ + B'PB is not PD"),
-        (lambda P, K, H, G: (-P, K, H, G), "P is not PSD"),
-        (lambda P, K, H, G: (P + 1e-3 * np.eye(len(P)), K, H, G), "Riccati residual"),
-        (lambda P, K, H, G: (P, K - 10.0, H, G), "does not stabilise"),
+    @staticmethod
+    def unstable(monkeypatch):
+        # a gain doctored alone fails the residual, which reads K, first
+        monkeypatch.setattr(synthesis, "spectral_radius", lambda M: 1.0)
+
+    @pytest.mark.parametrize("fault, message", [
+        (doctor(lambda P, K, H: (P, K, -H)), "R~ + B'PB is not PD"),
+        (doctor(lambda P, K, H: (-P, K, H)), "P is not PSD"),
+        (doctor(lambda P, K, H: (P + 1e-3 * np.eye(len(P)), K, H)), "Riccati residual"),
+        (unstable, "does not stabilise"),
     ], ids=["gain-weight", "psd", "residual", "stability"])
-    def test_check_declines(self, monkeypatch, change, message):
+    def test_check_declines(self, monkeypatch, fault, message):
         model = bench_2x2()
-        self.doctor(monkeypatch, change)
+        fault(monkeypatch)
         with pytest.raises(CertificateError, match=re.escape(message)):
             solve_relaxed_riccati(model.theta_star, model, 0.0, np.eye(4))
 
