@@ -107,7 +107,7 @@ class ExperimentConfig:
             raise ConfigurationError("T0 must be >= 1 when given", field="T0")
         if isinstance(self.seeds, str):
             self.seeds = parse_seed_range(self.seeds)
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = [_integral_seed(s) for s in self.seeds]
         if not self.seeds:
             raise ConfigurationError("at least one seed is required", field="seeds")
         if len(set(self.seeds)) < len(self.seeds):
@@ -136,6 +136,17 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _integral_seed(s) -> int:
+    """A seed as an int: integral floats such as 2.0 pass, a fractional one is refused."""
+    try:
+        seed = int(s)
+    except (TypeError, ValueError, OverflowError):
+        seed = None
+    if seed is None or (not isinstance(s, str) and seed != s):
+        raise ConfigurationError(f"seed {s!r} is not an integer", field="seeds")
+    return seed
 
 
 def parse_seed_range(text: str) -> list:

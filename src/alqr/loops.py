@@ -8,9 +8,11 @@ noise realizations across criterion variants; the runner draws only its
 perturbation.  Step arrays are indexed s = 0..T-1 for algorithm times
 t = s+1 (warm-up: t = s).
 
-Every runner steps the plant through ``_rollout`` and ingests the moments
-from the record after it: the warm-up all T0 steps, ``run_fixed_policy`` one
-checkpoint segment at a time, and ASLO one fixed-gain segment at a time.
+Every runner steps the plant through ``_rollout``, in closed-loop form
+x' = (A + B K) x + (B eta + omega) with u = K x + eta filled after each
+chunk of steps, and ingests the moments from the record after it: the
+warm-up all T0 steps, ``run_fixed_policy`` one checkpoint segment at a
+time, and ASLO one fixed-gain segment at a time.
 The warm-up and ASLO take V_t from the ``gram_sums`` that ``ingest`` commits.
 Between two policy updates ASLO is a fixed-gain rollout too; it rolls the
 gain out over a block of steps, takes the determinant criterion of the
@@ -42,6 +44,7 @@ from .exceptions import (
 from .linalg import (
     _BLOCK,
     logdet_pd,
+    matvec_rows,
     min_eig,
     nuclear_norm,
     quad_rows,
@@ -153,51 +156,57 @@ def sample_perturbation(t, params: schedules.ScheduleParams, rng) -> np.ndarray:
 
 def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
              lo: int, hi: int) -> None:
-    """Close the loop for steps s = lo..hi-1: u = K x + eta, x' = A x + B u + omega.
+    """Close the loop for steps s = lo..hi-1 in closed-loop form:
+    x' = M x + d with M = A + B K and the drive d = B eta + omega, then
+    u = K x + eta.
 
     Writes u[lo:hi] and x[lo+1:hi+1]; raises BlowUpError at the first step
-    whose state runs away, with the rows after it untouched.  The norm is
-    sqrt(x.x), and sqrt is monotone with sqrt(BLOWUP_NORM**2) = BLOWUP_NORM,
-    so only a squared norm past BLOWUP_NORM**2 needs the norm itself.
+    whose state runs away, with u written up to that step and the rows
+    after it untouched.  The norm is sqrt(x.x), and sqrt is monotone with
+    sqrt(BLOWUP_NORM**2) = BLOWUP_NORM, so only a squared norm past
+    BLOWUP_NORM**2 needs the norm itself.
 
-    Each step is BLAS calls and in-place adds into the record's rows, in the
-    order of the formula.  ``ndarray.dot`` with ``out=`` makes the same gemv
-    call as ``@`` and so gives the same bits in either memory layout of K,
-    A and B, at about 1.3 us less per call than the matmul ufunc.  K's
-    layout must not be converted: an F-ordered K and its C-ordered copy
-    give different bits under ``@`` for some 2x2 gains, so
-    ``np.ascontiguousarray(K)`` would change the outputs.
+    K is taken in C order, so both layouts of a gain give the same bits.
+    Each chunk of at most ``_BLOCK`` rows takes its drive from one stacked
+    product, then steps with two calls, a gemv into the record's next row
+    and an in-place add of the drive (``ndarray.dot`` with ``out=`` makes
+    the gemv call of ``@``), and fills its inputs from one stacked product
+    after the steps.  ``matvec_rows`` gives each row the bits of ``M @ a``,
+    so every value has the bits of the per-step formula
+    ``u = K @ x + eta; x' = M @ x + (B @ eta + omega)``.
 
-    The runaway check runs once per chunk of at most ``_BLOCK`` rows, not
-    once per step, to keep it off the per-step path.  The chunk is rolled
-    out with overflow warnings off; one stacked squared norm picks the rows
-    that may have run away, with a margin of 2 for its rounding (nan rows
-    too), and each of them is tested in step order as a single step would
-    be.  Rows rolled past the first runaway, which may have overflowed, get
-    back what they held before.
+    The runaway check runs once per chunk, not once per step, to keep it
+    off the per-step path.  The chunk is rolled out with overflow warnings
+    off; one stacked squared norm picks the rows that may have run away,
+    with a margin of 2 for its rounding (nan rows too), and each of them is
+    tested in step order as a single step would be.  Rows rolled past the
+    first runaway, which may have overflowed, get back what they held
+    before.
     """
-    Kx, Ax, Bu, add, limit = K.dot, model.A.dot, model.B.dot, np.add, BLOWUP_NORM**2
-    Bus = np.empty(x.shape[1])
+    K = np.ascontiguousarray(K)
+    M = model.A + model.B @ K
+    Mx, add, limit = M.dot, np.add, BLOWUP_NORM**2
     for a in range(lo, hi, _BLOCK):
         b = min(a + _BLOCK, hi)
         rows = x[a + 1:b + 1]
-        saved_x, saved_u = rows.copy(), u[a:b].copy()
+        saved = rows.copy()
         xs = x[a]
         with np.errstate(over="ignore", invalid="ignore"):
-            for us, x_next, e, w in zip(u[a:b], rows, eta[a:b], omega[a:b]):
-                add(Kx(xs, out=us), e, out=us)  # u = K x + eta
-                # x' = (A x + B u) + omega
-                add(add(Ax(xs, out=x_next), Bu(us, out=Bus), out=x_next), w, out=x_next)
+            drive = matvec_rows(model.B, eta[a:b]) + omega[a:b]
+            for x_next, d in zip(rows, drive):
+                add(Mx(xs, out=x_next), d, out=x_next)  # x' = M x + d
                 xs = x_next
             sq = np.einsum("ij,ij->i", rows, rows)
-        for i in np.flatnonzero(~(sq <= 0.5 * limit)).tolist():
-            x_next = rows[i]
-            if x_next.dot(x_next) > limit:
-                x_norm = float(np.linalg.norm(x_next))
-                if x_norm > BLOWUP_NORM:
-                    rows[i + 1:], u[a + i + 1:b] = saved_x[i + 1:], saved_u[i + 1:]
-                    raise BlowUpError(f"{runner} state blow-up",
-                                      diagnostics={"t": a + i + 1, "x_norm": x_norm})
+            for i in np.flatnonzero(~(sq <= 0.5 * limit)).tolist():
+                x_next = rows[i]
+                if x_next.dot(x_next) > limit:
+                    x_norm = float(np.linalg.norm(x_next))
+                    if x_norm > BLOWUP_NORM:
+                        rows[i + 1:] = saved[i + 1:]
+                        u[a:a + i + 1] = matvec_rows(K, x[a:a + i + 1]) + eta[a:a + i + 1]
+                        raise BlowUpError(f"{runner} state blow-up",
+                                          diagnostics={"t": a + i + 1, "x_norm": x_norm})
+            u[a:b] = matvec_rows(K, x[a:b]) + eta[a:b]  # u = K x + eta
 
 
 def _stage_costs(model: SystemModel, x, u) -> np.ndarray:

@@ -11,6 +11,7 @@ name says log10.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -48,21 +49,38 @@ def phi_bar(delta: float) -> float:
     return 0.5 * math.log(1.0 / delta) - 1e-6
 
 
+def _p_bar_values(steps, delta: float, phi: float):
+    """p_bar at each step of an iterable, one Python ``math.log`` and ``**``
+    per value: numpy's log and power can differ from them in the last bit."""
+    log_inv_delta = math.log(1.0 / delta)
+    return ((math.log(k / delta) / log_inv_delta) ** phi for k in steps)
+
+
+@functools.lru_cache(maxsize=4)
+def _p_bar_prefix(T: int, delta: float, phi: float) -> np.ndarray:
+    """p_bar at t = 1..T, computed once per (T, delta, phi) and shared read-only."""
+    vals = np.fromiter(_p_bar_values(range(1, T + 1), delta, phi), dtype=float, count=T)
+    vals.flags.writeable = False
+    return vals
+
+
 def p_bar(t, delta: float, phi: float):
     """(log(t/delta)/log(1/delta))^phi, the perturbation-growth factor.
 
-    ``t`` is one step, giving a float, or an array of steps, giving an array.
-    Each value is a Python ``math.log`` and ``**``: numpy's log and power
-    can differ from them in the last bit.
+    ``t`` is one step, giving a float, or an array of steps, giving an array
+    with the same bits per step.  The steps 1..T, which every runner draws
+    its perturbation for, give one read-only array shared by all calls with
+    the same (T, delta, phi).
     """
     steps = np.atleast_1d(t)
     if steps.size and steps.min() < 1:
         raise ConfigurationError("t must be >= 1", field="t")
-    log_inv_delta = math.log(1.0 / delta)
-    vals = ((math.log(k / delta) / log_inv_delta) ** phi for k in steps.tolist())
     if np.ndim(t) == 0:
-        return float(next(vals))
-    return np.fromiter(vals, dtype=float, count=steps.size)
+        return float(next(_p_bar_values(steps.tolist(), delta, phi)))
+    if np.array_equal(steps, np.arange(1, steps.size + 1)):
+        return _p_bar_prefix(steps.size, delta, phi)
+    return np.fromiter(_p_bar_values(steps.tolist(), delta, phi), dtype=float,
+                       count=steps.size)
 
 
 @dataclass

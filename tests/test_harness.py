@@ -145,6 +145,20 @@ class TestConfigValidation:
             ExperimentConfig(seeds=seeds)
         assert exc.value.field == "seeds"
 
+    @pytest.mark.parametrize("seeds", [[1.7, 2.2], [1.0, 1.9], [0, 0.5], [float("nan")],
+                                       ["1.5"], [None]])
+    def test_fractional_seeds_rejected(self, seeds):
+        # a truncated seed would run and record another seed than it names
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(seeds=seeds)
+        assert exc.value.field == "seeds"
+        assert "not an integer" in str(exc.value)
+
+    def test_integral_float_seeds_kept(self):
+        cfg = ExperimentConfig(seeds=[2.0, np.float64(5.0), np.int64(3), 7])
+        assert cfg.seeds == [2, 5, 3, 7]
+        assert all(type(s) is int for s in cfg.seeds)
+
     @pytest.mark.parametrize("text", ["abc", "1..x", "0,1.5"])
     def test_malformed_seed_range_names_field(self, text):
         with pytest.raises(ConfigurationError) as exc:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alqr import estimation, loops, regret, schedules, synthesis
-from alqr.benchmarks import bench_2x2, bench_3x2, perturbed_gain
+from alqr.benchmarks import bench_2x2, bench_3x2, perturbed_gain, scalar_golden
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
 from alqr.estimation import (
     EstimatorState,
@@ -78,6 +78,11 @@ class TestRunWarmup:
                 hits += 1
         assert hits / 200 >= 0.9
 
+    def test_replay_invariant(self, bench2x2, bench2x2_gain):
+        _, rec = run_warmup(bench2x2, np.asfortranarray(bench2x2_gain), 700, seed=4,
+                            x0=[2.0, -1.0])
+        assert_replays(bench2x2, [bench2x2_gain] * rec.T, rec.x, rec.u, rec.eta, rec.omega)
+
     def test_blow_up_aborts_with_diagnostics(self):
         m, K0, _, _ = scalar_warmup_setup()
         with pytest.raises(BlowUpError) as exc:
@@ -139,13 +144,25 @@ class TestSamplePerturbation:
             sample_perturbation(np.arange(0, 5), bench2x2_params, rng)
 
 
-def replay_states(record, model):
-    """Re-simulate the state sequence from the stored inputs and noise."""
-    x = np.empty_like(record.x)
-    x[0] = record.x[0]
-    for s in range(record.T):
-        x[s + 1] = model.A @ x[s] + model.B @ record.u[s] + record.omega[s]
-    return x
+def closed_loop_step(model, K, x, eta, omega):
+    """One step of the closed loop as the formula reads, with ``@``, fresh
+    temporaries and the C-ordered gain: (u, x') with u = K x + eta and
+    x' = (A + B K) x + (B eta + omega)."""
+    K = np.ascontiguousarray(K)
+    return K @ x + eta, (model.A + model.B @ K) @ x + (model.B @ eta + omega)
+
+
+def assert_replays(model, gains, x, u, eta, omega):
+    """x and u have the bits of the closed loop stepped one step at a time
+    from x[0], with the gain in force at each step (``gains[s]``) and the
+    stored perturbation and noise."""
+    x_ref, u_ref = np.empty_like(x), np.empty_like(u)
+    x_ref[0] = x[0]
+    for s in range(len(u)):
+        u_ref[s], x_ref[s + 1] = closed_loop_step(model, gains[s], x_ref[s], eta[s],
+                                                  omega[s])
+    assert np.array_equal(x_ref, x)
+    assert np.array_equal(u_ref, u)
 
 
 class TestRunAslo:
@@ -192,9 +209,11 @@ class TestRunAslo:
 
     def test_replay_invariant(self, bench2x2, bench2x2_params, bench2x2_anchor):
         theta0, eps = bench2x2_anchor
-        rec, _, _ = run_aslo(bench2x2, theta0, eps, T=150,
-                             params=bench2x2_params, seed=11)
-        assert np.array_equal(replay_states(rec, bench2x2), rec.x)
+        rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=600,
+                                params=bench2x2_params, seed=11)
+        assert len(hist) > 3  # the replay crosses epochs
+        assert_replays(bench2x2, [hist[p].K for p in rec.policy_id],
+                       rec.x, rec.u, rec.eta, rec.omega)
 
     def test_blow_up_aborts_with_diagnostics(self, bench2x2, bench2x2_params,
                                              bench2x2_anchor):
@@ -304,16 +323,14 @@ def per_step_rollout(model, K, T, seed, params, x0=None):
         x[0] = x0
     u = np.zeros((T, model.m))
     for s in range(T):
-        u[s] = K @ x[s] + eta[s]
-        x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
+        u[s], x[s + 1] = closed_loop_step(model, K, x[s], eta[s], omega[s])
     return x, u
 
 
 def per_step_kernel(model, K, x, u, eta, omega, runner, lo, hi):
-    """``_rollout`` as the formula reads, with ``@`` and fresh temporaries."""
+    """``_rollout`` one ``closed_loop_step`` at a time."""
     for s in range(lo, hi):
-        u[s] = K @ x[s] + eta[s]
-        x[s + 1] = model.A @ x[s] + model.B @ u[s] + omega[s]
+        u[s], x[s + 1] = closed_loop_step(model, K, x[s], eta[s], omega[s])
         x_norm = float(np.linalg.norm(x[s + 1]))
         if x_norm > loops.BLOWUP_NORM:
             raise BlowUpError(f"{runner} state blow-up",
@@ -321,8 +338,9 @@ def per_step_kernel(model, K, x, u, eta, omega, runner, lo, hi):
 
 
 class TestRollout:
-    """The rollout kernel writes the bits of the per-step ``@`` formula into
-    its segment's rows and nothing else."""
+    """The rollout kernel writes the bits of the per-step ``@`` formula, with
+    the gain in C order, into its segment's rows and nothing else: both
+    layouts of a gain give the same bits."""
 
     SENTINEL = -7.25
 
@@ -340,12 +358,13 @@ class TestRollout:
     @staticmethod
     def gain(model, order, seed):
         # the DARE gain with full-precision entries: @ gives different bits
-        # for its F-ordered and C-ordered copies on some steps
+        # for its F-ordered and C-ordered copies on some steps, so the F case
+        # shows that the kernel takes the C-ordered gain's
         K = solve_dare(model).K_star + 1e-3 * np.random.default_rng(seed).standard_normal(
             (model.m, model.n))
         return np.asfortranarray(K) if order == "F" else np.ascontiguousarray(K)
 
-    @pytest.mark.parametrize("make", [bench_2x2, bench_3x2])
+    @pytest.mark.parametrize("make", [scalar_golden, bench_2x2, bench_3x2])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("lo, size", [(5, 1), (9, 2), (3, 256)])
     def test_segment_equals_per_step_formula(self, make, order, lo, size):
@@ -388,7 +407,7 @@ class TestRollout:
         "overflow": [(40, [2e6, 0.0]), (41, [1.5e308, 1.5e308]), (42, [1.5e308, 1.5e308])],
     }
 
-    @pytest.mark.parametrize("make", [bench_2x2, bench_3x2])
+    @pytest.mark.parametrize("make", [scalar_golden, bench_2x2, bench_3x2])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", sorted(KICKS))
     def test_blow_up_across_chunks(self, make, order, case):
@@ -397,14 +416,14 @@ class TestRollout:
         K = self.gain(model, order, seed=2)
         x, u, eta, omega = self.arrays(model, lo, hi, np.ones(model.n), seed=4)
         for offset, kick in self.KICKS[case]:
-            omega[lo + offset, :2] = kick
+            # the scalar plant takes the kick's largest entry
+            omega[lo + offset, :2] = kick if model.n > 1 else max(kick, key=abs)
         first = lo + self.KICKS[case][0][0]
         if case == "overflow":  # the rows rolled past the runaway do overflow
-            xs, us = x.copy(), u.copy()
+            xs = x.copy()
             with np.errstate(over="ignore", invalid="ignore"):
                 for s in range(lo, first + 3):
-                    us[s] = K @ xs[s] + eta[s]
-                    xs[s + 1] = model.A @ xs[s] + model.B @ us[s] + omega[s]
+                    _, xs[s + 1] = closed_loop_step(model, K, xs[s], eta[s], omega[s])
             assert not np.all(np.isfinite(xs[first + 3]))
         x_ref, u_ref = x.copy(), u.copy()
         with warnings.catch_warnings():
@@ -464,6 +483,21 @@ class TestRunFixedPolicy:
         t = next(s + 1 for s, v in enumerate(norms) if v > 1e6)
         assert "fixed-policy" in str(exc.value)
         assert exc.value.diagnostics == {"t": t, "x_norm": norms[t - 1]}
+
+    def test_replay_invariant(self, bench2x2, bench2x2_params, bench2x2_gain,
+                              monkeypatch):
+        # the runner's own arrays, taken from its rollout calls
+        seen, rollout = [], loops._rollout
+
+        def spy(model, K, x, u, eta, omega, *args):
+            seen.append((x, u, eta, omega))
+            return rollout(model, K, x, u, eta, omega, *args)
+
+        monkeypatch.setattr(loops, "_rollout", spy)
+        run_fixed_policy(bench2x2, bench2x2_gain, 700, seed=5, params=bench2x2_params,
+                         x0=[1.0, 3.0], checkpoints=(256, 300))
+        assert len(seen) == 3 and all(arrays[0] is seen[0][0] for arrays in seen)
+        assert_replays(bench2x2, [bench2x2_gain] * 700, *seen[0])
 
     def test_ingests_every_step(self, bench2x2, bench2x2_params, bench2x2_gain):
         cost, est, _ = run_fixed_policy(bench2x2, bench2x2_gain, 64, seed=0,
@@ -564,6 +598,30 @@ class TestComputedAfterTheLoop:
 
 
 class TestRunDoubling:
+    def test_replay_invariant_across_seams(self, bench2x2, bench2x2_params,
+                                           bench2x2_gain, monkeypatch):
+        # the gain in force at each step: K0 in the warm-ups, each ASLO
+        # segment's policy history through its own policy_id
+        gains, warmup, aslo = [], loops.run_warmup, loops.run_aslo
+
+        def warmup_spy(model, K0, T0, **kwargs):
+            out = warmup(model, K0, T0, **kwargs)
+            gains.extend([K0] * T0)
+            return out
+
+        def aslo_spy(*args, **kwargs):
+            rec, hist, ledger = aslo(*args, **kwargs)
+            gains.extend(hist[p].K for p in rec.policy_id)
+            return rec, hist, ledger
+
+        monkeypatch.setattr(loops, "run_warmup", warmup_spy)
+        monkeypatch.setattr(loops, "run_aslo", aslo_spy)
+        rec = run_doubling(bench2x2, bench2x2_gain, base_horizon=16, total_T=400,
+                           params=bench2x2_params, seed=6, x0=[0.5, -0.5])
+        assert len(rec.diagnostics["segment_bounds"]) > 4  # several seams
+        assert len(gains) == rec.T
+        assert_replays(bench2x2, gains, rec.x, rec.u, rec.eta, rec.omega)
+
     def test_segment_boundaries_geometric(self, bench2x2, bench2x2_params,
                                           bench2x2_gain):
         rec = run_doubling(bench2x2, bench2x2_gain, base_horizon=32,
@@ -687,8 +745,7 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
                 if current is None:
                     raise
                 logdet_tau = logdetV
-        u[s] = current.K @ x[s] + eta[s]
-        x[t] = model.A @ x[s] + model.B @ u[s] + omega[s]
+        u[s], x[t] = closed_loop_step(model, current.K, x[s], eta[s], omega[s])
         x_norm = float(np.linalg.norm(x[t]))
         if x_norm > loops.BLOWUP_NORM:
             raise BlowUpError("ASLO state blow-up", diagnostics={"t": t, "x_norm": x_norm})

@@ -95,6 +95,27 @@ class TestPBar:
         vals = np.array([p_bar(t, delta, pb) for t in ts])
         assert np.all(vals / np.sqrt(ts) < 1.0)
 
+    @pytest.mark.parametrize("delta, phi", [(0.1, 1.0), (0.05, 1.7), (0.3, 2.4)])
+    def test_array_bits_equal_the_formula_per_value(self, delta, phi):
+        formula = [(math.log(t / delta) / math.log(1.0 / delta)) ** phi
+                   for t in range(1, 3001)]
+        prefix = p_bar(np.arange(1, 3001), delta, phi)
+        assert np.array_equal(prefix, formula)
+        # steps that are not 1..T take the same formula value by value
+        steps = np.array([7, 3, 2999, 1, 40])
+        assert np.array_equal(p_bar(steps, delta, phi), [formula[t - 1] for t in steps])
+        assert np.array_equal(p_bar(np.arange(2, 3001), delta, phi), formula[1:])
+        assert [p_bar(t, delta, phi) for t in (1, 2, 3000)] == [formula[0], formula[1],
+                                                               formula[2999]]
+
+    def test_steps_one_to_T_share_one_read_only_array(self):
+        a = p_bar(np.arange(1, 501), 0.1, 1.3)
+        assert p_bar(np.arange(1, 501), 0.1, 1.3) is a
+        assert p_bar(np.arange(1, 501), 0.1, 1.4) is not a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2.0
+
 
 class TestGOfPhi:
     def test_practical_returns_scale(self, bench2x2_params):
