@@ -1,33 +1,36 @@
 #!/usr/bin/env python3
-"""Flagship regret experiment: ASLO on bench-2x2, 20 seeds, T = 1e4.
+"""Flagship regret experiment: configs/bench2x2_regret.json (ASLO on
+bench-2x2 with det2, 20 seeds, T = 1e4).
 
-Writes per-seed CSVs plus aggregate.json and prints the headline numbers
-(regret slope, estimation-error slope, coverage).  About 8 s on a 2-vCPU host.
+Runs the config file, with --T, --seeds, --criterion and --out on top of its
+values and checkpoints at T/10 and T.  Writes per-seed CSVs plus
+aggregate.json and prints the headline numbers (regret slope,
+estimation-error slope, coverage).  About 8 s on a 2-vCPU host.
 """
 
 import argparse
+from pathlib import Path
 
-from alqr.harness import ExperimentConfig, run_experiment
+from alqr.harness import ExperimentConfig, load_config, run_experiment
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bench2x2_regret.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="results/bench2x2_regret")
-    ap.add_argument("--T", type=int, default=10_000)
-    ap.add_argument("--seeds", type=int, default=20)
-    ap.add_argument("--criterion", default="det2",
+    ap.add_argument("--out", help="output directory (default: the file's out_dir)")
+    ap.add_argument("--T", type=int)
+    ap.add_argument("--seeds", type=int, help="run seeds 0..N-1")
+    ap.add_argument("--criterion",
                     choices=["det2", "fixed-beta", "adaptive", "relaxed-seq"])
     args = ap.parse_args()
 
-    config = ExperimentConfig(
-        benchmark="bench-2x2",
-        mode="aslo",
-        criterion=args.criterion,
-        T=args.T,
-        seeds=list(range(args.seeds)),
-        checkpoints=[args.T // 10, args.T],
-        out_dir=args.out,
-    )
+    given = {"out_dir": args.out, "T": args.T, "criterion": args.criterion,
+             "seeds": None if args.seeds is None else list(range(args.seeds))}
+    fields = load_config(CONFIG).to_dict()
+    fields.update((k, v) for k, v in given.items() if v is not None)
+    fields["checkpoints"] = [fields["T"] // 10, fields["T"]]
+    config = ExperimentConfig(**fields)
     report = run_experiment(config)
     agg = report.aggregate
     print(f"seeds: {agg['seed_count']}  failures: {len(report.errors)}")
@@ -36,7 +39,7 @@ def main():
                 "bound_violations_total"):
         if key in agg:
             print(f"{key}: {agg[key]:.6g}")
-    print(f"outputs in {args.out}")
+    print(f"outputs in {config.out_dir}")
 
 
 if __name__ == "__main__":

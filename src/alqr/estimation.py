@@ -48,8 +48,6 @@ class ConfidenceEllipsoid:
     center: np.ndarray
     shape: np.ndarray
     radius: float
-    delta: float
-    lambda_used: float
 
 
 def _step_sums(a, b, carry):
@@ -169,8 +167,6 @@ def ellipsoid(state: EstimatorState, delta: float, lambda_t: float, sigma_w: flo
         shape=sym(state.covariance(lambda_t)),
         radius=confidence_radius(state, delta, lambda_t, sigma_w, variant,
                                  eps=eps, theta_bound=theta_bound),
-        delta=delta,
-        lambda_used=lambda_t,
     )
 
 
@@ -184,7 +180,7 @@ def ellipsoid_contains(ell: ConfidenceEllipsoid, Theta) -> bool:
 
 
 def min_eig_prediction(t: int, sigma_w: float, p_bar_t: float) -> float:
-    """Lower-bound prediction sigma^2 sqrt(t) p_bar_t / 40 for lambda_min(S_t)."""
+    """sigma^2 sqrt(t) p_bar_t / 40, the lambda_min(S_t) lower bound of gate P9."""
     return sigma_w**2 * np.sqrt(max(t, 0)) * p_bar_t / 40.0
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import logging
 import math
 import os
 import warnings
@@ -26,8 +25,6 @@ from .exceptions import ConfigurationError
 from .linalg import row_blocks, spectral_radius
 from .lqr import SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gaps
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -119,6 +116,8 @@ class ExperimentConfig:
             raise ConfigurationError("need a benchmark name or model matrices",
                                      field="benchmark")
         self.build_model()  # validates dimensions eagerly
+        if self.x0 is not None:
+            loops.start_state(self.x0)  # its length is checked by shared_setup
 
     def build_model(self) -> SystemModel:
         if self.model is not None:
@@ -262,11 +261,12 @@ def _run_cells(runs, lo: int, hi: int):
 
 
 def emit(obj, format: str, path):
-    """Write a dict of the ``CSV_COLUMNS`` arrays as CSV, one block of rows
-    at a time, or a report dict as JSON; returns the path.
+    """Write a trajectory as CSV, one block of rows at a time, or a report
+    dict as JSON; returns the path.  A trajectory is a list of parts, each a
+    dict of the ``CSV_COLUMNS`` arrays, written one after another.
 
-    A column with few runs of equal values (the warm-up's lambda_t, the
-    epoch columns, runs of nan) spells each run once with its field of
+    A part's column with few runs of equal values (the warm-up's lambda_t,
+    the epoch columns, runs of nan) spells each run once with its field of
     ``CSV_ROW_FORMAT``.  A block of rows inside one run carries that cell
     in its row format; a block across runs writes the spelled cells with
     "%s".  The other columns go through their field a value at a time.
@@ -275,25 +275,26 @@ def emit(obj, format: str, path):
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if format == "csv":
-        cols = [np.asarray(obj[name], dtype=float) for name in CSV_COLUMNS]
         fields = CSV_ROW_FORMAT[:-1].split(",")
-        coded = [_runs(c, f) for c, f in zip(cols, fields)]
         with open(path, "w") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for lo, hi in row_blocks(len(cols[0])):
-                spelled, values = [], []
-                for f, c, runs in zip(fields, cols, coded):
-                    cells = c[lo:hi].tolist() if runs is None else _run_cells(runs, lo, hi)
-                    if isinstance(cells, str):  # part of the format: escape its '%'
-                        spelled.append(cells.replace("%", "%%"))
-                    else:
-                        spelled.append(f if runs is None else "%s")
-                        values.append(cells)
-                width = len(values)
-                flat = [None] * ((hi - lo) * width)
-                for j, v in enumerate(values):
-                    flat[j::width] = v
-                fh.write(((",".join(spelled) + "\n") * (hi - lo)) % tuple(flat))
+            for part in obj:
+                cols = [np.asarray(part[name], dtype=float) for name in CSV_COLUMNS]
+                coded = [_runs(c, f) for c, f in zip(cols, fields)]
+                for lo, hi in row_blocks(len(cols[0])):
+                    spelled, values = [], []
+                    for f, c, runs in zip(fields, cols, coded):
+                        cells = c[lo:hi].tolist() if runs is None else _run_cells(runs, lo, hi)
+                        if isinstance(cells, str):  # part of the format: escape its '%'
+                            spelled.append(cells.replace("%", "%%"))
+                        else:
+                            spelled.append(f if runs is None else "%s")
+                            values.append(cells)
+                    width = len(values)
+                    flat = [None] * ((hi - lo) * width)
+                    for j, v in enumerate(values):
+                        flat[j::width] = v
+                    fh.write(((",".join(spelled) + "\n") * (hi - lo)) % tuple(flat))
     elif format == "json":
         with open(path, "w") as fh:
             fh.write(json_dumps(obj) + "\n")
@@ -340,6 +341,8 @@ def shared_setup(config: ExperimentConfig) -> SharedSetup:
     """How a config becomes a run: the model, the initial gain K0, the
     schedule built on K0's certificate, and J*.  The one set-up of a run."""
     model = config.build_model()
+    if config.x0 is not None:  # before any seed runs: --benchmark may swap the plant
+        loops.start_state(config.x0, model.n)
     K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
     cert0 = stability_certificate(model, K0)
     params = schedules.build_schedule(
@@ -367,7 +370,7 @@ def _epoch_diagnostics(model, params, history):
 
 
 def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
-    """One isolated per-seed run; returns the summary plus its CSV columns."""
+    """One isolated per-seed run; returns the summary plus its records' CSV columns."""
     model, K0, params = shared.model, shared.K0, shared.params
     J_star = shared.J_star
     summary = {"seed": seed, "mode": config.mode, "J_star": J_star}
@@ -435,8 +438,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
             "segment_bounds": rec.diagnostics["segment_bounds"],
         })
 
-    summary["columns"] = {name: np.concatenate([c[name] for c in columns])
-                          for name in CSV_COLUMNS}
+    summary["columns"] = columns
     return summary
 
 
@@ -518,11 +520,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             if err is not None:
                 errors.append({"seed": seed, "error": err})
                 continue
-            columns = summary.pop("columns")
+            parts = summary.pop("columns")
             if config.out_dir:
-                emit(columns, "csv", os.path.join(config.out_dir, f"seed_{seed:04d}.csv"))
+                emit(parts, "csv", os.path.join(config.out_dir, f"seed_{seed:04d}.csv"))
             summaries.append(summary)
-            tails.append(columns["cum_regret"][-config.T:])
+            tails.append(parts[-1]["cum_regret"][-config.T:])
     report = AggregateReport(
         config=config.to_dict(),
         constants=schedules.constants_report(shared.params),

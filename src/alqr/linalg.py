@@ -55,7 +55,8 @@ def min_eig(M):
 
 
 def psd_sqrt(M, floor=1e-12):
-    """Symmetric square root via eigendecomposition, eigenvalues floored."""
+    """Symmetric square root via eigendecomposition, eigenvalues floored.
+    Gate P8 (``test_p8_perturbation_lemma``) builds its perturbations with it."""
     w, U = np.linalg.eigh(sym(np.atleast_2d(M)))
     w = np.maximum(w, floor)
     return (U * np.sqrt(w)) @ U.T

@@ -62,7 +62,6 @@ BLOWUP_NORM = 1e6
 class TrajectoryRecord:
     """Per-step arrays of one trajectory plus run metadata."""
 
-    mode: str
     seed: int                # a doubling segment holds its SeedSequence child
     x: np.ndarray            # (T+1, n), states
     u: np.ndarray            # (T, m), applied inputs
@@ -117,13 +116,27 @@ def _streams(seed):
         for k in range(3))
 
 
+def start_state(x0, n: int | None = None) -> np.ndarray:
+    """x0 as a flat float array of finite numbers, n of them when n is given;
+    anything else is refused, not broadcast."""
+    try:
+        x = np.asarray(x0)
+    except ValueError:  # a ragged nesting
+        x = np.asarray(None)
+    if not (x.dtype.kind in "iuf" and x.ndim == 1 and np.isfinite(x).all()
+            and n in (None, len(x))):
+        raise ConfigurationError(
+            f"x0 must be {'a list of' if n is None else n} finite numbers", field="x0")
+    return x.astype(float)
+
+
 def _trajectory(model: SystemModel, T: int, seed, x0):
     """x (T+1, n) from x0 (zero when None), u (T, m), the process noise omega
     (T, n), and the ASLO- and warm-up-perturbation generators of ``seed``."""
     omega_rng, eta_rng, nu_rng = _streams(seed)
     x = np.zeros((T + 1, model.n))
     if x0 is not None:
-        x[0] = np.asarray(x0, dtype=float)
+        x[0] = start_state(x0, model.n)
     omega = model.sigma_w * omega_rng.standard_normal((T, model.n))
     return x, np.zeros((T, model.m)), omega, eta_rng, nu_rng
 
@@ -252,13 +265,12 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
         Theta_0 = estimation.estimate(est, rho)
     else:  # degenerate sigma_w = 0: minimum-norm solution of S Theta = C
         Theta_0, *_ = np.linalg.lstsq(est.gram, est.cross, rcond=None)
-    nan = np.full(T0, np.nan)
+    nan = np.full(T0, np.nan)  # held once for the three per-epoch columns
     record = TrajectoryRecord(
-        mode="warmup", seed=seed, x=x, u=u, eta=nu, omega=omega,
+        seed=seed, x=x, u=u, eta=nu, omega=omega,
         cost=_stage_costs(model, x, u),
         policy_id=np.zeros(T0, dtype=int), lambda_t=np.full(T0, rho),
-        r_t=nan.copy(), logdet_V=logdets, beta_used=nan.copy(),
-        est_error=nan.copy(),
+        r_t=nan, logdet_V=logdets, beta_used=nan, est_error=nan,
         diagnostics={"theta0_error": nuclear_norm(Theta_0 - model.theta_star)},
     )
     return Theta_0, record
@@ -422,9 +434,8 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         anynum[lo:hi] = schedules.anynum_condition(mu_steps[lo:hi], V, params.kappa,
                                                    lam=lam_arr[lo:hi], terms=hi)
     ledger.accumulate_trajectory(x, omega, eta, q, policy_id, history, model, params)
-    ledger.finalize(epoch_marks=[p.tau for p in history])
     record = TrajectoryRecord(
-        mode="aslo", seed=seed, x=x, u=u, eta=eta, omega=omega,
+        seed=seed, x=x, u=u, eta=eta, omega=omega,
         cost=_stage_costs(model, x, u),
         policy_id=policy_id, lambda_t=lam_arr, r_t=per_step("r"),
         logdet_V=logdet_arr, beta_used=per_step("beta"),
@@ -477,7 +488,7 @@ def _concat_records(parts: list[TrajectoryRecord], seed: int) -> TrajectoryRecor
     cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
     bounds = np.cumsum([p.T for p in parts]).tolist()
     return TrajectoryRecord(
-        mode="doubling", seed=seed, x=np.concatenate(xs, axis=0),
+        seed=seed, x=np.concatenate(xs, axis=0),
         u=cat("u"), eta=cat("eta"), omega=cat("omega"), cost=cat("cost"),
         policy_id=pid, lambda_t=cat("lambda_t"), r_t=cat("r_t"),
         logdet_V=cat("logdet_V"), beta_used=cat("beta_used"),

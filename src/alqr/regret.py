@@ -23,12 +23,12 @@ R_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6")
 
 @dataclass
 class RegretLedger:
-    """Online accumulators for the decomposition plus epoch bookkeeping."""
+    """Online accumulators for the decomposition and the policy runs it covers."""
 
     nu: float
     sigma_w: float
     R: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    epoch_marks: list = field(default_factory=list)
+    policy_runs: int = 0
 
     def accumulate(self, x, omega, eta, q, pol, model, params):
         """Add the R1..R6 contributions of one policy run: k consecutive steps
@@ -73,16 +73,14 @@ class RegretLedger:
         """Accumulate a whole trajectory, one policy run at a time."""
         by_epoch = {p.epoch_index: p for p in policies}
         starts = np.flatnonzero(np.diff(policy_id, prepend=-1)).tolist()
+        self.policy_runs += len(starts)
         for lo, hi in zip(starts, starts[1:] + [len(q)]):
             self.accumulate(x[lo:hi + 1], omega[lo:hi], eta[lo:hi], q[lo:hi],
                             by_epoch[int(policy_id[lo])], model, params)
 
-    def finalize(self, epoch_marks):
-        self.epoch_marks = list(epoch_marks)
-
     def n_updates(self):
-        """Criterion-fired updates (the initial solve is not a switch)."""
-        return max(0, len(self.epoch_marks) - 1)
+        """Criterion-fired updates: one per policy run after the first (each runs a step)."""
+        return max(0, self.policy_runs - 1)
 
     def terms(self):
         return dict(zip(R_NAMES, self.R.tolist()))
@@ -101,8 +99,8 @@ def q_values(z, V):
 
 def decompose(traj, policy_history, params, model) -> np.ndarray:
     """Recompute R1..R6 by replaying the stored trajectory through a fresh
-    ledger; V_t is rebuilt from the raw regressors, independently of the
-    runner's estimator."""
+    ledger, V_t rebuilt from the raw regressors apart from the runner's
+    estimator; gate P11 (``test_p11_decomposition_consistency``) reads it."""
     for name in ("omega", "eta"):
         arr = getattr(traj, name, None)
         if arr is None or np.any(~np.isfinite(arr)):

@@ -49,17 +49,21 @@ def phi_bar(delta: float) -> float:
     return 0.5 * math.log(1.0 / delta) - 1e-6
 
 
-def _p_bar_values(steps, delta: float, phi: float):
-    """p_bar at each step of an iterable, one Python ``math.log`` and ``**``
-    per value: numpy's log and power can differ from them in the last bit."""
-    log_inv_delta = math.log(1.0 / delta)
-    return ((math.log(k / delta) / log_inv_delta) ** phi for k in steps)
+def _log_powers(steps, delta: float, power: float, scale=1.0, base=1.0):
+    """scale * (log(k/delta) / base)^power at each step k of an iterable, the
+    form of both p_bar and lambda_t, with one Python ``math.log`` and ``**``
+    per value: numpy's log and power can differ from them in the last bit.
+    ``1.0 * v``, ``v / 1.0`` and ``v ** 1.0`` are exact, so each form keeps
+    its own formula's bits."""
+    return (scale * (math.log(k / delta) / base) ** power for k in steps)
 
 
-@functools.lru_cache(maxsize=4)
-def _p_bar_prefix(T: int, delta: float, phi: float) -> np.ndarray:
-    """p_bar at t = 1..T, computed once per (T, delta, phi) and shared read-only."""
-    vals = np.fromiter(_p_bar_values(range(1, T + 1), delta, phi), dtype=float, count=T)
+@functools.lru_cache(maxsize=8)
+def _log_power_prefix(T: int, delta: float, power: float, scale=1.0, base=1.0) -> np.ndarray:
+    """``_log_powers`` at k = 1..T, computed once per argument tuple and
+    shared read-only."""
+    vals = np.fromiter(_log_powers(range(1, T + 1), delta, power, scale, base),
+                       dtype=float, count=T)
     vals.flags.writeable = False
     return vals
 
@@ -75,11 +79,12 @@ def p_bar(t, delta: float, phi: float):
     steps = np.atleast_1d(t)
     if steps.size and steps.min() < 1:
         raise ConfigurationError("t must be >= 1", field="t")
+    base = math.log(1.0 / delta)
     if np.ndim(t) == 0:
-        return float(next(_p_bar_values(steps.tolist(), delta, phi)))
+        return float(next(_log_powers(steps.tolist(), delta, phi, base=base)))
     if np.array_equal(steps, np.arange(1, steps.size + 1)):
-        return _p_bar_prefix(steps.size, delta, phi)
-    return np.fromiter(_p_bar_values(steps.tolist(), delta, phi), dtype=float,
+        return _log_power_prefix(steps.size, delta, phi, base=base)
+    return np.fromiter(_log_powers(steps.tolist(), delta, phi, base=base), dtype=float,
                        count=steps.size)
 
 
@@ -380,28 +385,28 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
                    eps_under=10.0**leu if leu > -300 else 0.0)
 
 
-def _lambda_values(steps, params: ScheduleParams):
-    """lambda_t at each step of an iterable: G log(t/delta), with the log power
-    raised to 1/(1-chi) under relaxed_sequential.  One ``math.log`` per value:
-    numpy's log can differ from it in the last bit."""
-    delta = params.delta
+def _lambda_form(params: ScheduleParams):
+    """(G, power) of lambda_t = G log(t/delta)^power: power 1/(1-chi) on G*
+    under relaxed_sequential, 1 on G(phi) otherwise."""
     if params.criterion == "relaxed_sequential":
-        G, power = params.G_star, 1.0 / (1.0 - params.chi)
-        return (G * math.log(t / delta) ** power for t in steps)
-    G = params.G_phi
-    return (G * math.log(t / delta) for t in steps)
+        return params.G_star, 1.0 / (1.0 - params.chi)
+    return params.G_phi, 1.0
 
 
 def lambda_t(t: float, params: ScheduleParams) -> float:
     """Regularizer at time t; relaxed_sequential raises the log power to 1/(1-chi)."""
     if t < 1:
         raise ConfigurationError("t must be >= 1", field="t")
-    return next(_lambda_values((t,), params))
+    G, power = _lambda_form(params)
+    return next(_log_powers((t,), params.delta, power, scale=G))
 
 
 def lambda_steps(T: int, params: ScheduleParams) -> np.ndarray:
-    """lambda_1..lambda_T as a float64 array, each value with ``lambda_t``'s bits."""
-    return np.fromiter(_lambda_values(range(1, T + 1), params), dtype=float, count=T)
+    """lambda_1..lambda_T, each value with ``lambda_t``'s bits, as one
+    read-only float64 array shared by all calls with the same (T, G, power,
+    delta)."""
+    G, power = _lambda_form(params)
+    return _log_power_prefix(T, params.delta, power, scale=G)
 
 
 def warmup_duration(eps_target: float, params: ScheduleParams,

@@ -152,7 +152,8 @@ def sequential_gaps(Ps) -> list:
 
 
 def sequential_gap(P_prev, P_next) -> float:
-    """|P_next^{-1/2} P_prev^{1/2}|; see ``sequential_gaps``."""
+    """|P_next^{-1/2} P_prev^{1/2}|; see ``sequential_gaps``.  Gate P6
+    (``test_p6_stability``) reads it for each consecutive pair of epochs."""
     return sequential_gaps([P_prev, P_next])[0]
 
 
@@ -162,6 +163,7 @@ def perturbation_check(X, Delta, P, V, r: float, slack: float = 1e-10) -> bool:
     Requires Delta' Delta <= r V^{-1}; checks
     -mu |P|_* V^{-1} <= (X+D)' P (X+D) - X' P X <= mu |P|_* V^{-1}
     with mu = r + 2 |X| |V|^{1/2} sqrt(r), PSD order tested by eigenvalues.
+    Gate P8 (``test_p8_perturbation_lemma``) reads it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Delta = np.atleast_2d(np.asarray(Delta, dtype=float))

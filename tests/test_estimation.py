@@ -216,12 +216,12 @@ class TestConfidenceRadius:
 class TestEllipsoidContains:
     def test_center(self):
         ell = ConfidenceEllipsoid(center=np.ones((2, 1)), shape=np.eye(2),
-                                  radius=0.5, delta=0.1, lambda_used=1.0)
+                                  radius=0.5)
         assert ellipsoid_contains(ell, np.ones((2, 1)))
 
     def test_boundary_inclusive(self):
         ell = ConfidenceEllipsoid(center=np.zeros((1, 1)), shape=4.0 * np.eye(1),
-                                  radius=1.0, delta=0.1, lambda_used=1.0)
+                                  radius=1.0)
         assert ellipsoid_contains(ell, np.array([[0.5]]))
         assert not ellipsoid_contains(ell, np.array([[0.5000001]]))
 

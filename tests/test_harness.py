@@ -68,7 +68,7 @@ def oracle_csv(rows) -> bytes:
 
 def empty_record():
     return TrajectoryRecord(
-        mode="aslo", seed=0, x=np.zeros((1, 2)), u=np.zeros((0, 2)),
+        seed=0, x=np.zeros((1, 2)), u=np.zeros((0, 2)),
         eta=np.zeros((0, 2)), omega=np.zeros((0, 2)), cost=np.zeros(0),
         policy_id=np.zeros(0, dtype=int),
         lambda_t=np.zeros(0), r_t=np.zeros(0), logdet_V=np.zeros(0),
@@ -159,6 +159,26 @@ class TestConfigValidation:
         assert cfg.seeds == [2, 5, 3, 7]
         assert all(type(s) is int for s in cfg.seeds)
 
+    @pytest.mark.parametrize("x0", [[[1.0, 2.0]], ["a", "b"], [float("nan"), 0.0],
+                                    [float("inf"), 0.0], [1.0, [2.0]], [None, 1.0]])
+    def test_malformed_x0_refused(self, x0):
+        # each of these was broadcast into the start state or failed every seed
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(benchmark="bench-2x2", x0=x0)
+        assert exc.value.field == "x0"
+
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0, 3.0]])
+    def test_x0_of_another_length_refused_before_any_seed(self, tmp_path, x0, monkeypatch):
+        cfg = smoke_config(tmp_path, benchmark="bench-2x2", x0=x0)
+        monkeypatch.setattr(harness, "run_seed", None)  # no seed may start
+        with pytest.raises(ConfigurationError) as exc:
+            run_experiment(cfg)
+        assert exc.value.field == "x0"
+        assert not (tmp_path / "out").exists()
+
+    def test_large_finite_x0_kept(self):
+        assert ExperimentConfig(benchmark="bench-2x2", x0=[5e6, 0]).x0 == [5e6, 0]
+
     @pytest.mark.parametrize("text", ["abc", "1..x", "0,1.5"])
     def test_malformed_seed_range_names_field(self, text):
         with pytest.raises(ConfigurationError) as exc:
@@ -193,7 +213,7 @@ class TestConfigValidation:
 
 class TestEmit:
     def test_header_only_for_empty_trajectory(self, tmp_path):
-        path = emit(trajectory_columns(empty_record(), 1.0), "csv", tmp_path / "t.csv")
+        path = emit([trajectory_columns(empty_record(), 1.0)], "csv", tmp_path / "t.csv")
         lines = Path(path).read_text().strip().split("\n")
         assert lines == [",".join(CSV_COLUMNS)]
 
@@ -204,7 +224,7 @@ class TestEmit:
         rec, _, _ = run_aslo(bench2x2, theta0, eps, T=50,
                              params=bench2x2_params, seed=0)
         rows = list(zip(*trajectory_columns(rec, 3.0).values()))
-        path = emit(trajectory_columns(rec, 3.0), "csv", tmp_path / "t.csv")
+        path = emit([trajectory_columns(rec, 3.0)], "csv", tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
         assert len(cols["t"]) == 50
         for j, name in enumerate(CSV_COLUMNS):
@@ -213,7 +233,7 @@ class TestEmit:
                 cols[name][~np.isnan(cols[name])], orig[~np.isnan(orig)])
 
     def test_header_only_reads_empty_columns(self, tmp_path):
-        path = emit(trajectory_columns(empty_record(), 1.0), "csv", tmp_path / "t.csv")
+        path = emit([trajectory_columns(empty_record(), 1.0)], "csv", tmp_path / "t.csv")
         cols = read_trajectory_csv(path)
         assert list(cols) == list(CSV_COLUMNS)
         assert all(c.shape == (0,) for c in cols.values())
@@ -225,12 +245,12 @@ class TestEmit:
         path = tmp_path / "out" / "seed_0000.csv"
         cols = read_trajectory_csv(path)
         assert np.all(np.isnan(cols["r_t"][:25])) and len(cols["t"]) == 55
-        again = emit(cols, "csv", tmp_path / "again.csv")
+        again = emit([cols], "csv", tmp_path / "again.csv")
         assert Path(again).read_bytes() == path.read_bytes()
 
     def test_column_count(self, tmp_path):
         row = (1, 0.5, 1.0, -0.5, 2.3, 1.0, 0, 0, 1.0, 4.0, 0.1)
-        path = emit({name: [v] for name, v in zip(CSV_COLUMNS, row)}, "csv",
+        path = emit([{name: [v] for name, v in zip(CSV_COLUMNS, row)}], "csv",
                     tmp_path / "t.csv")
         for line in Path(path).read_text().splitlines():
             assert len(line.strip().split(",")) == 11
@@ -283,19 +303,19 @@ class TestEmitOracle:
 
     def test_records_match_oracle(self, records, tmp_path):
         for i, rec in enumerate(records):
-            path = emit(trajectory_columns(rec, 2.5), "csv", tmp_path / f"r{i}.csv")
+            path = emit([trajectory_columns(rec, 2.5)], "csv", tmp_path / f"r{i}.csv")
             assert Path(path).read_bytes() == oracle_csv(oracle_rows(rec, 2.5))
 
     def test_special_values_and_int_columns_match_oracle(self, tmp_path):
         cols = self.special_columns()
-        path = emit(cols, "csv", tmp_path / "odd.csv")
+        path = emit([cols], "csv", tmp_path / "odd.csv")
         assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
     def test_record_columns_and_rows_write_one_file(self, records, tmp_path):
         # the record's columns and the columns read back from their file
         _, arec = records
-        first = emit(trajectory_columns(arec, 2.5), "csv", tmp_path / "cols.csv")
-        again = emit(read_trajectory_csv(first), "csv", tmp_path / "again.csv")
+        first = emit([trajectory_columns(arec, 2.5)], "csv", tmp_path / "cols.csv")
+        again = emit([read_trajectory_csv(first)], "csv", tmp_path / "again.csv")
         assert Path(again).read_bytes() == Path(first).read_bytes()
 
     @staticmethod
@@ -328,7 +348,7 @@ class TestEmitOracle:
     @pytest.mark.parametrize("T", [0, 1, 5, 16])
     def test_run_coded_columns_match_oracle(self, tmp_path, T):
         cols = {name: c[:T] for name, c in self.run_columns().items()}
-        path = emit(cols, "csv", tmp_path / "runs.csv")
+        path = emit([cols], "csv", tmp_path / "runs.csv")
         assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
     def test_runs_cross_row_blocks(self, tmp_path):
@@ -340,7 +360,7 @@ class TestEmitOracle:
         cols = {name: np.arange(T) * 0.5 for name in CSV_COLUMNS}
         cols.update(t=np.arange(1, T + 1), lambda_t=lam, epoch=np.arange(T) // 300,
                     policy_id=np.arange(T) // 300)
-        path = emit(cols, "csv", tmp_path / "blocks.csv")
+        path = emit([cols], "csv", tmp_path / "blocks.csv")
         assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
     def test_oracle_tells_repr_from_the_row_format(self, tmp_path, monkeypatch):
@@ -348,7 +368,7 @@ class TestEmitOracle:
         cols = self.special_columns()
         monkeypatch.setattr(harness, "CSV_ROW_FORMAT",
                             ",".join(["%r"] * len(CSV_COLUMNS)) + "\n")
-        path = emit(cols, "csv", tmp_path / "repr.csv")
+        path = emit([cols], "csv", tmp_path / "repr.csv")
         assert Path(path).read_bytes() != oracle_csv(self.special_rows(cols))
 
 
@@ -565,6 +585,15 @@ class TestCli:
         assert "Traceback" not in err
         assert "(None)" not in err
         assert "config error: G(phi) bracketing failed" in err
+
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, "2"]], ids=["short", "string"])
+    def test_malformed_x0_exit_code(self, tmp_path, capsys, x0):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"benchmark": "bench-2x2", "T": 20, "seeds": [0],
+                                 "x0": x0, "out_dir": str(tmp_path / "out")}))
+        assert cli_main(["--config", str(p)]) == 2
+        assert "config error (x0)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runner_failure_exit_code(self, tmp_path):
         p = tmp_path / "c.json"

@@ -470,6 +470,20 @@ class TestRunnerGuards:
             run(bench2x2, bench2x2_gain, bench2x2_params, bench2x2_anchor)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("run", [
+        lambda m, K, p, a, x0: run_warmup(m, K, 10, seed=0, x0=x0),
+        lambda m, K, p, a, x0: run_aslo(m, *a, T=10, params=p, seed=0, x0=x0),
+        lambda m, K, p, a, x0: run_fixed_policy(m, K, 10, seed=0, params=p, x0=x0),
+        lambda m, K, p, a, x0: run_doubling(m, K, 4, 10, params=p, seed=0, x0=x0),
+    ], ids=["warmup", "aslo", "fixed-policy", "doubling"])
+    @pytest.mark.parametrize("x0", [[1.0], [[1.0, 2.0]]], ids=["one-value", "nested"])
+    def test_x0_not_one_value_per_state_rejected(self, bench2x2, bench2x2_gain,
+                                                 bench2x2_params, bench2x2_anchor, run, x0):
+        # numpy would broadcast either into the start state [1, 1] or [1, 2]
+        with pytest.raises(ConfigurationError) as exc:
+            run(bench2x2, bench2x2_gain, bench2x2_params, bench2x2_anchor, x0)
+        assert exc.value.field == "x0"
+
 
 class TestRunFixedPolicy:
     def test_blow_up_on_unstable_loop(self, bench2x2, bench2x2_params):
@@ -768,7 +782,6 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
         anynum[lo:lo + len(z)] = schedules.anynum_condition(
             mu_steps[lo:lo + len(z)], V, params.kappa)
     ledger.accumulate_trajectory(x, omega, eta, q, policy_id, history, model, params)
-    ledger.finalize(epoch_marks=[p.tau for p in history])
     record = dict(x=x, u=u, eta=eta, omega=omega, policy_id=policy_id, lambda_t=lam_arr,
                   r_t=r_arr, logdet_V=logdet_arr, beta_used=beta_arr, est_error=err_arr)
     diagnostics = {"synthesis_failures": failures, "containment": containment,

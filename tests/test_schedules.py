@@ -197,6 +197,20 @@ class TestLambdaT:
             expect = [p.G_phi * math.log(t / p.delta) for t in range(1, 5001)]
         assert lam.tolist() == expect
 
+    @pytest.mark.parametrize("criterion, chi", [("det2", 0.0), ("relaxed-seq", 0.1)])
+    def test_steps_of_a_built_schedule_have_lambda_t_bits(self, criterion, chi):
+        params = shared_setup(ExperimentConfig(criterion=criterion, chi=chi)).params
+        lam = lambda_steps(3000, params)
+        assert lam.tolist() == [lambda_t(t, params) for t in range(1, 3001)]
+
+    def test_one_schedule_shares_one_read_only_array(self, bench2x2_params):
+        lam = lambda_steps(400, bench2x2_params)
+        assert lambda_steps(400, replace(bench2x2_params)) is lam
+        assert lambda_steps(401, bench2x2_params) is not lam
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 2.0
+
 
 class TestEpsTargets:
     def test_positive(self, bench2x2_params):
