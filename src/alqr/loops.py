@@ -366,8 +366,10 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                 mu_t = mu_override
             elif params.mu_clamp and params.constants_mode == "practical":
                 mu_t = min(mu_t, _mu_cap(params, V))
+            # the policy in force (kept through a decline) starts the search
+            s0 = 0.0 if current is None else float(current.P_dual.trace())
             try:
-                K, P = synthesis.synthesize_policy(theta_hat, model, mu_t, V)
+                K, P = synthesis.synthesize_policy(theta_hat, model, mu_t, V, s0)
                 if params.criterion == "adaptive_beta":
                     beta_in_force = schedules.adaptive_beta(t, r, params)
                 current = PolicyEpoch(

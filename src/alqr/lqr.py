@@ -141,8 +141,14 @@ def _riccati_residual(A, Q, P, F, K):
     return spectral_norm(Q + A.T @ P @ A + F @ K - P)
 
 
-def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=200):
+def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=64):
     """Structure-preserving doubling iteration for the DARE.
+
+    Step k's error falls as rho^(2^k), rho the spectral radius of the
+    optimal closed loop, so the tolerance needs 2^k >= 28 / (1 - rho).  For
+    the largest double below 1, 1 - 2^-53, that is k = 58: 64 steps converge
+    every stabilising solution a double can tell from marginal, and a call
+    still running after them only delays its decline.
 
     Ak @ Minv is formed once and reused: ``Ak @ Minv @ X`` is evaluated left
     to right, so An and Gn keep the bits of the written-out products.  Each

@@ -53,7 +53,7 @@ def mu(r_t: float, theta_bound: float, normV: float, mode: str = "lemma") -> flo
     raise ValueError(f"unknown mu mode {mode!r}")
 
 
-def solve_relaxed_riccati(theta_hat, model, mu, V_t):
+def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
     """Relaxed optimum from cross-term DAREs; returns the certified (K, P).
 
     For fixed s = tr P the relaxed dual constraint is the Riccati LMI of the
@@ -66,6 +66,11 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     exactly for s < s_max = 1/(mu lambda_max(L^{-1} (V^{-1})_uu L^{-T})),
     R = L L', so a step past s_max bisects instead.  The gain is the same
     solve's K = -(R~ + B'PB)^{-1}(B'PA + S').
+
+    The search starts at s0 when mu > 0 and 0 < s0 < s_max, else at 0.  A
+    runner passes tr P of the policy in force, the fixed point of a nearby
+    problem; the fixed point is unique, and by concavity Newton's first
+    step from either side of it lands at or right of it.
 
     Raises CertificateError when a check of the result fails and
     NotStabilizableError when the doubling iteration does.
@@ -91,7 +96,8 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
         L = np.linalg.cholesky(C0[n:, n:])
         LiV = np.linalg.solve(L, V_inv[n:, n:])
         s_max = 1.0 / (mu * spectral_norm(np.linalg.solve(L, LiV.T)))
-    s, lo, hi = 0.0, 0.0, s_max
+    s = float(s0) if mu > 0 and 0.0 < s0 < s_max else 0.0
+    lo, hi = 0.0, s_max
     C, P, K, H = solve_at(s)
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
         tr = float(P.trace())
@@ -130,14 +136,14 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t):
     return K, sym(P)
 
 
-def synthesize_policy(theta_hat, model, mu_t, V_t):
-    """One epoch's gain K and dual P from ``solve_relaxed_riccati``; K is
-    certified to stabilise the estimate.
+def synthesize_policy(theta_hat, model, mu_t, V_t, s0=0.0):
+    """One epoch's gain K and dual P from ``solve_relaxed_riccati``, its
+    search started at s0; K is certified to stabilise the estimate.
 
     Raises SynthesisError naming the reason when the Riccati path declines.
     """
     try:
-        return solve_relaxed_riccati(theta_hat, model, mu_t, V_t)
+        return solve_relaxed_riccati(theta_hat, model, mu_t, V_t, s0)
     except (CertificateError, NotStabilizableError, np.linalg.LinAlgError) as exc:
         raise SynthesisError(
             f"Riccati path declined: {type(exc).__name__}: {exc}") from exc

@@ -743,8 +743,9 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
                 mu_t = mu_override
             elif params.mu_clamp and params.constants_mode == "practical":
                 mu_t = min(mu_t, loops._mu_cap(params, V))
+            s0 = 0.0 if current is None else float(current.P_dual.trace())
             try:
-                K, P = synthesis.synthesize_policy(theta_hat, model, mu_t, V)
+                K, P = synthesis.synthesize_policy(theta_hat, model, mu_t, V, s0)
                 if params.criterion == "adaptive_beta":
                     beta_in_force = schedules.adaptive_beta(t, r, params)
                 current = loops.PolicyEpoch(

@@ -14,7 +14,7 @@ from alqr.exceptions import (
     NotStabilizableError,
     SynthesisError,
 )
-from alqr.harness import ExperimentConfig, _epoch_diagnostics, shared_setup
+from alqr.harness import ExperimentConfig, _epoch_diagnostics, run_seed, shared_setup
 from alqr.linalg import (
     chol_solve,
     psd_roots,
@@ -309,7 +309,7 @@ def oracle_lyapunov(M, S):
     return sym(x.reshape(n, n))
 
 
-def oracle_relaxed_riccati(theta, model, mu_t, V, trail):
+def oracle_relaxed_riccati(theta, model, mu_t, V, trail, s0=0.0):
     """``solve_relaxed_riccati``'s Newton loop, expression for expression,
     on the oracle DARE and Lyapunov solves; the certificate is left out.
     Appends to ``trail`` each cost C(s) the loop solves at and each X."""
@@ -333,7 +333,8 @@ def oracle_relaxed_riccati(theta, model, mu_t, V, trail):
         L = np.linalg.cholesky(C0[n:, n:])
         LiV = np.linalg.solve(L, V_inv[n:, n:])
         s_max = 1.0 / (mu_t * spectral_norm(np.linalg.solve(L, LiV.T)))
-    s, lo, hi = 0.0, 0.0, s_max
+    s = float(s0) if mu_t > 0 and 0.0 < s0 < s_max else 0.0
+    lo, hi = 0.0, s_max
     P, K = solve_at(s)
     for _ in range(synthesis.RICCATI_MAX_ITER if mu_t > 0 else 0):
         tr = float(np.trace(P))
@@ -433,9 +434,9 @@ class TestRiccatiOracle:
         return trail
 
     @staticmethod
-    def assert_same(theta, model, mu_t, V, K, P, trail):
+    def assert_same(theta, model, mu_t, V, K, P, trail, s0=0.0):
         ref = []
-        K_ref, P_ref = oracle_relaxed_riccati(theta, model, mu_t, V, ref)
+        K_ref, P_ref = oracle_relaxed_riccati(theta, model, mu_t, V, ref, s0)
         assert np.array_equal(K, K_ref) and np.array_equal(P, P_ref)
         assert len(trail) == len(ref)
         assert all(np.array_equal(c, r) for c, r in zip(trail, ref))
@@ -462,10 +463,10 @@ class TestRiccatiOracle:
         trail = self.trace_newton(monkeypatch)
         seen, real = [], synthesis.synthesize_policy
 
-        def spy(theta, model, mu_t, V):
+        def spy(theta, model, mu_t, V, s0):
             start = len(trail)
-            out = real(theta, model, mu_t, V)
-            seen.append((theta.copy(), mu_t, V.copy(), out, trail[start:]))
+            out = real(theta, model, mu_t, V, s0)
+            seen.append((theta.copy(), mu_t, V.copy(), s0, out, trail[start:]))
             return out
 
         monkeypatch.setattr(synthesis, "synthesize_policy", spy)
@@ -473,8 +474,8 @@ class TestRiccatiOracle:
         theta0, eps = bench2x2_anchor
         _, hist, _ = run_aslo(bench2x2, theta0, eps, T=60, params=params, seed=4)
         assert len(seen) == len(hist) == 60
-        for theta, mu_t, V, (K, P), costs in seen:
-            self.assert_same(theta, bench2x2, mu_t, V, K, P, costs)
+        for theta, mu_t, V, s0, (K, P), costs in seen:
+            self.assert_same(theta, bench2x2, mu_t, V, K, P, costs, s0)
             M = theta[:2].T + theta[2:].T @ K
             S = np.eye(2) + K.T @ K
             assert np.array_equal(solve_discrete_lyapunov(M.T, S), oracle_lyapunov(M.T, S))
@@ -523,6 +524,102 @@ class TestRiccatiOracle:
             lqr._dare_doubling(1.5 * np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
         with pytest.raises(NotStabilizableError, match="^doubling iteration did not converge$"):
             lqr._dare_doubling(0.9 * one, one, one, one, max_iter=1)
+
+    def test_doubling_gives_up_after_64_steps(self, monkeypatch):
+        # a declined firing of aslo-no-mu-clamp (seed 0, t = 4): its cost on
+        # x is indefinite, and no stabilising solution exists
+        A, B, Q, R = (np.array([float.fromhex(h) for h in row]).reshape(2, 2) for row in (
+            ("0x1.146c50817f9d0p+2", "-0x1.cc7ccacf439d6p-1",
+             "0x1.2a7f67f971da3p+3", "0x1.51aaf36a42ac6p-1"),
+            ("0x1.0c2d302e1f5acp+0", "-0x1.5f5ded10fdc5fp-2",
+             "-0x1.acccb870e83f4p-5", "0x1.32750833d3e2ep+0"),
+            ("-0x1.07c09c62ec380p+3", "0x1.29a5474095c52p+0",
+             "0x1.29a5474095c52p+0", "0x1.41d5d07a1ab08p-2"),
+            ("0x1.9c03fe1d39a60p-2", "-0x1.66855a077ffafp-3",
+             "-0x1.66855a077ffafp-3", "0x1.4717f59c45cb4p-3")))
+        real_inv, inversions = np.linalg.inv, []
+
+        def inv(M):
+            inversions.append(1)
+            return real_inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        # the old cap of 200 steps declines it with the same message
+        for kwargs, steps in (({}, 64), ({"max_iter": 200}, 200)):
+            inversions.clear()
+            with pytest.raises(NotStabilizableError,
+                               match="^doubling iteration did not converge$"):
+                lqr._dare_doubling(A, B, Q, R, **kwargs)
+            assert len(inversions) == steps
+
+
+def aslo_firings(monkeypatch, config, seed):
+    """The model and, at each firing of ``config``'s ASLO run that returns a
+    policy, (theta, mu, V, s0, K, P) and the number of DAREs it solved."""
+    setup = shared_setup(config)
+    seen, dares = [], []
+    real_policy, real_cross = synthesis.synthesize_policy, synthesis._dare_cross
+
+    def cross(A, B, C):
+        dares.append(1)
+        return real_cross(A, B, C)
+
+    def spy(theta, model, mu_t, V, s0):
+        dares.clear()
+        K, P = real_policy(theta, model, mu_t, V, s0)
+        seen.append((theta, mu_t, V, s0, K, P, len(dares)))
+        return K, P
+
+    monkeypatch.setattr(synthesis, "_dare_cross", cross)
+    monkeypatch.setattr(synthesis, "synthesize_policy", spy)
+    run_seed(config, setup, seed)
+    return setup.model, seen
+
+
+ADAPTIVE_2X2 = ExperimentConfig(benchmark="bench-2x2", criterion="adaptive", T=60, seeds=[4])
+DET2_3X2 = ExperimentConfig(benchmark="bench-3x2", criterion="det2", T=1500, seeds=[0])
+
+
+class TestWarmStart:
+    """Each firing starts its Newton search at tr P of the policy in force."""
+
+    @pytest.mark.parametrize("config", [ADAPTIVE_2X2, DET2_3X2],
+                             ids=["adaptive-bench-2x2", "det2-bench-3x2"])
+    def test_warm_start_lands_on_cold_fixed_point(self, monkeypatch, config):
+        model, seen = aslo_firings(monkeypatch, config, config.seeds[0])
+        assert len(seen) > 3 and seen[0][3] == 0.0
+        for (*_, P_prev, _), (theta, mu_t, V, s0, K, P, _) in zip(seen, seen[1:]):
+            assert s0 == float(np.trace(P_prev)) > 0  # tr P of the policy in force
+            # a certificate check that failed would have raised
+            _, P_cold = solve_relaxed_riccati(theta, model, mu_t, V)
+            tr = float(np.trace(P_cold))
+            assert abs(float(np.trace(P)) - tr) <= 1e-8 * max(1.0, tr)
+
+    def test_two_dares_per_firing(self, monkeypatch):
+        _, seen = aslo_firings(monkeypatch, ADAPTIVE_2X2, ADAPTIVE_2X2.seeds[0])
+        assert len(seen) == 60
+        counts = [c for *_, c in seen]
+        assert sum(counts[1:]) / len(counts[1:]) <= 2.1
+
+    @pytest.mark.parametrize("start", ["-1", "-inf", "nan", "inf", "s_max", "2 s_max"])
+    def test_start_outside_bracket_keeps_cold_bits(self, start):
+        model, theta, (_, mu_t), V = estimate_inputs("bench-2x2")
+        n = model.n
+        V_inv = sym(chol_solve(V, np.eye(V.shape[0])))
+        L = np.linalg.cholesky(sym(model.R))
+        LiV = np.linalg.solve(L, V_inv[n:, n:])
+        s_max = 1.0 / (mu_t * spectral_norm(np.linalg.solve(L, LiV.T)))
+        scale = {"s_max": 1.0, "2 s_max": 2.0}
+        s0 = scale[start] * s_max if start in scale else float(start)
+        cold = outcome(solve_relaxed_riccati, theta, model, mu_t, V)
+        assert cold[0] == "returned"
+        assert outcome(solve_relaxed_riccati, theta, model, mu_t, V, s0) == cold
+
+    def test_start_ignored_without_relaxation(self):
+        model, theta, (mu_t, _), V = estimate_inputs("bench-2x2")
+        assert mu_t == 0.0
+        assert outcome(solve_relaxed_riccati, theta, model, mu_t, V, 5.0) == \
+            outcome(solve_relaxed_riccati, theta, model, mu_t, V)
 
 
 class TestCertificateChecks:
