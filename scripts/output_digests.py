@@ -18,6 +18,12 @@ from alqr.harness import ExperimentConfig, run_experiment
 ASLO = dict(benchmark="bench-2x2", mode="aslo", T=1500, seeds=[0, 1],
             checkpoints=[300, 1500])
 DOUBLING = dict(benchmark="bench-2x2", mode="doubling", T=1500, seeds=[0, 1])
+# a stable chain of four states driven through the last by one input: the
+# largest state dimension (n + m <= 5) and the one-input shape
+CHAIN_4X1 = dict(A=[[0.5, 0.3, 0.0, 0.0], [0.0, 0.5, 0.3, 0.0],
+                    [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.0, 0.5]],
+                 B=[[0.0], [0.0], [0.0], [1.0]],
+                 Q=[[float(i == j) for j in range(4)] for i in range(4)], R=[[1.0]])
 CONFIGS = {
     "aslo-det2": dict(ASLO, criterion="det2"),
     "aslo-adaptive": dict(ASLO, criterion="adaptive", T=120, checkpoints=[60, 120]),
@@ -31,6 +37,7 @@ CONFIGS = {
     "aslo-no-mu-clamp": dict(ASLO, criterion="det2", T=300, seeds=[0, 1], checkpoints=[300],
                              mu_clamp=False),
     "aslo-det2-pool": dict(ASLO, criterion="det2", workers=2),
+    "aslo-4x1": dict(ASLO, benchmark=None, model=CHAIN_4X1, criterion="det2"),
 }
 
 

@@ -10,9 +10,11 @@ t = s+1 (warm-up: t = s).
 
 Every runner steps the plant through ``_rollout``, in closed-loop form
 x' = (A + B K) x + (B eta + omega) with u = K x + eta filled after each
-chunk of steps, and ingests the moments from the record after it: the
-warm-up all T0 steps, ``run_fixed_policy`` one checkpoint segment at a
-time, and ASLO one fixed-gain segment at a time.
+chunk of steps, a gain's rows coming 32 at a time from its powers in
+sub-blocks anchored at the row where the gain took over (0, or ASLO's
+firing), and ingests the moments from the record after it: the warm-up all
+T0 steps, ``run_fixed_policy`` one checkpoint segment at a time, and ASLO
+one fixed-gain segment at a time.
 The warm-up and ASLO take V_t from the ``gram_sums`` that ``ingest`` commits.
 Between two policy updates ASLO is a fixed-gain rollout too; it rolls the
 gain out over a block of steps, takes the determinant criterion of the
@@ -29,6 +31,7 @@ policy history through ``policy_id``.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -167,9 +170,74 @@ def sample_perturbation(t, params: schedules.ScheduleParams, rng) -> np.ndarray:
     return draws[0] if np.ndim(t) == 0 else draws
 
 
-def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
+# Rows per sub-block of the rollout (``_Plan.rows``); ``_BLOCK`` is a multiple.
+_SUB = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Flat indices into the stack [0, I, M, M^2, ...] of n x n blocks that
+    gather Gamma: block (i, j) is M^(i-j) for i >= j, else 0."""
+    blk, r = np.divmod(np.arange(_SUB * n), n)
+    k = np.maximum(blk[:, None] - blk[None, :] + 1, 0)
+    return (k * n + r[:, None]) * n + r[None, :]
+
+
+class _Plan:
+    """A gain's rollout plan, formed once per gain: K in C order, M = A + B K
+    and, on first need, the sub-block powers."""
+
+    def __init__(self, model: SystemModel, K):
+        self.K = np.ascontiguousarray(K)
+        self.B = model.B
+        self.M = model.A + model.B @ self.K
+
+    @functools.cached_property
+    def powers(self):
+        """(Phi, Gamma, L_ok): Phi = [M; ...; M^L], L = ``_SUB``, the
+        block-lower-Toeplitz Gamma of M^0..M^(L-1), both by stacked doubling
+        (M^(h+1..2h) = M^(1..h) M^h), and how many leading rows of a
+        sub-block have finite powers (L unless a power overflows)."""
+        n = len(self.M)
+        P = np.zeros((_SUB + 2, n, n))  # [0, I, M, ..., M^L]
+        P[1], P[2], h = np.eye(n), self.M, 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            while h < _SUB:
+                np.matmul(P[2:h + 2], P[h + 1], out=P[h + 2:2 * h + 2])
+                h *= 2
+        finite = np.isfinite(P).all(axis=(1, 2))  # row k takes M^(k+1), at k + 2
+        L_ok = _SUB if finite.all() else int(np.argmin(finite)) - 2
+        return P[2:].reshape(-1, n), P.ravel().take(_toeplitz_index(n)), L_ok
+
+    def rows(self, s, D):
+        """The len(D) rows after the anchor state s under the drives D: row k
+        of the sub-block anchored at p is M^(k+1) x_p + sum_{j<=k} M^(k-j)
+        d_{p+j}, that is Phi x_p plus row k of Gamma D_b.  Gamma's zeros
+        multiply later drives, and 0 * inf is nan, so a non-finite drive
+        enters the product as zero, and its sub-block's rows from it on, like
+        those from L_ok on, step x' = M x + d one at a time."""
+        Phi, Gamma, L_ok = self.powers
+        L, n = _SUB, len(s)
+        Dp = np.zeros((-(-len(D) // L) * L, n))  # whole sub-blocks, zero-padded
+        Dp[:len(D)] = D
+        ok = np.isfinite(Dp).all(axis=1)
+        Dz, tails = Dp, {}  # each sub-block's first non-finite drive
+        if not ok.all():
+            Dz = np.where(ok[:, None], Dp, 0.0)
+            tails = {j // L: j % L for j in np.flatnonzero(~ok)[::-1].tolist()}
+        Y = matvec_rows(Gamma, Dz.reshape(-1, L * n))  # each row Gamma @ D_b
+        X = Y.reshape(-1, n)  # a view of Y
+        for k, y in enumerate(Y):
+            y += Phi.dot(s)
+            for i in range(k * L + min(tails.get(k, L), L_ok), (k + 1) * L):
+                X[i] = self.M.dot(X[i - 1] if i % L else s) + Dp[i]
+            s = y[-n:]
+        return X[:len(D)]
+
+
+def _rollout(plan: _Plan, x, u, eta, omega, runner: str, origin: int,
              lo: int, hi: int) -> None:
-    """Close the loop for steps s = lo..hi-1 in closed-loop form:
+    """Close the loop for steps s = lo..hi-1 under a gain's ``_Plan``:
     x' = M x + d with M = A + B K and the drive d = B eta + omega, then
     u = K x + eta.
 
@@ -179,47 +247,40 @@ def _rollout(model: SystemModel, K, x, u, eta, omega, runner: str,
     sqrt(BLOWUP_NORM**2) = BLOWUP_NORM, so only a squared norm past
     BLOWUP_NORM**2 needs the norm itself.
 
-    K is taken in C order, so both layouts of a gain give the same bits.
-    Each chunk of at most ``_BLOCK`` rows takes its drive from one stacked
-    product, then steps with two calls, a gemv into the record's next row
-    and an in-place add of the drive (``ndarray.dot`` with ``out=`` makes
-    the gemv call of ``@``), and fills its inputs from one stacked product
-    after the steps.  ``matvec_rows`` gives each row the bits of ``M @ a``,
-    so every value has the bits of the per-step formula
-    ``u = K @ x + eta; x' = M @ x + (B @ eta + omega)``.
-
-    The runaway check runs once per chunk, not once per step, to keep it
-    off the per-step path.  The chunk is rolled out with overflow warnings
-    off; one stacked squared norm picks the rows that may have run away,
-    with a margin of 2 for its rounding (nan rows too), and each of them is
-    tested in step order as a single step would be.  Rows rolled past the
-    first runaway, which may have overflowed, get back what they held
-    before.
+    The rows come in sub-blocks of ``_SUB`` rows anchored at origin + b L.
+    A call whose lo falls inside one restarts from its anchor, so a row's
+    bits depend on the gain, the origin state and the drives only, not on
+    how the steps are split into calls; the first row of a sub-block has
+    the bits of ``M @ x + d``, and a call needing that row alone computes it
+    so.  Each chunk of at most ``_BLOCK`` rows takes its drive from one
+    stacked product and Gamma D from one more (``matvec_rows``, whose rows
+    have the bits of ``Gamma @ D_b`` for any row count; a gemm's would
+    not), adds Phi x_p one sub-block at a time, and fills its inputs from
+    one stacked product.  The runaway check runs once per chunk: one
+    stacked squared norm picks the rows that may have run away, with a
+    margin of 2 for its rounding (nan rows too), and each of them is tested
+    in step order as a single step would be.  Rows are written up to the
+    first runaway only.
     """
-    K = np.ascontiguousarray(K)
-    M = model.A + model.B @ K
-    Mx, add, limit = M.dot, np.add, BLOWUP_NORM**2
-    for a in range(lo, hi, _BLOCK):
+    K, M, B, limit = plan.K, plan.M, plan.B, BLOWUP_NORM**2
+    for a in range(lo - (lo - origin) % _SUB, hi, _BLOCK):
         b = min(a + _BLOCK, hi)
-        rows = x[a + 1:b + 1]
-        saved = rows.copy()
-        xs = x[a]
+        first = max(a, lo)  # rows up to x[first] were written by an earlier call
         with np.errstate(over="ignore", invalid="ignore"):
-            drive = matvec_rows(model.B, eta[a:b]) + omega[a:b]
-            for x_next, d in zip(rows, drive):
-                add(Mx(xs, out=x_next), d, out=x_next)  # x' = M x + d
-                xs = x_next
+            D = matvec_rows(B, eta[a:b]) + omega[a:b]
+            rows = (M.dot(x[a]) + D if b - a == 1 else plan.rows(x[a], D))[first - a:]
             sq = np.einsum("ij,ij->i", rows, rows)
             for i in np.flatnonzero(~(sq <= 0.5 * limit)).tolist():
-                x_next = rows[i]
-                if x_next.dot(x_next) > limit:
-                    x_norm = float(np.linalg.norm(x_next))
+                if rows[i].dot(rows[i]) > limit:
+                    x_norm = float(np.linalg.norm(rows[i]))
                     if x_norm > BLOWUP_NORM:
-                        rows[i + 1:] = saved[i + 1:]
-                        u[a:a + i + 1] = matvec_rows(K, x[a:a + i + 1]) + eta[a:a + i + 1]
+                        x[first + 1:first + i + 2] = rows[:i + 1]
+                        u[first:first + i + 1] = (matvec_rows(K, x[first:first + i + 1])
+                                                  + eta[first:first + i + 1])
                         raise BlowUpError(f"{runner} state blow-up",
-                                          diagnostics={"t": a + i + 1, "x_norm": x_norm})
-            u[a:b] = matvec_rows(K, x[a:b]) + eta[a:b]  # u = K x + eta
+                                          diagnostics={"t": first + i + 1, "x_norm": x_norm})
+            x[first + 1:b + 1] = rows
+            u[first:b] = matvec_rows(K, x[first:b]) + eta[first:b]  # u = K x + eta
 
 
 def _stage_costs(model: SystemModel, x, u) -> np.ndarray:
@@ -253,7 +314,7 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
     x, u, omega, _, nu_rng = _trajectory(model, T0, seed, x0)
     rho = model.sigma_w**2 / model.theta_bound**2
     nu = math.sqrt(2.0) * model.sigma_w * cert0.kappa * nu_rng.standard_normal((T0, m))
-    _rollout(model, K0, x, u, nu, omega, "warm-up", 0, T0)
+    _rollout(_Plan(model, K0), x, u, nu, omega, "warm-up", 0, 0, T0)
     est = estimation.EstimatorState(dim_z=n + m, dim_x=n)
     logdets = np.empty(T0)
     for lo, hi in row_blocks(T0):  # log det V after each ingest, V = rho I + S
@@ -299,9 +360,10 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     The plant is stepped in fixed-gain segments, a block of rows at a time.
     A block opens with its first step's criterion (V_t, log det and
     ``should_update``) evaluated as a step alone would, and synthesis if it
-    fires; the gain in force is then rolled out over the block.  A firing
-    at step t, tau_prev being the one before (0 at the first), sets the
-    block size to (t - tau_prev) // 4 rows, at least 1, and it doubles while
+    fires (a new gain's ``_Plan`` is formed there, its sub-blocks anchored
+    at that row); the gain in force is then rolled out over the block.  A
+    firing at step t, tau_prev being the one before (0 at the first), sets
+    the block size to (t - tau_prev) // 4 rows, at least 1, and it doubles while
     no step fires, at most ``linalg._BLOCK`` rows and never past the next
     checkpoint.  Epochs grow slowly, and each block pays a fixed cost (a
     log-det, ``gram_sums``, ``ingest`` and a rollout call), so blocks that
@@ -312,7 +374,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     sums, so each kept row enters the Gram once, and the next block opens
     at it.  A blow-up in the block stands only if no step up to it fires.
     The record, history and diagnostics have the bits of stepping one step
-    at a time, whatever the block sizes.  The anynum flags are screened
+    at a time, each row from its sub-block's anchor, whatever the block sizes.  The anynum flags are screened
     from bounds on the least eigenvalue of each V_t (see
     ``schedules.anynum_condition``).
     """
@@ -380,6 +442,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     est_error=nuclear_norm(theta_hat - model.theta_star),
                 )
                 history.append(current)
+                plan, origin = _Plan(model, K), lo  # the new gain's sub-blocks start here
                 logdet_tau = logdetV
             except SynthesisError as exc:
                 failures += 1
@@ -395,7 +458,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         hi = min(lo + size, bounds[bisect.bisect_right(bounds, lo)])
         blow_up = None
         try:
-            _rollout(model, current.K, x, u, eta, omega, "ASLO", lo, hi)
+            _rollout(plan, x, u, eta, omega, "ASLO", origin, lo, hi)
         except BlowUpError as exc:  # it stands unless a step up to it fires
             blow_up, hi = exc, exc.diagnostics["t"]
         z = np.concatenate([x[lo:hi], u[lo:hi]], axis=1)
@@ -472,9 +535,9 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
     containment = []
     checkpoints = {int(c) for c in checkpoints if 1 <= int(c) <= T}
-    lo = 0
+    plan, lo = _Plan(model, K), 0
     for t in sorted(checkpoints | {T}):
-        _rollout(model, K, x, u, eta, omega, "fixed-policy", lo, t)
+        _rollout(plan, x, u, eta, omega, "fixed-policy", 0, lo, t)
         estimation.ingest(est, np.hstack([x[lo:t], u[lo:t]]), x[lo + 1:t + 1])
         if t in checkpoints:
             containment.append((t, _holds_truth(

@@ -30,6 +30,7 @@ from alqr.loops import (
 )
 from alqr.lqr import SystemModel, solve_dare, stability_certificate
 from alqr.schedules import build_schedule, warmup_duration
+from test_synthesis import PLANT_SHAPES, random_stable_model
 
 
 def scalar_warmup_setup(eps=1.0):
@@ -81,7 +82,7 @@ class TestRunWarmup:
     def test_replay_invariant(self, bench2x2, bench2x2_gain):
         _, rec = run_warmup(bench2x2, np.asfortranarray(bench2x2_gain), 700, seed=4,
                             x0=[2.0, -1.0])
-        assert_replays(bench2x2, [bench2x2_gain] * rec.T, rec.x, rec.u, rec.eta, rec.omega)
+        assert_replays(bench2x2, [(0, bench2x2_gain)], rec.x, rec.u, rec.eta, rec.omega)
 
     def test_blow_up_aborts_with_diagnostics(self):
         m, K0, _, _ = scalar_warmup_setup()
@@ -144,23 +145,70 @@ class TestSamplePerturbation:
             sample_perturbation(np.arange(0, 5), bench2x2_params, rng)
 
 
-def closed_loop_step(model, K, x, eta, omega):
-    """One step of the closed loop as the formula reads, with ``@``, fresh
-    temporaries and the C-ordered gain: (u, x') with u = K x + eta and
-    x' = (A + B K) x + (B eta + omega)."""
+def subblock_powers(model, K):
+    """(K, M, Phi, Gamma, L_ok) of a gain as the kernel forms them: K in C
+    order, M = A + B K, Phi = [M; ...; M^L] and the block-lower-Toeplitz
+    Gamma of M^0..M^(L-1), L = ``loops._SUB``, the powers by stacked doubling
+    (M^(h+j) = M^j M^h for j = 1..h), and L_ok, the number of leading rows of
+    a sub-block whose powers are all finite."""
     K = np.ascontiguousarray(K)
-    return K @ x + eta, (model.A + model.B @ K) @ x + (model.B @ eta + omega)
+    M = model.A + model.B @ K
+    L, n = loops._SUB, model.n
+    P = [np.eye(n), M]  # P[k] = M^k
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(P) <= L:
+            h = len(P) - 1
+            P += [P[j] @ P[h] for j in range(1, h + 1)]
+    L_ok = next((k - 1 for k in range(1, L + 1) if not np.all(np.isfinite(P[k]))), L)
+    Gamma = np.block([[P[i - j] if i >= j else np.zeros((n, n)) for j in range(L)]
+                      for i in range(L)])
+    return K, M, np.vstack(P[1:L + 1]), Gamma, L_ok
 
 
-def assert_replays(model, gains, x, u, eta, omega):
-    """x and u have the bits of the closed loop stepped one step at a time
-    from x[0], with the gain in force at each step (``gains[s]``) and the
-    stored perturbation and noise."""
+def closed_loop_rows(model, K, s, eta, omega):
+    """The anchored sub-block reference of the closed loop: (u, x) for the
+    len(eta) steps after the anchor state s, with u = K x + eta.
+
+    Each sub-block of L rows is written with ``@`` as Phi @ s + Gamma @ D_b,
+    D_b being its drives B @ eta + omega, zero-padded to L rows past the
+    end, and s the last row of the sub-block before.  A non-finite drive
+    enters the product as zero, and the rows of its sub-block from it on,
+    like those from L_ok on, step x' = M @ x + d one at a time.
+    """
+    K, M, Phi, Gamma, L_ok = subblock_powers(model, K)
+    L, n, T = loops._SUB, model.n, len(eta)
+    drives = [model.B @ e + w for e, w in zip(eta, omega)]
+    x = [np.asarray(s, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(0, T, L):
+            D = np.zeros((L, n))
+            D[:min(L, T - p)] = drives[p:p + L]
+            ok = np.isfinite(D).all(axis=1)
+            rows = (Phi @ x[p] + Gamma @ np.where(ok[:, None], D, 0.0).ravel()).reshape(L, n)
+            for i in range(min([L_ok] + np.flatnonzero(~ok).tolist()), L):
+                rows[i] = M @ (rows[i - 1] if i else x[p]) + D[i]
+            x.extend(rows[:T - p])
+        u = [K @ xs + e for xs, e in zip(x, eta)]
+    return np.reshape(u, (T, model.m)), np.reshape(x[1:], (T, n))
+
+
+def policy_segments(rec, history):
+    """(row, K) where each policy of an ASLO run takes over: its sub-blocks'
+    origin."""
+    starts = np.flatnonzero(np.diff(rec.policy_id, prepend=-1))
+    return [(int(s), history[rec.policy_id[s]].K) for s in starts]
+
+
+def assert_replays(model, segments, x, u, eta, omega):
+    """x and u have the bits of the anchored reference from x[0], each gain
+    rolled out from the row where it takes over (``segments``, (row, K) in
+    order) with the stored perturbation and noise."""
     x_ref, u_ref = np.empty_like(x), np.empty_like(u)
     x_ref[0] = x[0]
-    for s in range(len(u)):
-        u_ref[s], x_ref[s + 1] = closed_loop_step(model, gains[s], x_ref[s], eta[s],
-                                                  omega[s])
+    ends = [row for row, _ in segments[1:]] + [len(u)]
+    for (lo, K), hi in zip(segments, ends):
+        u_ref[lo:hi], x_ref[lo + 1:hi + 1] = closed_loop_rows(
+            model, K, x_ref[lo], eta[lo:hi], omega[lo:hi])
     assert np.array_equal(x_ref, x)
     assert np.array_equal(u_ref, u)
 
@@ -212,7 +260,7 @@ class TestRunAslo:
         rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=600,
                                 params=bench2x2_params, seed=11)
         assert len(hist) > 3  # the replay crosses epochs
-        assert_replays(bench2x2, [hist[p].K for p in rec.policy_id],
+        assert_replays(bench2x2, policy_segments(rec, hist),
                        rec.x, rec.u, rec.eta, rec.omega)
 
     def test_blow_up_aborts_with_diagnostics(self, bench2x2, bench2x2_params,
@@ -314,33 +362,45 @@ class TestRunAslo:
 
 
 def per_step_rollout(model, K, T, seed, params, x0=None):
-    """The fixed-gain closed loop on the runners' streams, one step at a time."""
+    """The fixed-gain closed loop on the runners' streams, from the reference
+    anchored at row 0."""
     omega_rng, eta_rng, _ = _streams(seed)
     eta = sample_perturbation(np.arange(1, T + 1), params, eta_rng)
     omega = model.sigma_w * omega_rng.standard_normal((T, model.n))
-    x = np.zeros((T + 1, model.n))
-    if x0 is not None:
-        x[0] = x0
-    u = np.zeros((T, model.m))
-    for s in range(T):
-        u[s], x[s + 1] = closed_loop_step(model, K, x[s], eta[s], omega[s])
-    return x, u
+    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    u, rows = closed_loop_rows(model, K, x0, eta, omega)
+    return np.vstack([x0, rows]), u
 
 
-def per_step_kernel(model, K, x, u, eta, omega, runner, lo, hi):
-    """``_rollout`` one ``closed_loop_step`` at a time."""
+def per_step_kernel(model, K, x, u, eta, omega, runner, origin, lo, hi):
+    """``_rollout`` from ``closed_loop_rows``: the rows from the anchor of
+    lo's sub-block, written and tested for a runaway one step at a time."""
+    p = lo - (lo - origin) % loops._SUB
+    us, xs = closed_loop_rows(model, K, x[p], eta[p:hi], omega[p:hi])
     for s in range(lo, hi):
-        u[s], x[s + 1] = closed_loop_step(model, K, x[s], eta[s], omega[s])
+        u[s], x[s + 1] = us[s - p], xs[s - p]
         x_norm = float(np.linalg.norm(x[s + 1]))
         if x_norm > loops.BLOWUP_NORM:
             raise BlowUpError(f"{runner} state blow-up",
                               diagnostics={"t": s + 1, "x_norm": x_norm})
 
 
+def rollout_plants():
+    """scalar-golden, bench-2x2, bench-3x2 and the seeded random stable plant
+    of each (n, m) with n + m <= 5 (``TestRiccatiOracle``'s generator)."""
+    named = [("scalar_golden", scalar_golden), ("bench_2x2", bench_2x2),
+             ("bench_3x2", bench_3x2)]
+    shaped = [(f"random_{n}x{m}", lambda n=n, m=m: random_stable_model(
+        np.random.default_rng(10 * n + m), n, m)) for n, m in PLANT_SHAPES]
+    return [pytest.param(make, id=name) for name, make in named + shaped]
+
+
 class TestRollout:
-    """The rollout kernel writes the bits of the per-step ``@`` formula, with
-    the gain in C order, into its segment's rows and nothing else: both
-    layouts of a gain give the same bits."""
+    """The rollout kernel writes the bits of the anchored sub-block reference
+    (``closed_loop_rows``), with the gain in C order, into its segment's rows
+    and nothing else: both layouts of a gain give the same bits.  The first
+    cases roll a segment out from its origin; the later ones run the DARE
+    gain of every plant from origin 0."""
 
     SENTINEL = -7.25
 
@@ -374,8 +434,8 @@ class TestRollout:
         x0 = np.random.default_rng(size).standard_normal(model.n)
         x, u, eta, omega = self.arrays(model, lo, hi, x0, seed=size)
         x_ref, u_ref = x.copy(), u.copy()
-        loops._rollout(model, K, x, u, eta, omega, "test", lo, hi)
-        per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", lo, hi)
+        loops._rollout(loops._Plan(model, K), x, u, eta, omega, "test", lo, lo, hi)
+        per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", lo, lo, hi)
         assert np.array_equal(x, x_ref)
         assert np.array_equal(u, u_ref)
         # only u[lo:hi] and x[lo+1:hi+1] are written
@@ -389,9 +449,11 @@ class TestRollout:
         x, u, eta, omega = self.arrays(bench2x2, lo, hi, [3e6, -1e6], seed=1)
         x_ref, u_ref = x.copy(), u.copy()
         with pytest.raises(BlowUpError) as exc:
-            loops._rollout(bench2x2, K, x, u, eta, omega, "fixed-policy", lo, hi)
+            loops._rollout(loops._Plan(bench2x2, K), x, u, eta, omega, "fixed-policy",
+                           lo, lo, hi)
         with pytest.raises(BlowUpError) as ref:
-            per_step_kernel(bench2x2, K, x_ref, u_ref, eta, omega, "fixed-policy", lo, hi)
+            per_step_kernel(bench2x2, K, x_ref, u_ref, eta, omega, "fixed-policy",
+                            lo, lo, hi)
         assert str(exc.value) == str(ref.value) == "fixed-policy state blow-up"
         assert exc.value.diagnostics == ref.value.diagnostics
         assert exc.value.diagnostics["t"] == lo + 1
@@ -420,18 +482,15 @@ class TestRollout:
             omega[lo + offset, :2] = kick if model.n > 1 else max(kick, key=abs)
         first = lo + self.KICKS[case][0][0]
         if case == "overflow":  # the rows rolled past the runaway do overflow
-            xs = x.copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                for s in range(lo, first + 3):
-                    _, xs[s + 1] = closed_loop_step(model, K, xs[s], eta[s], omega[s])
-            assert not np.all(np.isfinite(xs[first + 3]))
+            _, xs = closed_loop_rows(model, K, x[lo], eta[lo:first + 3], omega[lo:first + 3])
+            assert not np.all(np.isfinite(xs[-1]))
         x_ref, u_ref = x.copy(), u.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as exc:
-                loops._rollout(model, K, x, u, eta, omega, "ASLO", lo, hi)
+                loops._rollout(loops._Plan(model, K), x, u, eta, omega, "ASLO", lo, lo, hi)
         with pytest.raises(BlowUpError) as ref:
-            per_step_kernel(model, K, x_ref, u_ref, eta, omega, "ASLO", lo, hi)
+            per_step_kernel(model, K, x_ref, u_ref, eta, omega, "ASLO", lo, lo, hi)
         assert exc.value.diagnostics == ref.value.diagnostics
         assert exc.value.diagnostics["t"] == first + 1
         assert np.array_equal(x, x_ref) and np.array_equal(u, u_ref)
@@ -448,13 +507,129 @@ class TestRollout:
         omega[lo + 10] = [9e5, 0.0]
         omega[lo + 200] = [np.nan, 0.0]
         x_ref, u_ref = x.copy(), u.copy()
-        loops._rollout(model, K, x, u, eta, omega, "test", lo, hi)
-        per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", lo, hi)
+        loops._rollout(loops._Plan(model, K), x, u, eta, omega, "test", lo, lo, hi)
+        per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", lo, lo, hi)
         assert 0.5 * loops.BLOWUP_NORM**2 < x[lo + 11].dot(x[lo + 11]) <= loops.BLOWUP_NORM**2
         assert np.isnan(x[lo + 201, 0]) and np.all(np.isnan(x[lo + 202:hi + 1]))
         assert np.array_equal(x, x_ref, equal_nan=True)
         assert np.array_equal(u, u_ref, equal_nan=True)
 
+    # the sub-block kernel on every plant: its rows do not depend on how a
+    # rollout is split into calls, the first row of each sub-block keeps the
+    # per-step bits, the error stays at a few ulps over a long horizon, and
+    # neither a non-finite drive nor an overflowing power turns the rows
+    # before it into nan
+    @staticmethod
+    def plant_arrays(make, T, seed=0):
+        model = make()
+        rng = np.random.default_rng(seed)
+        K = np.ascontiguousarray(solve_dare(model).K_star)
+        x = np.zeros((T + 1, model.n))
+        x[0] = rng.standard_normal(model.n)
+        eta = rng.standard_normal((T, model.m))
+        omega = model.sigma_w * rng.standard_normal((T, model.n))
+        return model, K, x, np.zeros((T, model.m)), eta, omega
+
+    @staticmethod
+    def roll(model, K, x, u, eta, omega, cuts):
+        """The rollout over consecutive calls [cuts[i], cuts[i+1]), origin 0;
+        (x, u) or the BlowUpError's diagnostics."""
+        plan = loops._Plan(model, K)
+        try:
+            for lo, hi in zip(cuts, cuts[1:]):
+                loops._rollout(plan, x, u, eta, omega, "test", 0, lo, hi)
+        except BlowUpError as exc:
+            return exc.diagnostics
+        return x, u
+
+    @pytest.mark.parametrize("make", rollout_plants())
+    def test_partition_invariance(self, make):
+        T = 1000
+        model, K, x, u, eta, omega = self.plant_arrays(make, T)
+        x_one, u_one = self.roll(model, K, x.copy(), u.copy(), eta, omega, [0, T])
+        u_ref, x_ref = closed_loop_rows(model, K, x[0], eta, omega)
+        assert np.array_equal(x_one[1:], x_ref) and np.array_equal(u_one, u_ref)
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            # one-row calls at an anchor and inside a sub-block among random cuts
+            cuts = sorted({0, 32, 33, 34, 64, 65, T} | set(rng.integers(1, T, 40).tolist()))
+            x_cut, u_cut = self.roll(model, K, x.copy(), u.copy(), eta, omega, cuts)
+            assert np.array_equal(x_cut, x_one) and np.array_equal(u_cut, u_one)
+
+    @pytest.mark.parametrize("make", rollout_plants())
+    def test_first_row_of_each_sub_block_has_per_step_bits(self, make):
+        T = 600
+        model, K, x, u, eta, omega = self.plant_arrays(make, T, seed=2)
+        x, u = self.roll(model, K, x, u, eta, omega, [0, T])
+        M = model.A + model.B @ K
+        for p in range(0, T, loops._SUB):
+            assert np.array_equal(x[p + 1], M @ x[p] + (model.B @ eta[p] + omega[p]))
+            assert np.array_equal(u[p], K @ x[p] + eta[p])
+
+    @pytest.mark.parametrize("make", rollout_plants())
+    def test_error_against_long_double_recursion(self, make):
+        T = 20_000
+        model, K, x, u, eta, omega = self.plant_arrays(make, T, seed=3)
+        x, _ = self.roll(model, K, x, u, eta, omega, [0, T])
+        A, B = (np.asarray(a, dtype=np.longdouble) for a in (model.A, model.B))
+        M = A + B @ np.asarray(K, dtype=np.longdouble)
+        drives = eta.astype(np.longdouble) @ B.T + omega
+        exact = np.empty((T + 1, model.n), dtype=np.longdouble)
+        exact[0] = x[0]
+        for s in range(T):
+            exact[s + 1] = M @ exact[s] + drives[s]
+        err = float(np.max(np.abs(x - exact)))
+        assert err <= 64 * np.finfo(float).eps * float(np.max(np.abs(x)))
+
+    @pytest.mark.parametrize("make", rollout_plants())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("j", [64, 64 + 17])
+    def test_non_finite_drive_leaves_earlier_rows(self, make, bad, j):
+        T = 200
+        model, K, x, u, eta, omega = self.plant_arrays(make, T, seed=4)
+        x_ok, u_ok = self.roll(model, K, x.copy(), u.copy(), eta, omega, [0, T])
+        omega[j, 0] = bad
+        x_bad, u_bad = x.copy(), u.copy()
+        out = self.roll(model, K, x_bad, u_bad, eta, omega, [0, T])
+        # the rows before the drive have the bits a finite drive gives
+        assert np.array_equal(x_bad[:j + 1], x_ok[:j + 1])
+        assert np.array_equal(u_bad[:j + 1], u_ok[:j + 1])
+        x_ref, u_ref = x.copy(), u.copy()
+        try:
+            per_step_kernel(model, K, x_ref, u_ref, eta, omega, "test", 0, 0, T)
+            ref = x_ref, u_ref
+        except BlowUpError as exc:
+            ref = exc.diagnostics
+        if isinstance(out, dict):  # an infinite drive runs away at once
+            assert out == ref and out["t"] == j + 1
+        assert np.array_equal(x_bad, x_ref, equal_nan=True)
+        assert np.array_equal(u_bad, u_ref, equal_nan=True)
+
+    def test_overflowing_powers_keep_finite_states(self):
+        # |M| ~ 1e12, so M^26 overflows within a sub-block of 32 rows
+        model = SystemModel(A=1e12 * np.array([[1.0, 0.5], [-0.2, 1.0]]), B=np.eye(2),
+                            Q=np.eye(2), R=np.eye(2), sigma_w=1.0)
+        K, T = np.zeros((2, 2)), 300
+        assert loops._Plan(model, K).powers[2] == 25
+        x, u = np.zeros((T + 1, 2)), np.zeros((T, 2))
+        zeros = np.zeros((T, 2))
+        x, u = self.roll(model, K, x, u, zeros, zeros, [0, 7, T])
+        assert np.all(x == 0.0) and np.all(u == 0.0)
+        # a tiny kick runs away at the step where x' = M x + d does
+        omega = zeros.copy()
+        omega[40, 1] = 1e-290
+        out = self.roll(model, K, np.zeros((T + 1, 2)), np.zeros((T, 2)), zeros, omega,
+                        [0, 50, T])
+        xs = np.zeros(2)
+        for s in range(T):
+            xs = model.A @ xs + omega[s]
+            if np.linalg.norm(xs) > loops.BLOWUP_NORM:
+                break
+        assert out["t"] == s + 1
+        x_ref = np.zeros((T + 1, 2))
+        with pytest.raises(BlowUpError) as ref:
+            per_step_kernel(model, K, x_ref, np.zeros((T, 2)), zeros, omega, "test", 0, 0, T)
+        assert out == ref.value.diagnostics
 
 class TestRunnerGuards:
     @pytest.mark.parametrize("run, field", [
@@ -503,15 +678,15 @@ class TestRunFixedPolicy:
         # the runner's own arrays, taken from its rollout calls
         seen, rollout = [], loops._rollout
 
-        def spy(model, K, x, u, eta, omega, *args):
+        def spy(plan, x, u, eta, omega, *args):
             seen.append((x, u, eta, omega))
-            return rollout(model, K, x, u, eta, omega, *args)
+            return rollout(plan, x, u, eta, omega, *args)
 
         monkeypatch.setattr(loops, "_rollout", spy)
         run_fixed_policy(bench2x2, bench2x2_gain, 700, seed=5, params=bench2x2_params,
                          x0=[1.0, 3.0], checkpoints=(256, 300))
         assert len(seen) == 3 and all(arrays[0] is seen[0][0] for arrays in seen)
-        assert_replays(bench2x2, [bench2x2_gain] * 700, *seen[0])
+        assert_replays(bench2x2, [(0, bench2x2_gain)], *seen[0])
 
     def test_ingests_every_step(self, bench2x2, bench2x2_params, bench2x2_gain):
         cost, est, _ = run_fixed_policy(bench2x2, bench2x2_gain, 64, seed=0,
@@ -614,18 +789,20 @@ class TestComputedAfterTheLoop:
 class TestRunDoubling:
     def test_replay_invariant_across_seams(self, bench2x2, bench2x2_params,
                                            bench2x2_gain, monkeypatch):
-        # the gain in force at each step: K0 in the warm-ups, each ASLO
-        # segment's policy history through its own policy_id
-        gains, warmup, aslo = [], loops.run_warmup, loops.run_aslo
+        # where each gain takes over: K0 at each warm-up's first row, each
+        # ASLO segment's policies where its own policy_id moves to them
+        segments, done, warmup, aslo = [], [0], loops.run_warmup, loops.run_aslo
 
         def warmup_spy(model, K0, T0, **kwargs):
             out = warmup(model, K0, T0, **kwargs)
-            gains.extend([K0] * T0)
+            segments.append((done[0], K0))
+            done[0] += T0
             return out
 
         def aslo_spy(*args, **kwargs):
             rec, hist, ledger = aslo(*args, **kwargs)
-            gains.extend(hist[p].K for p in rec.policy_id)
+            segments.extend((done[0] + row, K) for row, K in policy_segments(rec, hist))
+            done[0] += rec.T
             return rec, hist, ledger
 
         monkeypatch.setattr(loops, "run_warmup", warmup_spy)
@@ -633,8 +810,8 @@ class TestRunDoubling:
         rec = run_doubling(bench2x2, bench2x2_gain, base_horizon=16, total_T=400,
                            params=bench2x2_params, seed=6, x0=[0.5, -0.5])
         assert len(rec.diagnostics["segment_bounds"]) > 4  # several seams
-        assert len(gains) == rec.T
-        assert_replays(bench2x2, gains, rec.x, rec.u, rec.eta, rec.omega)
+        assert done[0] == rec.T
+        assert_replays(bench2x2, segments, rec.x, rec.u, rec.eta, rec.omega)
 
     def test_segment_boundaries_geometric(self, bench2x2, bench2x2_params,
                                           bench2x2_gain):
@@ -703,7 +880,9 @@ class TestRunDoubling:
 def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
                   checkpoints=(), mu_override=None, lambda_override=None):
     """ASLO one step at a time: the criterion, ingest and log det at every
-    step, as ``run_aslo`` ran before it rolled out fixed-gain segments."""
+    step, as ``run_aslo`` ran before it rolled out fixed-gain segments.  Each
+    step's row is the anchored reference's, its sub-blocks anchored at the
+    firing that put the policy in force."""
     n, m = model.n, model.m
     Theta_0 = np.asarray(Theta_0, dtype=float)
     omega_rng, eta_rng, _ = _streams(seed)
@@ -725,6 +904,7 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
     current = None
     beta_in_force = params.beta
     logdet_tau = -math.inf
+    block = None  # (anchor, policy, (u, x)) of the sub-block in force
     for s in range(T):
         t = s + 1
         lam = schedules.lambda_t(t, params) if lambda_override is None else lambda_override
@@ -754,13 +934,18 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
                     lambda_tau=lam, logdet_V_tau=logdetV, normV_tau=spectral_norm(V),
                     est_error=nuclear_norm(theta_hat - model.theta_star))
                 history.append(current)
+                origin = s
                 logdet_tau = logdetV
             except SynthesisError:
                 failures += 1
                 if current is None:
                     raise
                 logdet_tau = logdetV
-        u[s], x[t] = closed_loop_step(model, current.K, x[s], eta[s], omega[s])
+        p = s - (s - origin) % loops._SUB
+        if block is None or block[:2] != (p, current.epoch_index):
+            block = p, current.epoch_index, closed_loop_rows(
+                model, current.K, x[p], eta[p:p + loops._SUB], omega[p:p + loops._SUB])
+        u[s], x[t] = block[2][0][s - p], block[2][1][s - p]
         x_norm = float(np.linalg.norm(x[t]))
         if x_norm > loops.BLOWUP_NORM:
             raise BlowUpError("ASLO state blow-up", diagnostics={"t": t, "x_norm": x_norm})
