@@ -63,12 +63,18 @@ def psd_sqrt(M, floor=1e-12):
 
 
 def psd_roots(M, floor=1e-12):
-    """(M^{1/2}, M^{-1/2}) of a PD matrix from one eigendecomposition."""
+    """(M^{1/2}, M^{-1/2}) of a PD matrix, or of each matrix in a stack, from
+    one eigendecomposition each; a non-PD matrix raises CertificateError
+    naming the least eigenvalue of the first such."""
     w, U = np.linalg.eigh(sym(np.atleast_2d(M)))
-    if w[0] <= 0:
-        raise CertificateError(f"matrix is not PD (min eig {w[0]:.3g})")
-    root = np.sqrt(np.maximum(w, floor))
-    return (U * root) @ U.T, (U / root) @ U.T
+    bad = np.flatnonzero(w[..., 0].ravel() <= 0)
+    if bad.size:
+        raise CertificateError(
+            f"matrix is not PD (min eig {w[..., 0].ravel()[bad[0]]:.3g})")
+    root = np.sqrt(np.maximum(w, floor))[..., None, :]
+    Ut = U.swapaxes(-1, -2)
+    return (U * root) @ Ut, (U / root) @ Ut
+
 
 def chol_solve(A, B):
     """Solve A X = B for symmetric PD A via Cholesky."""

@@ -101,7 +101,8 @@ class PolicyEpoch:
     lambda_tau: float
     logdet_V_tau: float
     normV_tau: float
-    est_error: float
+    est_error: float = math.nan  # nuclear-norm error of theta_hat, filled after the run
+    theta_hat: np.ndarray | None = None
 
 
 def _streams(seed):
@@ -438,8 +439,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
                     epoch_index=0 if current is None else current.epoch_index + 1,
                     tau=t, K=K, P_dual=P,
                     mu=mu_t, r=r, beta=beta_in_force, lambda_tau=lam,
-                    logdet_V_tau=logdetV, normV_tau=normV,
-                    est_error=nuclear_norm(theta_hat - model.theta_star),
+                    logdet_V_tau=logdetV, normV_tau=normV, theta_hat=theta_hat,
                 )
                 history.append(current)
                 plan, origin = _Plan(model, K), lo  # the new gain's sub-blocks start here
@@ -484,6 +484,12 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         if end == hi:
             size = min(2 * size, _BLOCK)
         lo = end
+
+    # each epoch's estimation error, from one stacked SVD
+    errors = np.linalg.svd(np.array([p.theta_hat for p in history]) - model.theta_star,
+                           compute_uv=False).sum(axis=-1).tolist()
+    for p, err in zip(history, errors):
+        p.est_error = err
 
     def per_step(name):  # a per-epoch value at each step, from the policy in force
         return np.array([getattr(p, name) for p in history])[policy_id]

@@ -30,53 +30,61 @@ class RegretLedger:
     R: np.ndarray = field(default_factory=lambda: np.zeros(6))
     policy_runs: int = 0
 
-    def accumulate(self, x, omega, eta, q, pol, model, params):
-        """Add the R1..R6 contributions of one policy run: k consecutive steps
-        under ``pol`` with states x (k+1, n), the last being the state after
-        the run, noises omega (k, n) and eta (k, m), and q (k,) = z' V_t^{-1} z.
+    def accumulate(self, x, omega, eta, q, P, K, M, noise_trace, r4_coef, R):
+        """Add the R1..R6 contributions of k consecutive steps, step s under
+        the policy whose value matrix is P[s], gain K[s] and closed loop
+        M[s] = A + B K[s]: states x (k+1, n), the last being the state after
+        step k, noises omega (k, n) and eta (k, m), q (k,) = z' V_t^{-1} z,
+        noise_trace (k,) = sigma_w^2 tr P[s], r4_coef (k, c) the coefficients
+        of q whose c products make step s's R4 additions, and R the input
+        weight.
 
         Each step's contributions have the bits of the per-step formulas and
-        are added to the running sums in step order, a block at a time.
+        are added to the running sums in step order.
         """
-        P = pol.P_dual
-        K = pol.K
-        M = model.A + model.B @ K
-        factor = 2.0 * self.nu / self.sigma_w**2 if self.sigma_w > 0 else 0.0
-        noise_trace = model.sigma_w**2 * float(np.trace(P))
-        for lo, hi in row_blocks(len(q)):
-            xPx = quad_rows(x[lo:hi + 1], P)
-            x_t, w, e, qb = x[lo:hi], omega[lo:hi], eta[lo:hi], q[lo:hi]
-            if params.criterion == "adaptive_beta":
-                # three additions per step, in this order
-                r4 = np.stack([
-                    factor * pol.mu * qb,
-                    factor * pol.beta * pol.r * qb,
-                    2.0 * factor * params.theta_bound * pol.beta
-                    * math.sqrt(pol.r * pol.normV_tau) * qb,
-                ], axis=1)
-            else:
-                r4 = factor * (1.0 + pol.beta) * pol.mu * qb
-            steps = (
-                xPx[:-1] - xPx[1:],
-                quad_rows(w, P, matvec_rows(M, x_t)),
-                quad_rows(w, P) - noise_trace,
-                r4,
-                2.0 * quad_rows(e, model.R, matvec_rows(K, x_t)),
-                quad_rows(e, model.R),
-            )
-            for i, v in enumerate(steps):
-                # cumsum adds one value at a time, as the per-step sums did
-                self.R[i] = np.cumsum(np.concatenate([self.R[i:i + 1], v.ravel()]))[-1]
+        steps = (
+            quad_rows(x[:-1], P) - quad_rows(x[1:], P),
+            quad_rows(omega, P, matvec_rows(M, x[:-1])),
+            quad_rows(omega, P) - noise_trace,
+            r4_coef * q[:, None],
+            2.0 * quad_rows(eta, R, matvec_rows(K, x[:-1])),
+            quad_rows(eta, R),
+        )
+        for i, v in enumerate(steps):
+            # cumsum adds one value at a time, as the per-step sums did
+            self.R[i] = np.cumsum(np.concatenate([self.R[i:i + 1], v.ravel()]))[-1]
 
     def accumulate_trajectory(self, x, omega, eta, q, policy_id, policies,
                               model, params):
-        """Accumulate a whole trajectory, one policy run at a time."""
-        by_epoch = {p.epoch_index: p for p in policies}
-        starts = np.flatnonzero(np.diff(policy_id, prepend=-1)).tolist()
+        """Accumulate a whole trajectory a block of at most ``row_blocks``'
+        rows at a time.  Each step's P, K, M = A + BK, sigma_w^2 tr P and R4
+        coefficients are gathered through ``policy_id`` from per-epoch
+        stacks, so a block may span several policy runs."""
+        T = len(q)
+        starts = np.flatnonzero(np.diff(policy_id[:T], prepend=-1))
         self.policy_runs += len(starts)
-        for lo, hi in zip(starts, starts[1:] + [len(q)]):
+        if not T:
+            return
+        slot = {p.epoch_index: i for i, p in enumerate(policies)}
+        rows = np.array([slot[e] for e in policy_id[starts].tolist()])
+        rows = np.repeat(rows, np.diff(starts, append=T))
+        Ps = np.array([p.P_dual for p in policies])
+        Ks = np.array([p.K for p in policies])
+        Ms = model.A + model.B @ Ks
+        noise = np.array([model.sigma_w**2 * float(np.trace(p.P_dual))
+                          for p in policies])
+        factor = 2.0 * self.nu / self.sigma_w**2 if self.sigma_w > 0 else 0.0
+        if params.criterion == "adaptive_beta":
+            # three additions per step, in this order
+            coef = np.array([[factor * p.mu, factor * p.beta * p.r,
+                              2.0 * factor * params.theta_bound * p.beta
+                              * math.sqrt(p.r * p.normV_tau)] for p in policies])
+        else:
+            coef = np.array([[factor * (1.0 + p.beta) * p.mu] for p in policies])
+        for lo, hi in row_blocks(T):
+            e = rows[lo:hi]
             self.accumulate(x[lo:hi + 1], omega[lo:hi], eta[lo:hi], q[lo:hi],
-                            by_epoch[int(policy_id[lo])], model, params)
+                            Ps[e], Ks[e], Ms[e], noise[e], coef[e], model.R)
 
     def n_updates(self):
         """Criterion-fired updates: one per policy run after the first (each runs a step)."""

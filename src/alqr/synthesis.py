@@ -151,10 +151,13 @@ def synthesize_policy(theta_hat, model, mu_t, V_t, s0=0.0):
 
 def sequential_gaps(Ps) -> list:
     """|P_{i+1}^{-1/2} P_i^{1/2}| for each consecutive pair of value matrices,
-    H = P^{1/2} from symmetric eigensystems.  Each P is eigendecomposed once,
-    and a P that is not PD raises CertificateError."""
-    roots = [psd_roots(np.asarray(P, dtype=float)) for P in Ps]
-    return [spectral_norm(nxt[1] @ prev[0]) for prev, nxt in zip(roots, roots[1:])]
+    H = P^{1/2} from symmetric eigensystems.  The roots come from one stacked
+    eigendecomposition and the norms from one stacked SVD, each matrix with
+    the bits of its own call; a P that is not PD raises CertificateError."""
+    if not len(Ps):
+        return []
+    roots, inv_roots = psd_roots(np.array(Ps, dtype=float))
+    return np.linalg.svd(inv_roots[1:] @ roots[:-1], compute_uv=False)[:, 0].tolist()
 
 
 def sequential_gap(P_prev, P_next) -> float:

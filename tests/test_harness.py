@@ -311,6 +311,17 @@ class TestEmitOracle:
         path = emit([cols], "csv", tmp_path / "odd.csv")
         assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
+    def test_int_columns_spelled_as_floats(self, tmp_path):
+        # "%d" spells an integer as "%.17g" does up to 2^53; a column past it
+        # goes through the float field, as every column once did
+        cols = self.special_columns()
+        for big in ([0, -2**53], [0, 2**53 + 1], [0, 10**17 - 1], [-10**18, 3]):
+            cols["epoch"] = np.resize(big, len(cols["t"]))
+            ints = emit([cols], "csv", tmp_path / "ints.csv")
+            floats = emit([{k: np.asarray(v, dtype=float) for k, v in cols.items()}],
+                          "csv", tmp_path / "floats.csv")
+            assert Path(ints).read_bytes() == Path(floats).read_bytes()
+
     def test_record_columns_and_rows_write_one_file(self, records, tmp_path):
         # the record's columns and the columns read back from their file
         _, arec = records

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from alqr.exceptions import CertificateError
-from alqr.linalg import logdet_pd, matvec_rows, quad_rows, row_blocks, spectral_norm
+from alqr.linalg import (
+    logdet_pd,
+    matvec_rows,
+    psd_roots,
+    quad_rows,
+    row_blocks,
+    spectral_norm,
+)
 
 
 def spd_stack(rng, k, p):
@@ -80,3 +87,76 @@ class TestSpectralNorm:
         u, v = rng.standard_normal(rows), rng.standard_normal(cols)
         for M in (np.outer(u, v), np.asfortranarray(np.outer(u, v))):
             assert np.array_equal(spectral_norm(M), float(np.linalg.norm(M, 2)))
+
+
+class TestStackedBits:
+    """The per-epoch bookkeeping reads stacked gufunc calls and matmuls: each
+    matrix of a stack must get the bits of its own call, at every size the
+    package runs (n <= 5)."""
+
+    K = 40  # matrices per stack
+
+    @staticmethod
+    def stack(n, seed):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-3, 3, size=(TestStackedBits.K, 1, 1))
+        return scales * rng.standard_normal((TestStackedBits.K, n, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_decompositions(self, n):
+        M = self.stack(n, n)
+        S = spd_stack(np.random.default_rng(10 + n), self.K, n)
+        each = lambda f, X: [f(x) for x in X]
+        assert np.array_equal(np.linalg.eigvals(M), each(np.linalg.eigvals, M))
+        # a stack's eigenvalues turn complex for all when one matrix's do;
+        # their moduli keep the bits of the per-matrix ones
+        assert np.array_equal(np.abs(np.linalg.eigvals(M)),
+                              [np.abs(np.linalg.eigvals(x)) for x in M])
+        w, U = np.linalg.eigh(S)
+        for k, x in enumerate(S):
+            w_k, U_k = np.linalg.eigh(x)
+            assert np.array_equal(w[k], w_k) and np.array_equal(U[k], U_k)
+        assert np.array_equal(np.linalg.svd(M, compute_uv=False),
+                              each(lambda x: np.linalg.svd(x, compute_uv=False), M))
+        sign, ld = np.linalg.slogdet(M)
+        assert np.array_equal(np.stack([sign, ld], axis=1), each(np.linalg.slogdet, M))
+        assert np.array_equal(np.linalg.solve(M, S), [np.linalg.solve(a, b)
+                                                      for a, b in zip(M, S)])
+        assert np.array_equal(np.linalg.inv(M), each(np.linalg.inv, M))
+        assert np.array_equal(np.linalg.cholesky(S), each(np.linalg.cholesky, S))
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6) for m in range(1, 6)])
+    def test_matmul(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        A = rng.standard_normal((self.K, n, m))
+        B = rng.standard_normal((self.K, m, n))
+        F, G = rng.standard_normal((n, m)), rng.standard_normal((m, n))
+        rows = rng.standard_normal((self.K, 1, n))
+        assert np.array_equal(A @ B, [a @ b for a, b in zip(A, B)])
+        assert np.array_equal(F @ B, [F @ b for b in B])  # broadcast on the left
+        assert np.array_equal(A @ G, [a @ G for a in A])  # and on the right
+        # transposed views, as psd_roots forms U diag(r) U'
+        assert np.array_equal(A @ A.swapaxes(1, 2), [a @ a.T for a in A])
+        assert np.array_equal(rows @ A, [r @ a for r, a in zip(rows, A)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_psd_roots_of_a_stack(self, n):
+        S = spd_stack(np.random.default_rng(20 + n), self.K, n)
+        roots, inv_roots = psd_roots(S)
+        for k, x in enumerate(S):
+            root, inv_root = psd_roots(x)
+            assert np.array_equal(roots[k], root) and np.array_equal(inv_roots[k], inv_root)
+
+    def test_psd_roots_names_the_first_non_pd_matrix(self):
+        S = np.stack([np.eye(2), np.diag([1.0, -2.0]), np.diag([-3.0, 1.0])])
+        with pytest.raises(CertificateError, match=r"^matrix is not PD \(min eig -2\)$"):
+            psd_roots(S)
+        with pytest.raises(CertificateError, match=r"^matrix is not PD \(min eig -3\)$"):
+            psd_roots(S[2])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_row_sums(self, k):
+        # the nuclear norms of a stack: each row summed as one vector is
+        rng = np.random.default_rng(k)
+        s = 10.0 ** rng.uniform(-8, 8, size=(500, k))
+        assert np.array_equal(s.sum(axis=-1), [row.sum() for row in s])

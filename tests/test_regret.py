@@ -1,14 +1,17 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from alqr.exceptions import ConfigurationError, IncompleteTrajectoryError
-from alqr.loops import run_aslo, run_warmup
+from alqr.linalg import matvec_rows, quad_rows, row_blocks
+from alqr.loops import PolicyEpoch, run_aslo, run_warmup
 from alqr.lqr import SystemModel, solve_dare, stability_certificate
 from alqr.regret import (
     R_NAMES,
+    RegretLedger,
     decompose,
     realized_regret,
     slope,
@@ -159,6 +162,114 @@ class TestScalarOracle:
         assert rec.diagnostics["anynum_condition"] == flags
         if mu_override is not None:
             assert 0 < sum(flags) < len(flags)
+
+
+def per_run_ledger(x, omega, eta, q, policy_id, policies, model, params, nu):
+    """R1..R6 and the run count as the ledger took them one policy run at a
+    time: each run's P, K and M = A + BK, its terms from stacked rows in
+    blocks of the run's steps, added to the sums in step order."""
+    R = np.zeros(6)
+    by_epoch = {p.epoch_index: p for p in policies}
+    starts = np.flatnonzero(np.diff(policy_id, prepend=-1)).tolist()
+    factor = 2.0 * nu / model.sigma_w**2 if model.sigma_w > 0 else 0.0
+    for lo, hi in zip(starts, starts[1:] + [len(q)]):
+        pol = by_epoch[int(policy_id[lo])]
+        P, K = pol.P_dual, pol.K
+        M = model.A + model.B @ K
+        noise_trace = model.sigma_w**2 * float(np.trace(P))
+        for a, b in row_blocks(hi - lo):
+            a, b = lo + a, lo + b
+            xPx = quad_rows(x[a:b + 1], P)
+            x_t, w, e, qb = x[a:b], omega[a:b], eta[a:b], q[a:b]
+            if params.criterion == "adaptive_beta":
+                r4 = np.stack([
+                    factor * pol.mu * qb,
+                    factor * pol.beta * pol.r * qb,
+                    2.0 * factor * params.theta_bound * pol.beta
+                    * math.sqrt(pol.r * pol.normV_tau) * qb,
+                ], axis=1)
+            else:
+                r4 = factor * (1.0 + pol.beta) * pol.mu * qb
+            steps = (
+                xPx[:-1] - xPx[1:],
+                quad_rows(w, P, matvec_rows(M, x_t)),
+                quad_rows(w, P) - noise_trace,
+                r4,
+                2.0 * quad_rows(e, model.R, matvec_rows(K, x_t)),
+                quad_rows(e, model.R),
+            )
+            for i, v in enumerate(steps):
+                for value in v.ravel().tolist():
+                    R[i] += value
+    return R, len(starts)
+
+
+class TestOnePassLedger:
+    """``accumulate_trajectory`` walks a trajectory in blocks of rows that may
+    span policy runs; it must give the per-run ledger's bits."""
+
+    # run lengths: one-step runs at and beside the 256-row block edges, runs
+    # across one and across two edges, and a tail shorter than a block
+    RUNS = [1, 1, 253, 1, 1, 300, 1, 210, 2, 5, 1, 520, 1, 7]
+
+    @staticmethod
+    def case(n, m, sigma_w, runs, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
+        model = SystemModel(A=A, B=rng.standard_normal((n, m)), Q=np.eye(n),
+                            R=np.diag(rng.uniform(0.5, 2.0, m)), sigma_w=sigma_w)
+        # epochs listed out of order, one of them never in force; the last
+        # epoch returns after another, as no runner does but the ledger allows
+        ids = rng.permutation(len(runs) + 1)[:len(runs)]
+        if len(runs) > 2:
+            ids[-1] = ids[-3]
+        policies = []
+        for e in sorted(set(ids.tolist()) | {len(runs) + 5}, reverse=True):
+            G = rng.standard_normal((n, n))
+            policies.append(PolicyEpoch(
+                epoch_index=e, tau=1, K=rng.standard_normal((m, n)),
+                P_dual=G @ G.T + np.eye(n), mu=float(rng.uniform(0, 1e-3)),
+                r=float(rng.uniform(0.1, 5.0)), beta=float(rng.uniform(0, 1)),
+                lambda_tau=1.0, logdet_V_tau=0.0, normV_tau=float(rng.uniform(1, 1e4))))
+        policy_id = np.repeat(ids, runs)
+        T = len(policy_id)
+        x = rng.standard_normal((T + 1, n)) * 10.0 ** rng.uniform(-2, 2, (T + 1, 1))
+        omega = sigma_w * rng.standard_normal((T, n))
+        eta = rng.standard_normal((T, m))
+        q = rng.uniform(0, 2, T)
+        return model, policies, (x, omega, eta, q, policy_id)
+
+    @pytest.mark.parametrize("criterion", ["det_double", "adaptive_beta"])
+    @pytest.mark.parametrize("n, m, sigma_w", [(2, 2, 1.0), (3, 2, 0.7), (4, 1, 1.3),
+                                               (2, 1, 0.0)])
+    def test_bits_equal_per_run_ledger(self, criterion, n, m, sigma_w):
+        model, policies, arrays = self.case(n, m, sigma_w, self.RUNS, seed=n + 10 * m)
+        params = SimpleNamespace(criterion=criterion, theta_bound=2.5)
+        ledger = RegretLedger(nu=3.0, sigma_w=sigma_w)
+        ledger.accumulate_trajectory(*arrays, policies, model, params)
+        R, runs = per_run_ledger(*arrays, policies, model, params, nu=3.0)
+        assert np.array_equal(ledger.R, R)
+        assert ledger.policy_runs == runs == len(self.RUNS)
+        assert ledger.n_updates() == runs - 1
+        if sigma_w == 0.0:
+            assert R[3] == 0.0  # R4 carries factor 0 without noise
+
+    @pytest.mark.parametrize("runs", [[1], [1] * 300, [256], [257], [255, 1, 256]])
+    def test_run_shapes(self, runs):
+        model, policies, arrays = self.case(2, 2, 1.0, runs, seed=len(runs))
+        params = SimpleNamespace(criterion="adaptive_beta", theta_bound=2.5)
+        ledger = RegretLedger(nu=3.0, sigma_w=1.0)
+        ledger.accumulate_trajectory(*arrays, policies, model, params)
+        R, count = per_run_ledger(*arrays, policies, model, params, nu=3.0)
+        assert np.array_equal(ledger.R, R) and ledger.policy_runs == count
+
+    def test_unknown_epoch_raises(self):
+        model, policies, arrays = self.case(2, 2, 1.0, [3, 4], seed=0)
+        params = SimpleNamespace(criterion="det_double", theta_bound=2.5)
+        with pytest.raises(KeyError):
+            RegretLedger(nu=3.0, sigma_w=1.0).accumulate_trajectory(
+                *arrays, policies[1:2], model, params)
 
 
 class TestTermBounds:

@@ -78,3 +78,21 @@ def test_run_path_does_not_import_barrier_oracle():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_process_run_does_not_import_the_pool():
+    # a process pool's modules cost about 10 ms to import; a workers=1 run
+    # (every benchmark worker's) needs none of them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, alqr.harness as h, alqr.cli; "
+            "report = h.run_experiment(h.ExperimentConfig(benchmark='bench-2x2', "
+            "T=20, seeds=[0, 1], workers=1)); "
+            "assert not report.errors, report.errors; "
+            "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules]; "
+            "assert not loaded, f'imported: {loaded}'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -36,6 +36,7 @@ from alqr.synthesis import (
     mu,
     perturbation_check,
     sequential_gap,
+    sequential_gaps,
     solve_relaxed_riccati,
     synthesize_policy,
 )
@@ -668,6 +669,26 @@ class TestSequentialGap:
     def test_non_pd_rejected(self):
         with pytest.raises(CertificateError):
             sequential_gap(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_first_non_pd_named(self):
+        Ps = [np.eye(2), 2.0 * np.eye(2), np.diag([1.0, -0.5]), np.diag([-4.0, 1.0])]
+        with pytest.raises(CertificateError, match=r"^matrix is not PD \(min eig -0.5\)$"):
+            sequential_gaps(Ps)
+        with pytest.raises(CertificateError, match=r"^matrix is not PD \(min eig -4\)$"):
+            sequential_gaps([np.diag([-4.0, 1.0])])  # one epoch is checked too
+
+    def test_short_histories(self):
+        assert sequential_gaps([]) == []
+        assert sequential_gaps([np.eye(3)]) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stacked_gaps_equal_per_pair(self, n):
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((30, n, n))
+        Ps = list(G @ G.swapaxes(1, 2) + 0.01 * np.eye(n))
+        gaps = sequential_gaps(Ps)
+        assert gaps == [oracle_gap(a, b) for a, b in zip(Ps, Ps[1:])]
+        assert all(type(g) is float for g in gaps)
 
 
 class TestPerturbationCheck:
