@@ -25,7 +25,8 @@ bench-2x2), and its lambda_t are computed once per run.  What merely
 measures a run (stage costs, warm-up log-dets, q_t, the regret ledger, the
 anynum flags) is computed after the loop from the record, and the
 per-epoch columns (r_t, beta, the estimation error) are read from the
-policy history through ``policy_id``.
+policy history through ``policy_id``, each epoch's estimation error taken
+after the loop from its kept estimate, all epochs in one stacked SVD.
 """
 
 from __future__ import annotations

@@ -310,10 +310,55 @@ def oracle_lyapunov(M, S):
     return sym(x.reshape(n, n))
 
 
+def oracle_radius(M):
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def oracle_dare_newton(A, B, C, K, tol=1e-12, max_iter=8):
+    """The Newton-Kleinman iteration with every product written out; None
+    where the solver falls back to the doubling."""
+    n = A.shape[0]
+    S, R = C[:n, n:], C[n:, n:]
+    if not oracle_radius(A + B @ K) < 1.0:
+        return None
+    P_prev = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            IK = np.vstack([np.eye(n), K])
+            try:
+                P = oracle_lyapunov((A + B @ K).T, IK.T @ C @ IK)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(P)):
+                return None
+            if P_prev is not None and float(np.max(np.abs(P - P_prev))) \
+                    <= tol * max(1.0, float(np.max(np.abs(P)))):
+                return P
+            try:
+                K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
+            except np.linalg.LinAlgError:
+                return None
+            P_prev = P
+    return None
+
+
+def same_entry(a, b):
+    """Equal bits, entry by entry: arrays, None, or tuples of them."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+                and all(same_entry(x, y) for x, y in zip(a, b)))
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a, b)
+
+
 def oracle_relaxed_riccati(theta, model, mu_t, V, trail, s0=0.0):
     """``solve_relaxed_riccati``'s Newton loop, expression for expression,
     on the oracle DARE and Lyapunov solves; the certificate is left out.
-    Appends to ``trail`` each cost C(s) the loop solves at and each X."""
+    Each DARE after the first is re-solved by Newton-Kleinman from the gain
+    at the last s, kept when its gain stabilises the estimate.  Appends to
+    ``trail`` each cost C(s) the loop solves at with the gain it starts
+    from (None for the doubling), and each X."""
     n, m = model.n, model.m
     A, B = theta[:n, :].T, theta[n:, :].T
     V_inv = sym(chol_solve(V, np.eye(n + m)))
@@ -321,10 +366,15 @@ def oracle_relaxed_riccati(theta, model, mu_t, V, trail, s0=0.0):
     C0[:n, :n] = sym(model.Q)
     C0[n:, n:] = sym(model.R)
 
-    def solve_at(s):
+    def solve_at(s, K=None):
         C = C0 - mu_t * s * V_inv
-        trail.append(C)
+        trail.append((C, K))
         Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
+        P = None if K is None else oracle_dare_newton(A, B, C, K)
+        if P is not None:
+            K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
+            if oracle_radius(A + B @ K) < 1.0:
+                return P, K
         RiSt = np.linalg.solve(R, S.T)
         P = oracle_dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R)
         return P, -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A + S.T)
@@ -354,7 +404,7 @@ def oracle_relaxed_riccati(theta, model, mu_t, V, trail, s0=0.0):
             break
         s_next = s + step
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
-        P, K = solve_at(s)
+        P, K = solve_at(s, K)
     return K, sym(P)
 
 
@@ -410,21 +460,23 @@ def outcome(solve, *args):
 
 
 class TestRiccatiOracle:
-    """Synthesis reproduces the written-out doubling DARE, Kronecker Lyapunov
-    solve and Newton loop bit for bit, so no product is reassociated: the
-    gain, the value matrix, each Newton iterate's cost C(s) and each X of
+    """Synthesis reproduces the written-out doubling DARE, Newton-Kleinman
+    re-solve, Kronecker Lyapunov solve and Newton loop bit for bit, so no
+    product is reassociated: the gain, the value matrix, each Newton
+    iterate's cost C(s) with the gain its DARE starts from, and each X of
     the slope d tr P*/ds agree."""
 
     @staticmethod
     def trace_newton(monkeypatch):
-        """Record each cost C(s) that synthesis hands to the DARE, and each
-        solution X of the slope's Lyapunov equation, in order."""
+        """Record each cost C(s) that synthesis hands to the DARE with the
+        gain it starts from, and each solution X of the slope's Lyapunov
+        equation, in order."""
         trail = []
         real_cross, real_lyap = synthesis._dare_cross, synthesis.solve_discrete_lyapunov
 
-        def cross(A, B, C):
-            trail.append(C.copy())
-            return real_cross(A, B, C)
+        def cross(A, B, C, K=None):
+            trail.append((C.copy(), None if K is None else K.copy()))
+            return real_cross(A, B, C, K)
 
         def lyap(M, S):
             trail.append(real_lyap(M, S))
@@ -440,7 +492,7 @@ class TestRiccatiOracle:
         K_ref, P_ref = oracle_relaxed_riccati(theta, model, mu_t, V, ref, s0)
         assert np.array_equal(K, K_ref) and np.array_equal(P, P_ref)
         assert len(trail) == len(ref)
-        assert all(np.array_equal(c, r) for c, r in zip(trail, ref))
+        assert all(same_entry(c, r) for c, r in zip(trail, ref))
 
     def solve_and_compare(self, monkeypatch, theta, model, mu_t, V):
         trail = self.trace_newton(monkeypatch)
@@ -506,7 +558,7 @@ class TestRiccatiOracle:
             assert outcome(solve_relaxed_riccati, theta, model, mu_t, V) == \
                 outcome(oracle_relaxed_riccati, theta, model, mu_t, V, ref)
             assert len(trail) == len(ref)
-            assert all(np.array_equal(c, r) for c, r in zip(trail, ref))
+            assert all(same_entry(c, r) for c, r in zip(trail, ref))
 
     @pytest.mark.parametrize("model", [bench_2x2(), golden_model()])
     def test_solve_dare(self, model):
@@ -556,22 +608,28 @@ class TestRiccatiOracle:
 
 def aslo_firings(monkeypatch, config, seed):
     """The model and, at each firing of ``config``'s ASLO run that returns a
-    policy, (theta, mu, V, s0, K, P) and the number of DAREs it solved."""
+    policy, (theta, mu, V, s0, K, P) and the numbers of DAREs it solved by
+    doubling and by Newton-Kleinman, as a pair."""
     setup = shared_setup(config)
     seen, dares = [], []
-    real_policy, real_cross = synthesis.synthesize_policy, synthesis._dare_cross
+    real_policy = synthesis.synthesize_policy
+    real = {name: getattr(lqr, name) for name in ("_dare_doubling", "_dare_newton")}
 
-    def cross(A, B, C):
-        dares.append(1)
-        return real_cross(A, B, C)
+    def counted(name):
+        def solve(*args, **kwargs):
+            dares.append(name)
+            return real[name](*args, **kwargs)
+        return solve
 
     def spy(theta, model, mu_t, V, s0):
         dares.clear()
         K, P = real_policy(theta, model, mu_t, V, s0)
-        seen.append((theta, mu_t, V, s0, K, P, len(dares)))
+        seen.append((theta, mu_t, V, s0, K, P,
+                     (dares.count("_dare_doubling"), dares.count("_dare_newton"))))
         return K, P
 
-    monkeypatch.setattr(synthesis, "_dare_cross", cross)
+    for name in real:
+        monkeypatch.setattr(lqr, name, counted(name))
     monkeypatch.setattr(synthesis, "synthesize_policy", spy)
     run_seed(config, setup, seed)
     return setup.model, seen
@@ -600,7 +658,11 @@ class TestWarmStart:
         _, seen = aslo_firings(monkeypatch, ADAPTIVE_2X2, ADAPTIVE_2X2.seeds[0])
         assert len(seen) == 60
         counts = [c for *_, c in seen]
-        assert sum(counts[1:]) / len(counts[1:]) <= 2.1
+        assert sum(d + k for d, k in counts[1:]) / len(counts[1:]) <= 2.1
+        # the first solve of each firing is the doubling's, and no
+        # Newton-Kleinman re-solve fell back to it
+        assert all(d == 1 for d, _ in counts)
+        assert all(k >= 1 for _, k in counts)
 
     @pytest.mark.parametrize("start", ["-1", "-inf", "nan", "inf", "s_max", "2 s_max"])
     def test_start_outside_bracket_keeps_cold_bits(self, start):
@@ -623,6 +685,86 @@ class TestWarmStart:
             outcome(solve_relaxed_riccati, theta, model, mu_t, V)
 
 
+class TestNewtonKleinman:
+    """Every DARE after a firing's first is re-solved by Newton-Kleinman from
+    the gain at the last s; it falls back to the doubling when it cannot
+    be trusted."""
+
+    @staticmethod
+    def newton_steps(monkeypatch, A, B, C, K):
+        """``_dare_newton``'s result and its number of Lyapunov solves."""
+        steps, real = [], lqr.solve_discrete_lyapunov
+
+        def lyap(M, S):
+            steps.append(1)
+            return real(M, S)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(lqr, "solve_discrete_lyapunov", lyap)
+            P = lqr._dare_newton(A, B, C, K)
+        return P, len(steps)
+
+    @pytest.mark.parametrize("config", [ADAPTIVE_2X2, DET2_3X2],
+                             ids=["adaptive-bench-2x2", "det2-bench-3x2"])
+    def test_agrees_with_cold_doubling(self, monkeypatch, config):
+        calls, real = [], synthesis._dare_cross
+
+        def cross(A, B, C, K=None):
+            out = real(A, B, C, K)
+            if K is not None:
+                calls.append((A, B, C.copy(), K.copy(), out))
+            return out
+
+        monkeypatch.setattr(synthesis, "_dare_cross", cross)
+        run_seed(config, shared_setup(config), config.seeds[0])
+        monkeypatch.undo()
+        assert len(calls) >= 30
+        for A, B, C, K0, (P, K, H) in calls:
+            P_newton, steps = self.newton_steps(monkeypatch, A, B, C, K0)
+            assert P_newton is not None and steps <= 4  # no fallback
+            assert np.array_equal(P, P_newton)
+            P_cold, K_cold, _ = lqr._dare_cross(A, B, C)
+            assert rel_err(P, P_cold) <= 1e-12 and rel_err(K, K_cold) <= 1e-12
+
+    @staticmethod
+    def solved_inputs():
+        """(A-hat, B-hat, C(s) at the fixed point, its gain) on bench-2x2."""
+        model, theta, (_, mu_t), V = estimate_inputs("bench-2x2")
+        K, P = solve_relaxed_riccati(theta, model, mu_t, V)
+        n = model.n
+        C = np.zeros((4, 4))
+        C[:n, :n], C[n:, n:] = model.Q, model.R
+        C -= mu_t * float(np.trace(P)) * sym(chol_solve(V, np.eye(4)))
+        return theta[:n].T, theta[n:].T, C, K
+
+    def test_non_stabilising_gain_falls_back(self):
+        A, B, C, K = self.solved_inputs()
+        K_bad = np.full_like(K, 3.0)
+        assert np.max(np.abs(np.linalg.eigvals(A + B @ K_bad))) >= 1.0
+        assert lqr._dare_newton(A, B, C, K_bad) is None
+        assert outcome(lqr._dare_cross, A, B, C, K_bad) == outcome(lqr._dare_cross, A, B, C)
+        # a stabilising start keeps its own result, within the doubling's tolerance
+        P, K_new, _ = lqr._dare_cross(A, B, C, K)
+        P_cold, K_cold, _ = lqr._dare_cross(A, B, C)
+        assert rel_err(P, P_cold) <= 1e-12 and not np.array_equal(P, P_cold)
+
+    def test_budget_and_non_finite_iterates_fall_back(self, monkeypatch):
+        A, B, C, K = self.solved_inputs()
+        assert lqr._dare_newton(A, B, C, K, max_iter=1) is None  # no pair to test
+        assert lqr._dare_newton(A, B, C, K, max_iter=2) is not None
+        C_nan = C.copy()
+        C_nan[0, 0] = np.nan
+        assert lqr._dare_newton(A, B, C_nan, K) is None
+
+    def test_unstable_converged_gain_falls_back(self, monkeypatch):
+        # the initial gain passes the check and the converged one fails it
+        A, B, C, K = self.solved_inputs()
+        radii = iter([0.5, 1.0])
+        monkeypatch.setattr(lqr, "spectral_radius", lambda M: next(radii))
+        assert outcome(lqr._dare_cross, A, B, C, K) == outcome(lqr._dare_cross, A, B, C)
+        assert next(radii, None) is None
+
+
 class TestCertificateChecks:
     """Each final check of ``solve_relaxed_riccati`` declines a result that
     fails it; the doctored solves stand in for a doubling that went wrong."""
@@ -632,7 +774,7 @@ class TestCertificateChecks:
         def fault(monkeypatch):
             real = synthesis._dare_cross
             monkeypatch.setattr(synthesis, "_dare_cross",
-                                lambda A, B, C: change(*real(A, B, C)))
+                                lambda A, B, C, K=None: change(*real(A, B, C, K)))
         return fault
 
     @staticmethod
