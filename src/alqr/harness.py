@@ -373,7 +373,7 @@ def shared_setup(config: ExperimentConfig) -> SharedSetup:
 def _epoch_diagnostics(model, params, history):
     """Each epoch's rho(A + B K) from one stacked eigvals, and the
     sequential gaps of its value matrices."""
-    Ms = model.A + model.B @ np.array([p.K for p in history]).reshape(-1, model.m, model.n)
+    Ms = model.A + model.B @ np.array([p.K for p in history])
     rhos = np.abs(np.linalg.eigvals(Ms)).max(axis=-1).tolist()
     gaps = sequential_gaps([p.P_dual for p in history])
     gap_limit = 1.0 + params.gamma / 2.0

@@ -220,8 +220,7 @@ def _dare_newton(A, B, C, K, tol=1e-12, max_iter=8):
                     delta = max(map(abs, (P - P_prev).ravel().tolist()))
                     if delta <= tol * max(1.0, max(map(abs, P.ravel().tolist()))):
                         return P
-                BtP = B.T @ P
-                K = -np.linalg.solve(BtP @ B + R, BtP @ A + S.T)
+                _, K, _ = _gain(A, B, S, R, P)
                 P_prev = P
         except np.linalg.LinAlgError:
             pass

@@ -56,15 +56,13 @@ class RegretLedger:
 
     def accumulate_trajectory(self, x, omega, eta, q, policy_id, policies,
                               model, params):
-        """Accumulate a whole trajectory a block of at most ``row_blocks``'
-        rows at a time.  Each step's P, K, M = A + BK, sigma_w^2 tr P and R4
-        coefficients are gathered through ``policy_id`` from per-epoch
-        stacks, so a block may span several policy runs."""
+        """Accumulate a whole trajectory in the blocks of ``row_blocks``.
+        Each step's P, K, M = A + BK, sigma_w^2 tr P and R4 coefficients
+        are gathered through ``policy_id`` from per-epoch stacks, so a block
+        may span several policy runs."""
         T = len(q)
-        starts = np.flatnonzero(np.diff(policy_id[:T], prepend=-1))
+        starts = np.flatnonzero(np.diff(policy_id, prepend=-1))
         self.policy_runs += len(starts)
-        if not T:
-            return
         slot = {p.epoch_index: i for i, p in enumerate(policies)}
         rows = np.array([slot[e] for e in policy_id[starts].tolist()])
         rows = np.repeat(rows, np.diff(starts, append=T))
