@@ -19,6 +19,7 @@ SCRIPT_CASES = [
     ("run_benchmark.py", ["--T", "200", "--seeds", "2", "--out", "{out}"]),
     ("constants_report.py", []),
     ("output_digests.py", []),
+    ("science_check.py", ["--out", "{out}"]),
 ]
 
 
@@ -64,6 +65,30 @@ def test_output_digests_prints_one_sha256_per_config(tmp_path):
     assert [name for name, _ in lines] == list(script.CONFIGS)
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
     assert not list(tmp_path.iterdir())  # it writes into a temporary directory
+
+
+def test_science_matches_its_reference(tmp_path):
+    # the committed SCIENCE.json: integers exactly, floats to REL_TOL
+    proc = run_script(tmp_path, "science_check.py", ["--check", str(ROOT / "SCIENCE.json")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_science_check_tolerances(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location(
+        "science_check", ROOT / "scripts" / "science_check.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ref = {"a": {"epochs": 19, "regret": 100.0, "rho": [0.5, float("nan")], "ok": True}}
+    same = {"a": {"epochs": 19, "regret": 100.0 * (1 + 0.9e-6), "rho": [0.5, float("nan")],
+                  "ok": True}}
+    assert script.mismatches(ref, same) == []
+    for key, value in [("epochs", 20), ("epochs", 19.0), ("regret", 100.0 * (1 + 1.1e-6)),
+                       ("rho", [0.5]), ("rho", [0.5, 0.5]), ("ok", 1)]:
+        moved = {"a": dict(ref["a"], **{key: value})}
+        assert script.mismatches(ref, moved), (key, value)
+    assert script.mismatches(ref, {"a": dict(ref["a"], extra=1)}) == [
+        "/a/extra: not in the reference"]
 
 
 def test_run_path_does_not_import_barrier_oracle():
