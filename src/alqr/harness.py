@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise ConfigurationError("T must be >= 1", field="T")
         if self.T0 is not None and self.T0 < 1:
             raise ConfigurationError("T0 must be >= 1 when given", field="T0")
+        if not (isinstance(self.base_horizon, int) and self.base_horizon >= 1):
+            raise ConfigurationError("base_horizon must be an integer >= 1", field="base_horizon")
+        if self.eps_target is not None and not self.eps_target > 0:
+            raise ConfigurationError("eps_target must be > 0 when given", field="eps_target")
         if isinstance(self.seeds, str):
             self.seeds = parse_seed_range(self.seeds)
         self.seeds = [_integral_seed(s) for s in self.seeds]
@@ -331,13 +335,8 @@ def read_trajectory_csv(path) -> dict:
 
 def coverage_check(reports) -> float:
     """Fraction of (seed, checkpoint) pairs whose ellipsoid held the truth."""
-    flags = []
-    for rep in reports:
-        for _, ok in rep.get("containment", []):
-            flags.append(bool(ok))
-    if not flags:
-        return float("nan")
-    return float(np.mean(flags))
+    flags = [bool(ok) for rep in reports for _, ok in rep.get("containment", [])]
+    return float(np.mean(flags)) if flags else float("nan")
 
 
 @dataclass
@@ -370,91 +369,96 @@ def shared_setup(config: ExperimentConfig) -> SharedSetup:
                        J_star=solve_dare(model).J_star)
 
 
-def _epoch_diagnostics(model, params, history):
-    """Each epoch's rho(A + B K) from one stacked eigvals, and the
-    sequential gaps of its value matrices."""
-    Ms = model.A + model.B @ np.array([p.K for p in history])
-    rhos = np.abs(np.linalg.eigvals(Ms)).max(axis=-1).tolist()
+def _epoch_diagnostics(params, history):
+    """The sequential gaps of the epochs' value matrices, against their limit."""
     gaps = sequential_gaps([p.P_dual for p in history])
     gap_limit = 1.0 + params.gamma / 2.0
     return {
-        "epoch_rho": rhos,
         "sequential_gaps": gaps,
         "gap_limit": gap_limit,
         "gap_violations": int(sum(g > gap_limit for g in gaps)),
     }
 
 
+def _segment_plan(config: ExperimentConfig, shared: SharedSetup) -> list:
+    """The mode's plan for ``loops.run_segments``: warmup is [warm-up T0],
+    aslo [ASLO T] on the perturbed anchor, full [warm-up T0, ASLO T
+    anchored on its estimate with eps_target], doubling ``loops.doubling_plan``."""
+    model, params = shared.model, shared.params
+    if config.mode == "doubling":
+        return loops.doubling_plan(model, config.base_horizon, config.T, params)
+    eps_target = config.eps_target if config.eps_target is not None else 0.5
+    aslo = {"anchor_eps": eps_target, "checkpoints": config.checkpoints}
+    if config.mode == "aslo":
+        Theta_0 = perturbed_theta(model, config.anchor_rel_error, seed=config.anchor_seed)
+        aslo.update(Theta_0=Theta_0, anchor_eps=float(
+            np.linalg.norm(Theta_0 - model.theta_star)) * 1.05)
+        return [("aslo", config.T, aslo)]
+    T0 = config.T0 if config.T0 is not None else schedules.warmup_duration(eps_target, params)
+    return [("warmup", int(T0), {})] + ([("aslo", config.T, aslo)] if config.mode == "full" else [])
+
+
 def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
-    """One isolated per-seed run; returns the summary plus its records' CSV columns."""
-    model, K0, params = shared.model, shared.K0, shared.params
-    J_star = shared.J_star
-    summary = {"seed": seed, "mode": config.mode, "J_star": J_star}
+    """One isolated per-seed run: the mode's plan through ``loops.run_segments``,
+    one CSV part per segment and one summary over the horizon T; returns the
+    summary plus the parts' columns.  A doubling plan's segments all make up
+    the horizon, so t, cum_regret (carried on with the bits of one cumsum over
+    the run) and the epoch ids run on across its parts; in aslo and full the
+    horizon is the one ASLO segment, which adds its ledger, bounds and gaps."""
+    model, params, J_star = shared.model, shared.params, shared.J_star
+    plan = _segment_plan(config, shared)
+    done = loops.run_segments(model, shared.K0, plan, params, seed, config.x0)
+    records = [out[1] if kind == "warmup" else out[0] for kind, out in done]
+    aslos = [out for kind, out in done if kind == "aslo"]
+    carry = config.mode == "doubling"
     columns = []
+    for rec in records:
+        cols = trajectory_columns(rec, J_star)
+        if carry and columns:
+            last = columns[-1]
+            cols["t"] = cols["t"] + int(last["t"][-1])
+            cols["cum_regret"] = np.cumsum(np.r_[last["cum_regret"][-1], rec.cost - J_star])[1:]
+            cols["epoch"] = cols["policy_id"] = rec.policy_id + int(last["epoch"][-1]) + 1
+        columns.append(cols)
 
+    summary = {"seed": seed, "mode": config.mode, "J_star": J_star, "columns": columns}
     if config.mode in ("warmup", "full"):
-        eps_target = config.eps_target if config.eps_target is not None else 0.5
-        T0 = config.T0 if config.T0 is not None else schedules.warmup_duration(
-            eps_target, params)
-        Theta_0, wrec = loops.run_warmup(model, K0, T0, seed=seed, x0=config.x0)
-        summary["T0"] = int(T0)
-        summary["theta0_error"] = wrec.diagnostics["theta0_error"]
-        columns.append(trajectory_columns(wrec, J_star))
-        anchor_eps = eps_target
-        x_start = wrec.x[-1]
-    else:
-        Theta_0 = perturbed_theta(model, config.anchor_rel_error,
-                                  seed=config.anchor_seed)
-        anchor_eps = float(np.linalg.norm(Theta_0 - model.theta_star)) * 1.05
-        x_start = config.x0
-
-    if config.mode in ("aslo", "full"):
-        rec, history, ledger = loops.run_aslo(
-            model, Theta_0, anchor_eps, config.T, params, seed=seed,
-            x0=x_start, checkpoints=config.checkpoints)
-        columns.append(trajectory_columns(rec, J_star))
+        summary.update(T0=records[0].T, theta0_error=records[0].diagnostics["theta0_error"])
+    if config.mode != "warmup":
+        history = [p for _, h, _ in aslos for p in h]
+        Ms = model.A + model.B @ np.array([p.K for p in history]).reshape(-1, model.m, model.n)
+        summary.update({
+            "final_cum_regret": float(columns[-1]["cum_regret"][-1]),
+            "max_x_norm": max(rec.max_state_norm() for rec in records[0 if carry else -1:]),
+            "epochs": len(history),
+            "synthesis_failures": sum(rec.diagnostics["synthesis_failures"]
+                                      for rec, _, _ in aslos),
+            "epoch_rho": np.abs(np.linalg.eigvals(Ms)).max(axis=-1).tolist(),
+        })
+    if carry:
+        summary["segment_bounds"] = np.cumsum([rec.T for rec in records]).tolist()
+    elif aslos:  # a horizon of one ASLO segment: aslo and full
+        (rec, _, ledger), = aslos
         rr = columns[-1]["cum_regret"]
-        stats = {
-            "X_T": rec.max_state_norm(),
+        bounds = regret.term_bounds(config.T, params, {
+            "X_T": summary["max_x_norm"],
             "Z_T": float(np.max(np.sum(np.hstack([rec.x[:-1], rec.u]) ** 2, axis=1))),
-            "r_T": float(rec.r_t[-1]),
-            "lambda_T": float(rec.lambda_t[-1]),
-            "lambda_1": float(rec.lambda_t[0]),
-            "beta": float(rec.beta_used[-1]),
-        }
-        bounds = regret.term_bounds(config.T, params, stats)
+            "r_T": float(rec.r_t[-1]), "beta": float(rec.beta_used[-1]),
+            "lambda_T": float(rec.lambda_t[-1]), "lambda_1": float(rec.lambda_t[0])})
         terms = ledger.terms()
         summary.update({
-            "final_cum_regret": float(rr[-1]),
             "checkpoint_regret": {str(c): float(rr[c - 1])
                                   for c in config.checkpoints if c <= config.T},
-            "max_x_norm": rec.max_state_norm(),
-            "epochs": len(history),
             "n_updates": ledger.n_updates(),
-            "synthesis_failures": rec.diagnostics["synthesis_failures"],
-            "containment": [[int(t), bool(ok)]
-                            for t, ok in rec.diagnostics["containment"]],
+            "containment": [[int(t), bool(ok)] for t, ok in rec.diagnostics["containment"]],
             "epoch_starts": [[int(p.tau), float(p.est_error)] for p in history],
             "R_terms": terms,
             "R_bounds": bounds,
             "bound_violations": int(sum(terms[k] > bounds[k] for k in regret.R_NAMES)),
-            "realized_vs_sum": {"realized": float(rr[-1]),
-                                "sum_R": float(sum(terms.values()))},
+            "realized_vs_sum": {"realized": float(rr[-1]), "sum_R": float(sum(terms.values()))},
             "anynum_holds_ever": bool(any(rec.diagnostics["anynum_condition"])),
         })
-        summary.update(_epoch_diagnostics(model, params, history))
-    elif config.mode == "doubling":
-        rec = loops.run_doubling(model, K0, config.base_horizon, config.T,
-                                 params, seed=seed, x0=config.x0)
-        columns.append(trajectory_columns(rec, J_star))
-        rr = columns[-1]["cum_regret"]
-        summary.update({
-            "final_cum_regret": float(rr[-1]),
-            "max_x_norm": rec.max_state_norm(),
-            "segment_bounds": rec.diagnostics["segment_bounds"],
-        })
-
-    summary["columns"] = columns
+        summary.update(_epoch_diagnostics(params, history))
     return summary
 
 

@@ -1,5 +1,6 @@
 """Algorithm runners: warm-up identification, the adaptive SDP-based control
-loop (ASLO), and the doubling-trick baseline.
+loop (ASLO), and ``run_segments``, which chains them into the plans of the
+warm-up-then-ASLO and doubling-trick runs.
 
 Each runner sets its trajectory up through ``_trajectory``, which splits one
 RNG seeded per trajectory into independent streams for process noise,
@@ -66,7 +67,7 @@ BLOWUP_NORM = 1e6
 class TrajectoryRecord:
     """Per-step arrays of one trajectory plus run metadata."""
 
-    seed: int                # a doubling segment holds its SeedSequence child
+    seed: int                # a segment of a longer plan holds its SeedSequence child
     x: np.ndarray            # (T+1, n), states
     u: np.ndarray            # (T, m), applied inputs
     eta: np.ndarray          # (T, m), injected perturbation (nu during warm-up)
@@ -553,55 +554,47 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     return _stage_costs(model, x, u), est, containment
 
 
-def _concat_records(parts: list[TrajectoryRecord], seed: int) -> TrajectoryRecord:
-    xs = [parts[0].x] + [p.x[1:] for p in parts[1:]]
-    offsets = np.cumsum([0] + [int(p.policy_id.max()) + 1 for p in parts[:-1]])
-    pid = np.concatenate([p.policy_id + off for p, off in zip(parts, offsets)])
-    cat = lambda name: np.concatenate([getattr(p, name) for p in parts])
-    bounds = np.cumsum([p.T for p in parts]).tolist()
-    return TrajectoryRecord(
-        seed=seed, x=np.concatenate(xs, axis=0),
-        u=cat("u"), eta=cat("eta"), omega=cat("omega"), cost=cat("cost"),
-        policy_id=pid, lambda_t=cat("lambda_t"), r_t=cat("r_t"),
-        logdet_V=cat("logdet_V"), beta_used=cat("beta_used"),
-        est_error=cat("est_error"),
-        diagnostics={"segment_bounds": bounds},
-    )
-
-
-def run_doubling(model: SystemModel, K0, base_horizon: int, total_T: int,
-                 params: schedules.ScheduleParams, seed: int, x0=None) -> TrajectoryRecord:
-    """Doubling-trick baseline: restart a horizon-aware variant on segments
-    T_i = base 2^i until total_T steps have elapsed, from the state x0
-    (default zero).
-
-    Each segment spends ceil(sqrt(T_i)) steps on warm-up and the remainder on
-    the SDP loop with the regularizer frozen at its horizon value
-    lambda_t(max(T_i, 2)).  The plant state carries across restarts; every
-    warm-up and ASLO segment draws from its own child of the seed.
-    """
+def doubling_plan(model: SystemModel, base_horizon: int, total_T: int,
+                  params: schedules.ScheduleParams) -> list:
+    """The doubling-trick baseline as a plan for ``run_segments``: segments
+    T_i = base 2^i until total_T steps have elapsed, each ceil(sqrt(T_i))
+    warm-up steps and then ASLO anchored on that warm-up, its regularizer
+    frozen at the horizon value lambda_t(max(T_i, 2)).  A segment too short
+    for ASLO steps keeps its empty ASLO entry: segment i is entries 2i, 2i+1."""
     if base_horizon < 1:
         raise ConfigurationError("base_horizon must be >= 1", field="base_horizon")
-    parts = []
-    done = 0
-    i = 0
-    x_cur = x0
-    seeds = np.random.SeedSequence(seed).spawn(64)
+    plan, done = [], 0
     while done < total_T:
-        Ti = min(base_horizon * 2**i, total_T - done)
+        Ti = min(base_horizon * 2 ** (len(plan) // 2), total_T - done)
         w_i = min(Ti, max(1, math.ceil(math.sqrt(Ti))))
-        Theta_0, wrec = run_warmup(model, K0, w_i, seed=seeds[2 * i], x0=x_cur)
-        parts.append(wrec)
-        x_cur = wrec.x[-1]
-        rest = Ti - w_i
-        if rest > 0:
-            arec, _, _ = run_aslo(
-                model, Theta_0,
-                anchor_eps=2.0 * model.theta_bound, T=rest, params=params,
-                seed=seeds[2 * i + 1], x0=x_cur,
-                lambda_override=schedules.lambda_t(max(Ti, 2), params))
-            parts.append(arec)
-            x_cur = arec.x[-1]
+        plan += [("warmup", w_i, {}),
+                 ("aslo", Ti - w_i, {"anchor_eps": 2.0 * model.theta_bound,
+                                     "lambda_override": schedules.lambda_t(max(Ti, 2), params)})]
         done += Ti
-        i += 1
-    return _concat_records(parts, seed)
+    return plan
+
+
+def run_segments(model: SystemModel, K0, plan: list, params: schedules.ScheduleParams,
+                 seed, x0=None) -> list:
+    """Run a plan of (kind, T, options) segments in turn from the state x0,
+    each from the state the one before ended in; a segment of no steps is
+    skipped.  "warmup" runs ``run_warmup`` under K0; "aslo" runs ``run_aslo``
+    with the options as keywords, anchored on their ``Theta_0`` or else on
+    the estimate of the warm-up before it.  A one-segment plan draws from
+    ``seed`` itself, as its runner would; segment k of a longer plan from
+    child k of ``SeedSequence(seed)``, so no two segments share a stream.
+    Returns (kind, the runner's return) per segment run."""
+    seeds = [seed] if len(plan) == 1 else np.random.SeedSequence(seed).spawn(len(plan))
+    done, x, Theta_0 = [], x0, None
+    for (kind, T, options), seg_seed in zip(plan, seeds):
+        if T == 0:
+            continue
+        if kind == "warmup":
+            out = Theta_0, rec = run_warmup(model, K0, T, seed=seg_seed, x0=x)
+        else:
+            out = run_aslo(model, **{"Theta_0": Theta_0, **options}, T=T, params=params,
+                           seed=seg_seed, x0=x)
+            rec = out[0]
+        done.append((kind, out))
+        x = rec.x[-1]
+    return done

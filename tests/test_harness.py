@@ -3,11 +3,12 @@ import logging
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from alqr import harness, loops, synthesis
+from alqr import harness, loops, schedules, synthesis
 from alqr.benchmarks import bench_2x2
 from alqr.cli import build_parser, config_from_args
 from alqr.cli import main as cli_main
@@ -132,6 +133,11 @@ class TestConfigValidation:
         (dict(T0=0), "T0"),
         (dict(seeds=[]), "seeds"),
         (dict(benchmark=None), "benchmark"),
+        (dict(base_horizon=0), "base_horizon"),
+        (dict(base_horizon=2.5), "base_horizon"),
+        (dict(base_horizon="16"), "base_horizon"),
+        (dict(eps_target=0.0), "eps_target"),
+        (dict(eps_target=float("nan")), "eps_target"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_invalid_config_names_field(self, overrides, field):
         with pytest.raises(ConfigurationError) as exc:
@@ -560,6 +566,102 @@ class TestRunExperiment:
         assert report.per_seed[0]["epochs"] >= 1
 
 
+
+def doubling_oracle(model, K0, base, total_T, params, seed):
+    """The doubling baseline as first written: segment i's warm-up and ASLO
+    on children 2i and 2i+1 of ``SeedSequence(seed).spawn(64)``, their
+    arrays joined into one record with the policy ids offset per part."""
+    seeds = np.random.SeedSequence(seed).spawn(64)
+    parts, done, i, x = [], 0, 0, None
+    while done < total_T:
+        Ti = min(base * 2**i, total_T - done)
+        w = min(Ti, max(1, math.ceil(math.sqrt(Ti))))
+        theta, rec = loops.run_warmup(model, K0, w, seed=seeds[2 * i], x0=x)
+        parts.append(rec)
+        if Ti > w:
+            rec, _, _ = loops.run_aslo(
+                model, theta, anchor_eps=2.0 * model.theta_bound, T=Ti - w, params=params,
+                seed=seeds[2 * i + 1], x0=rec.x[-1],
+                lambda_override=schedules.lambda_t(max(Ti, 2), params))
+            parts.append(rec)
+        x, done, i = rec.x[-1], done + Ti, i + 1
+    offsets = np.cumsum([0] + [int(p.policy_id.max()) + 1 for p in parts[:-1]])
+    cat = {name: np.concatenate([getattr(p, name) for p in parts])
+           for name in ("cost", "lambda_t", "r_t", "logdet_V", "beta_used", "est_error")}
+    return SimpleNamespace(
+        **cat, x=np.concatenate([parts[0].x] + [p.x[1:] for p in parts[1:]]),
+        policy_id=np.concatenate([p.policy_id + o for p, o in zip(parts, offsets)]),
+        T=sum(p.T for p in parts))
+
+
+class TestSegmentPlans:
+    """Every mode runs through ``loops.run_segments``: one stream rule and
+    one summary."""
+
+    @staticmethod
+    def capture(monkeypatch):
+        seen = []
+        for name, at in (("run_warmup", 1), ("run_aslo", 0)):  # the record's slot
+
+            def spy(*args, _runner=getattr(loops, name), _at=at, **kwargs):
+                out = _runner(*args, **kwargs)
+                seen.append(out[_at])
+                return out
+            monkeypatch.setattr(loops, name, spy)
+        return seen
+
+    def test_full_mode_aslo_does_not_replay_warmup_noise(self, tmp_path, monkeypatch):
+        # the ASLO segment once drew the warm-up's process noise again
+        seen = self.capture(monkeypatch)
+        report = run_experiment(smoke_config(tmp_path, mode="full", T0=40, T=50, seeds=[0]))
+        assert not report.errors
+        wrec, arec = seen
+        assert not np.any(arec.omega[:40] == wrec.omega)
+        children = np.random.SeedSequence(0).spawn(2)
+        assert [r.seed.spawn_key for r in seen] == [c.spawn_key for c in children]
+
+    @pytest.mark.parametrize("mode", ["aslo", "warmup"])
+    def test_one_segment_modes_draw_from_the_seed_itself(self, tmp_path, monkeypatch, mode):
+        seen = self.capture(monkeypatch)
+        run_experiment(smoke_config(tmp_path, mode=mode, T0=30, T=30, seeds=[4]))
+        assert [r.seed for r in seen] == [4]
+
+    @pytest.mark.parametrize("base", [1, 2, 16])
+    def test_doubling_csv_keeps_its_bytes(self, tmp_path, bench2x2, base):
+        cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling", T=100,
+                           base_horizon=base, seeds=[2], checkpoints=[])
+        report = run_experiment(cfg)
+        shared = harness.shared_setup(cfg)
+        rec = doubling_oracle(bench2x2, shared.K0, base, 100, shared.params, 2)
+        expected = oracle_csv(oracle_rows(rec, shared.J_star))
+        assert (tmp_path / "out" / "seed_0002.csv").read_bytes() == expected
+        summary = report.per_seed[0]
+        assert summary["final_cum_regret"] == float(np.cumsum(rec.cost - shared.J_star)[-1])
+        assert summary["max_x_norm"] == float(np.max(np.linalg.norm(rec.x, axis=1)))
+
+    def test_doubling_summary_counts_its_aslo_segments(self, tmp_path, monkeypatch):
+        histories = []
+        aslo = loops.run_aslo
+
+        def spy(*args, **kwargs):
+            out = aslo(*args, **kwargs)
+            histories.append(out[1])
+            return out
+        monkeypatch.setattr(loops, "run_aslo", spy)
+        report = run_experiment(smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",
+                                             T=200, base_horizon=16, seeds=[1]))
+        summary = report.per_seed[0]
+        epochs = [p for h in histories for p in h]
+        assert len(histories) == 4 and summary["epochs"] == len(epochs)
+        assert summary["synthesis_failures"] == 0
+        model = bench_2x2()
+        assert summary["epoch_rho"] == [
+            float(np.max(np.abs(np.linalg.eigvals(model.A + model.B @ p.K)))) for p in epochs]
+        assert report.aggregate["epochs_max"] == len(epochs)
+        # ledger and bound keys belong to a run whose one ASLO segment is its horizon
+        assert "R_terms" not in summary and "T0" not in summary
+
+
 class TestCli:
     def test_success_exit_code(self, tmp_path):
         rc = cli_main(["--benchmark", "scalar-golden", "--mode", "aslo",
@@ -576,9 +678,10 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("phi", 1.0), ("chi", 1.0), ("lambda_scale", 0.0), ("mu_mode", "Lemma"),
         ("noise_scale", -1.0), ("tau_star_form", "stmt"),
+        ("base_horizon", 0), ("base_horizon", 2.5), ("eps_target", -1.0),
     ])
     def test_schedule_config_error_exit_code(self, tmp_path, capsys, field, value):
-        # values only the schedule set-up can judge: exit 2 naming the field
+        # values the set-up judges before any seed runs: exit 2 naming the field
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"benchmark": "bench-2x2", "T": 5, field: value}))
         assert cli_main(["--config", str(p)]) == 2

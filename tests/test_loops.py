@@ -2,6 +2,7 @@ import logging
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from alqr.estimation import (
 from alqr.linalg import logdet_pd, nuclear_norm, spectral_norm
 from alqr.loops import (
     _streams,
+    doubling_plan,
     perturbation_variance,
     run_aslo,
-    run_doubling,
     run_fixed_policy,
+    run_segments,
     run_warmup,
     sample_perturbation,
 )
@@ -637,7 +639,7 @@ class TestRunnerGuards:
         (lambda m, K, p, a: run_aslo(m, *a, T=0, params=p, seed=0), "T"),
         (lambda m, K, p, a: run_aslo(m, *a, T=10, seed=0, params=replace(
             p, constants_mode="theory", G_phi=math.inf)), "constants_mode"),
-        (lambda m, K, p, a: run_doubling(m, K, 0, 10, params=p, seed=0), "base_horizon"),
+        (lambda m, K, p, a: doubling_plan(m, 0, 10, p), "base_horizon"),
     ], ids=["warmup-T0", "aslo-T", "aslo-infinite-G", "doubling-base-horizon"])
     def test_out_of_domain_run_rejected(self, bench2x2, bench2x2_gain, bench2x2_params,
                                         bench2x2_anchor, run, field):
@@ -649,7 +651,7 @@ class TestRunnerGuards:
         lambda m, K, p, a, x0: run_warmup(m, K, 10, seed=0, x0=x0),
         lambda m, K, p, a, x0: run_aslo(m, *a, T=10, params=p, seed=0, x0=x0),
         lambda m, K, p, a, x0: run_fixed_policy(m, K, 10, seed=0, params=p, x0=x0),
-        lambda m, K, p, a, x0: run_doubling(m, K, 4, 10, params=p, seed=0, x0=x0),
+        lambda m, K, p, a, x0: run_segments(m, K, doubling_plan(m, 4, 10, p), p, seed=0, x0=x0),
     ], ids=["warmup", "aslo", "fixed-policy", "doubling"])
     @pytest.mark.parametrize("x0", [[1.0], [[1.0, 2.0]]], ids=["one-value", "nested"])
     def test_x0_not_one_value_per_state_rejected(self, bench2x2, bench2x2_gain,
@@ -786,6 +788,23 @@ class TestComputedAfterTheLoop:
         assert np.array_equal(cost, per_step_costs(model, x, u))
 
 
+def records(done):
+    """The records of a ``run_segments`` return, in segment order."""
+    return [out[1] if kind == "warmup" else out[0] for kind, out in done]
+
+
+def run_doubling(model, K0, base_horizon, total_T, params, seed, x0=None):
+    """The doubling plan through the segment driver, its records' arrays
+    joined end to end and its segment ends as ``segment_bounds``."""
+    recs = records(run_segments(model, K0, doubling_plan(model, base_horizon, total_T, params),
+                                params, seed, x0))
+    cat = {name: np.concatenate([getattr(r, name) for r in recs])
+           for name in ("u", "eta", "omega", "cost", "lambda_t")}
+    return SimpleNamespace(**cat, x=np.concatenate([recs[0].x] + [r.x[1:] for r in recs[1:]]),
+                           T=sum(r.T for r in recs),
+                           segment_bounds=np.cumsum([r.T for r in recs]).tolist())
+
+
 class TestRunDoubling:
     def test_replay_invariant_across_seams(self, bench2x2, bench2x2_params,
                                            bench2x2_gain, monkeypatch):
@@ -809,7 +828,7 @@ class TestRunDoubling:
         monkeypatch.setattr(loops, "run_aslo", aslo_spy)
         rec = run_doubling(bench2x2, bench2x2_gain, base_horizon=16, total_T=400,
                            params=bench2x2_params, seed=6, x0=[0.5, -0.5])
-        assert len(rec.diagnostics["segment_bounds"]) > 4  # several seams
+        assert len(rec.segment_bounds) > 4  # several seams
         assert done[0] == rec.T
         assert_replays(bench2x2, segments, rec.x, rec.u, rec.eta, rec.omega)
 
@@ -817,7 +836,7 @@ class TestRunDoubling:
                                           bench2x2_gain):
         rec = run_doubling(bench2x2, bench2x2_gain, base_horizon=32,
                            total_T=32 * (2**4 - 1), params=bench2x2_params, seed=0)
-        bounds = rec.diagnostics["segment_bounds"]
+        bounds = rec.segment_bounds
         cumulative = [32 * (2**k - 1) for k in range(1, 5)]
         # warm-up and control sub-records both appear; segment ends must match
         assert set(cumulative) <= set(bounds)
@@ -827,7 +846,7 @@ class TestRunDoubling:
                                              bench2x2_gain):
         rec = run_doubling(bench2x2, bench2x2_gain, 16, 16 * 7,
                            params=bench2x2_params, seed=4)
-        starts = [0] + rec.diagnostics["segment_bounds"][:-1]
+        starts = [0] + rec.segment_bounds[:-1]
         assert len(starts) == 6  # three warm-up and three ASLO segments
         first = {tuple(w) for w in rec.omega[starts]}
         assert len(first) == len(starts)
@@ -869,12 +888,76 @@ class TestRunDoubling:
                                 delta=0.1, constants_mode="practical",
                                 criterion="relaxed_sequential", chi=0.1)
         rec = run_doubling(bench2x2, bench2x2_gain, 16, 16 * 7, params=params, seed=4)
-        bounds = [0] + rec.diagnostics["segment_bounds"]
+        bounds = [0] + rec.segment_bounds
         # warm-up and ASLO parts alternate; segment i spans T_i = 16 * 2**i steps
         aslo_parts = list(zip(bounds[1::2], bounds[2::2]))
         assert len(aslo_parts) == 3
         for i, (lo, hi) in enumerate(aslo_parts):
             assert np.all(rec.lambda_t[lo:hi] == schedules.lambda_t(16 * 2**i, params))
+
+
+
+def assert_same_record(a, b):
+    for name in ("x", "u", "eta", "omega", "cost", "policy_id", "lambda_t", "r_t",
+                 "logdet_V", "beta_used", "est_error"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert a.diagnostics == b.diagnostics
+
+
+class TestRunSegments:
+    """One driver for every mode, and one stream rule: a one-segment plan
+    draws from the seed itself, segment k of a longer plan from child k."""
+
+    def test_one_warmup_segment_is_run_warmup(self, bench2x2, bench2x2_gain, bench2x2_params):
+        (kind, (theta, rec)), = run_segments(bench2x2, bench2x2_gain, [("warmup", 60, {})],
+                                            bench2x2_params, 5, x0=[0.5, 0.0])
+        theta_ref, ref = run_warmup(bench2x2, bench2x2_gain, 60, seed=5, x0=[0.5, 0.0])
+        assert kind == "warmup" and rec.seed == 5
+        assert np.array_equal(theta, theta_ref)
+        assert_same_record(rec, ref)
+
+    def test_one_aslo_segment_is_run_aslo(self, bench2x2, bench2x2_gain, bench2x2_params,
+                                          bench2x2_anchor):
+        theta0, eps = bench2x2_anchor
+        plan = [("aslo", 120, {"Theta_0": theta0, "anchor_eps": eps, "checkpoints": [60]})]
+        (kind, (rec, hist, ledger)), = run_segments(bench2x2, bench2x2_gain, plan,
+                                                   bench2x2_params, 7)
+        ref, hist_ref, ledger_ref = run_aslo(bench2x2, theta0, eps, T=120,
+                                             params=bench2x2_params, seed=7, checkpoints=[60])
+        assert kind == "aslo" and rec.seed == 7
+        assert_same_record(rec, ref)
+        assert [p.tau for p in hist] == [p.tau for p in hist_ref]
+        assert ledger.terms() == ledger_ref.terms()
+
+    def test_later_segments_start_where_the_last_ended(self, bench2x2, bench2x2_gain,
+                                                       bench2x2_params):
+        plan = [("warmup", 30, {}), ("aslo", 40, {"anchor_eps": 0.5})]
+        (_, (theta, wrec)), (_, (arec, _, _)) = run_segments(
+            bench2x2, bench2x2_gain, plan, bench2x2_params, 2, x0=[1.0, -1.0])
+        assert np.array_equal(wrec.x[0], [1.0, -1.0])
+        assert np.array_equal(arec.x[0], wrec.x[-1])
+        # the ASLO segment is anchored on the warm-up's estimate
+        ref, _, _ = run_aslo(bench2x2, theta, 0.5, T=40, params=bench2x2_params,
+                             seed=arec.seed, x0=wrec.x[-1])
+        assert_same_record(arec, ref)
+
+    @pytest.mark.parametrize("base", [1, 2, 16])
+    def test_doubling_draws_children_2i_and_2i_plus_1(self, bench2x2, bench2x2_gain,
+                                                      bench2x2_params, base):
+        plan = doubling_plan(bench2x2, base, 100, bench2x2_params)
+        done = run_segments(bench2x2, bench2x2_gain, plan, bench2x2_params, 3)
+        # a segment too short for ASLO steps skips its child 2i + 1
+        ran = [k for k, (_, T, _) in enumerate(plan) if T > 0]
+        assert [kind for kind, _ in done] == [plan[k][0] for k in ran]
+        assert [rec.seed.spawn_key for rec in records(done)] == [(k,) for k in ran]
+        assert all(kind == ("warmup", "aslo")[k % 2] for k, (kind, _, _) in enumerate(plan))
+        if base < 3:
+            assert len(ran) < len(plan)
+        children = np.random.SeedSequence(3).spawn(len(plan))
+        for k, rec in zip(ran, records(done)):
+            omega_rng, _, _ = _streams(children[k])
+            assert np.array_equal(rec.omega, bench2x2.sigma_w
+                                  * omega_rng.standard_normal((rec.T, bench2x2.n)))
 
 
 def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,

@@ -538,7 +538,7 @@ class TestRiccatiOracle:
             root, inv_root = psd_roots(p.P_dual)
             assert np.array_equal(root, psd_sqrt(p.P_dual))
             assert np.array_equal(inv_root, (U / np.sqrt(np.maximum(w, 1e-12))) @ U.T)
-        gaps = _epoch_diagnostics(bench2x2, params, hist)["sequential_gaps"]
+        gaps = _epoch_diagnostics(params, hist)["sequential_gaps"]
         pairs = list(zip(hist, hist[1:]))
         assert gaps == [sequential_gap(a.P_dual, b.P_dual) for a, b in pairs]
         assert gaps == [oracle_gap(a.P_dual, b.P_dual) for a, b in pairs]
