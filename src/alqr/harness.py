@@ -407,12 +407,14 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     horizon is the one ASLO segment, which adds its ledger, bounds and gaps."""
     model, params, J_star = shared.model, shared.params, shared.J_star
     plan = _segment_plan(config, shared)
-    done = loops.run_segments(model, shared.K0, plan, params, seed, config.x0)
-    records = [out[1] if kind == "warmup" else out[0] for kind, out in done]
-    aslos = [out for kind, out in done if kind == "aslo"]
+    records, aslos, columns = [], [], []
     carry = config.mode == "doubling"
-    columns = []
-    for rec in records:
+    # each part's columns are built as its segment ends (after all, full-3x2 peaked 8 MB higher)
+    for kind, out in loops.run_segments(model, shared.K0, plan, params, seed, config.x0):
+        rec = out[1] if kind == "warmup" else out[0]
+        records.append(rec)
+        if kind == "aslo":
+            aslos.append(out)
         cols = trajectory_columns(rec, J_star)
         if carry and columns:
             last = columns[-1]

@@ -575,7 +575,7 @@ def doubling_plan(model: SystemModel, base_horizon: int, total_T: int,
 
 
 def run_segments(model: SystemModel, K0, plan: list, params: schedules.ScheduleParams,
-                 seed, x0=None) -> list:
+                 seed, x0=None):
     """Run a plan of (kind, T, options) segments in turn from the state x0,
     each from the state the one before ended in; a segment of no steps is
     skipped.  "warmup" runs ``run_warmup`` under K0; "aslo" runs ``run_aslo``
@@ -583,18 +583,18 @@ def run_segments(model: SystemModel, K0, plan: list, params: schedules.ScheduleP
     the estimate of the warm-up before it.  A one-segment plan draws from
     ``seed`` itself, as its runner would; segment k of a longer plan from
     child k of ``SeedSequence(seed)``, so no two segments share a stream.
-    Returns (kind, the runner's return) per segment run."""
+    Yields (kind, the runner's return) as each segment ends."""
     seeds = [seed] if len(plan) == 1 else np.random.SeedSequence(seed).spawn(len(plan))
-    done, x, Theta_0 = [], x0, None
+    x, Theta_0 = x0, None
     for (kind, T, options), seg_seed in zip(plan, seeds):
         if T == 0:
             continue
         if kind == "warmup":
-            out = Theta_0, rec = run_warmup(model, K0, T, seed=seg_seed, x0=x)
+            out = run_warmup(model, K0, T, seed=seg_seed, x0=x)
+            Theta_0, rec = out
         else:
             out = run_aslo(model, **{"Theta_0": Theta_0, **options}, T=T, params=params,
                            seed=seg_seed, x0=x)
             rec = out[0]
-        done.append((kind, out))
+        yield kind, out
         x = rec.x[-1]
-    return done

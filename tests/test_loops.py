@@ -651,7 +651,7 @@ class TestRunnerGuards:
         lambda m, K, p, a, x0: run_warmup(m, K, 10, seed=0, x0=x0),
         lambda m, K, p, a, x0: run_aslo(m, *a, T=10, params=p, seed=0, x0=x0),
         lambda m, K, p, a, x0: run_fixed_policy(m, K, 10, seed=0, params=p, x0=x0),
-        lambda m, K, p, a, x0: run_segments(m, K, doubling_plan(m, 4, 10, p), p, seed=0, x0=x0),
+        lambda m, K, p, a, x0: list(run_segments(m, K, doubling_plan(m, 4, 10, p), p, 0, x0)),
     ], ids=["warmup", "aslo", "fixed-policy", "doubling"])
     @pytest.mark.parametrize("x0", [[1.0], [[1.0, 2.0]]], ids=["one-value", "nested"])
     def test_x0_not_one_value_per_state_rejected(self, bench2x2, bench2x2_gain,
@@ -945,7 +945,7 @@ class TestRunSegments:
     def test_doubling_draws_children_2i_and_2i_plus_1(self, bench2x2, bench2x2_gain,
                                                       bench2x2_params, base):
         plan = doubling_plan(bench2x2, base, 100, bench2x2_params)
-        done = run_segments(bench2x2, bench2x2_gain, plan, bench2x2_params, 3)
+        done = list(run_segments(bench2x2, bench2x2_gain, plan, bench2x2_params, 3))
         # a segment too short for ASLO steps skips its child 2i + 1
         ran = [k for k, (_, T, _) in enumerate(plan) if T > 0]
         assert [kind for kind, _ in done] == [plan[k][0] for k in ran]
