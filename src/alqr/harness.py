@@ -335,8 +335,13 @@ def read_trajectory_csv(path) -> dict:
 
 def coverage_check(reports) -> float:
     """Fraction of (seed, checkpoint) pairs whose ellipsoid held the truth."""
-    flags = [bool(ok) for rep in reports for _, ok in rep.get("containment", [])]
-    return float(np.mean(flags)) if flags else float("nan")
+    flags = []
+    for rep in reports:
+        for _, ok in rep.get("containment", []):
+            flags.append(bool(ok))
+    if not flags:
+        return float("nan")
+    return float(np.mean(flags))
 
 
 @dataclass
@@ -380,38 +385,53 @@ def _epoch_diagnostics(params, history):
     }
 
 
-def _segment_plan(config: ExperimentConfig, shared: SharedSetup) -> list:
-    """The mode's plan for ``loops.run_segments``: warmup is [warm-up T0],
-    aslo [ASLO T] on the perturbed anchor, full [warm-up T0, ASLO T
-    anchored on its estimate with eps_target], doubling ``loops.doubling_plan``."""
+def _segment_plan(config: ExperimentConfig, shared: SharedSetup, seed: int):
+    """The mode's (kind, T, seed, options) segments for ``loops.run_segments``
+    and whether they make up one horizon.  warmup and aslo draw from the seed;
+    full gives its ASLO the seed and its warm-up child 0 of SeedSequence(seed),
+    so the two draw different noise.  doubling is one horizon of segments
+    T_i = base 2^i: ceil(sqrt(T_i)) warm-up steps on child 2i, then ASLO on
+    child 2i + 1 with lambda frozen at the horizon value lambda_t(max(T_i, 2))."""
     model, params = shared.model, shared.params
+    children = np.random.SeedSequence(seed)
     if config.mode == "doubling":
-        return loops.doubling_plan(model, config.base_horizon, config.T, params)
+        plan, done, i = [], 0, 0
+        while done < config.T:
+            Ti = min(config.base_horizon * 2**i, config.T - done)
+            w_i = min(Ti, max(1, math.ceil(math.sqrt(Ti))))
+            warm_seed, aslo_seed = children.spawn(2)  # children 2i and 2i + 1
+            plan.append(("warmup", w_i, warm_seed, {}))
+            if Ti > w_i:
+                plan.append(("aslo", Ti - w_i, aslo_seed, {
+                    "anchor_eps": 2.0 * model.theta_bound,
+                    "lambda_override": schedules.lambda_t(max(Ti, 2), params)}))
+            done, i = done + Ti, i + 1
+        return plan, True
     eps_target = config.eps_target if config.eps_target is not None else 0.5
-    aslo = {"anchor_eps": eps_target, "checkpoints": config.checkpoints}
     if config.mode == "aslo":
         Theta_0 = perturbed_theta(model, config.anchor_rel_error, seed=config.anchor_seed)
-        aslo.update(Theta_0=Theta_0, anchor_eps=float(
-            np.linalg.norm(Theta_0 - model.theta_star)) * 1.05)
-        return [("aslo", config.T, aslo)]
+        eps = float(np.linalg.norm(Theta_0 - model.theta_star)) * 1.05
+        return [("aslo", config.T, seed, {"Theta_0": Theta_0, "anchor_eps": eps,
+                                          "checkpoints": config.checkpoints})], False
     T0 = config.T0 if config.T0 is not None else schedules.warmup_duration(eps_target, params)
-    return [("warmup", int(T0), {})] + ([("aslo", config.T, aslo)] if config.mode == "full" else [])
+    if config.mode == "warmup":
+        return [("warmup", int(T0), seed, {})], False
+    return [("warmup", int(T0), children.spawn(1)[0], {}),
+            ("aslo", config.T, seed, {"anchor_eps": eps_target,
+                                      "checkpoints": config.checkpoints})], False
 
 
 def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     """One isolated per-seed run: the mode's plan through ``loops.run_segments``,
-    one CSV part per segment and one summary over the horizon T; returns the
-    summary plus the parts' columns.  A doubling plan's segments all make up
-    the horizon, so t, cum_regret (carried on with the bits of one cumsum over
-    the run) and the epoch ids run on across its parts; in aslo and full the
-    horizon is the one ASLO segment, which adds its ledger, bounds and gaps."""
+    one CSV part per segment and one summary; returns the summary plus the
+    parts' columns.  The parts of one horizon (doubling) carry t, cum_regret
+    (with the bits of one cumsum over the run) and the epoch ids on.  Else a
+    first warm-up is the run's own and a last ASLO segment is the horizon T."""
     model, params, J_star = shared.model, shared.params, shared.J_star
-    plan = _segment_plan(config, shared)
+    plan, carry = _segment_plan(config, shared, seed)
     records, aslos, columns = [], [], []
-    carry = config.mode == "doubling"
-    # each part's columns are built as its segment ends (after all, full-3x2 peaked 8 MB higher)
-    for kind, out in loops.run_segments(model, shared.K0, plan, params, seed, config.x0):
-        rec = out[1] if kind == "warmup" else out[0]
+    # build each part's columns as its segment ends: no segment's arrays wait for the last
+    for kind, rec, out in loops.run_segments(model, shared.K0, plan, params, config.x0):
         records.append(rec)
         if kind == "aslo":
             aslos.append(out)
@@ -424,9 +444,9 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         columns.append(cols)
 
     summary = {"seed": seed, "mode": config.mode, "J_star": J_star, "columns": columns}
-    if config.mode in ("warmup", "full"):
+    if not carry and plan[0][0] == "warmup":
         summary.update(T0=records[0].T, theta0_error=records[0].diagnostics["theta0_error"])
-    if config.mode != "warmup":
+    if carry or aslos:
         history = [p for _, h, _ in aslos for p in h]
         Ms = model.A + model.B @ np.array([p.K for p in history]).reshape(-1, model.m, model.n)
         summary.update({
@@ -439,25 +459,31 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         })
     if carry:
         summary["segment_bounds"] = np.cumsum([rec.T for rec in records]).tolist()
-    elif aslos:  # a horizon of one ASLO segment: aslo and full
+    elif aslos:
         (rec, _, ledger), = aslos
         rr = columns[-1]["cum_regret"]
-        bounds = regret.term_bounds(config.T, params, {
-            "X_T": summary["max_x_norm"],
+        stats = {
+            "X_T": rec.max_state_norm(),
             "Z_T": float(np.max(np.sum(np.hstack([rec.x[:-1], rec.u]) ** 2, axis=1))),
-            "r_T": float(rec.r_t[-1]), "beta": float(rec.beta_used[-1]),
-            "lambda_T": float(rec.lambda_t[-1]), "lambda_1": float(rec.lambda_t[0])})
+            "r_T": float(rec.r_t[-1]),
+            "lambda_T": float(rec.lambda_t[-1]),
+            "lambda_1": float(rec.lambda_t[0]),
+            "beta": float(rec.beta_used[-1]),
+        }
+        bounds = regret.term_bounds(config.T, params, stats)
         terms = ledger.terms()
         summary.update({
             "checkpoint_regret": {str(c): float(rr[c - 1])
                                   for c in config.checkpoints if c <= config.T},
             "n_updates": ledger.n_updates(),
-            "containment": [[int(t), bool(ok)] for t, ok in rec.diagnostics["containment"]],
+            "containment": [[int(t), bool(ok)]
+                            for t, ok in rec.diagnostics["containment"]],
             "epoch_starts": [[int(p.tau), float(p.est_error)] for p in history],
             "R_terms": terms,
             "R_bounds": bounds,
             "bound_violations": int(sum(terms[k] > bounds[k] for k in regret.R_NAMES)),
-            "realized_vs_sum": {"realized": float(rr[-1]), "sum_R": float(sum(terms.values()))},
+            "realized_vs_sum": {"realized": float(rr[-1]),
+                                "sum_R": float(sum(terms.values()))},
             "anynum_holds_ever": bool(any(rec.diagnostics["anynum_condition"])),
         })
         summary.update(_epoch_diagnostics(params, history))

@@ -1,6 +1,5 @@
 """Algorithm runners: warm-up identification, the adaptive SDP-based control
-loop (ASLO), and ``run_segments``, which chains them into the plans of the
-warm-up-then-ASLO and doubling-trick runs.
+loop (ASLO), and ``run_segments``, which runs a plan of the two in turn.
 
 Each runner sets its trajectory up through ``_trajectory``, which splits one
 RNG seeded per trajectory into independent streams for process noise,
@@ -67,7 +66,7 @@ BLOWUP_NORM = 1e6
 class TrajectoryRecord:
     """Per-step arrays of one trajectory plus run metadata."""
 
-    seed: int                # a segment of a longer plan holds its SeedSequence child
+    seed: int                # a SeedSequence child in full's warm-up and doubling
     x: np.ndarray            # (T+1, n), states
     u: np.ndarray            # (T, m), applied inputs
     eta: np.ndarray          # (T, m), injected perturbation (nu during warm-up)
@@ -554,47 +553,22 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
     return _stage_costs(model, x, u), est, containment
 
 
-def doubling_plan(model: SystemModel, base_horizon: int, total_T: int,
-                  params: schedules.ScheduleParams) -> list:
-    """The doubling-trick baseline as a plan for ``run_segments``: segments
-    T_i = base 2^i until total_T steps have elapsed, each ceil(sqrt(T_i))
-    warm-up steps and then ASLO anchored on that warm-up, its regularizer
-    frozen at the horizon value lambda_t(max(T_i, 2)).  A segment too short
-    for ASLO steps keeps its empty ASLO entry: segment i is entries 2i, 2i+1."""
-    if base_horizon < 1:
-        raise ConfigurationError("base_horizon must be >= 1", field="base_horizon")
-    plan, done = [], 0
-    while done < total_T:
-        Ti = min(base_horizon * 2 ** (len(plan) // 2), total_T - done)
-        w_i = min(Ti, max(1, math.ceil(math.sqrt(Ti))))
-        plan += [("warmup", w_i, {}),
-                 ("aslo", Ti - w_i, {"anchor_eps": 2.0 * model.theta_bound,
-                                     "lambda_override": schedules.lambda_t(max(Ti, 2), params)})]
-        done += Ti
-    return plan
-
-
 def run_segments(model: SystemModel, K0, plan: list, params: schedules.ScheduleParams,
-                 seed, x0=None):
-    """Run a plan of (kind, T, options) segments in turn from the state x0,
-    each from the state the one before ended in; a segment of no steps is
-    skipped.  "warmup" runs ``run_warmup`` under K0; "aslo" runs ``run_aslo``
+                 x0=None):
+    """Run a plan of (kind, T, seed, options) segments in turn from the state
+    x0, each from the state the one before ended in, on the seed its entry
+    names.  "warmup" runs ``run_warmup`` under K0; "aslo" runs ``run_aslo``
     with the options as keywords, anchored on their ``Theta_0`` or else on
-    the estimate of the warm-up before it.  A one-segment plan draws from
-    ``seed`` itself, as its runner would; segment k of a longer plan from
-    child k of ``SeedSequence(seed)``, so no two segments share a stream.
-    Yields (kind, the runner's return) as each segment ends."""
-    seeds = [seed] if len(plan) == 1 else np.random.SeedSequence(seed).spawn(len(plan))
+    the estimate of the warm-up before it.  Yields (kind, the segment's
+    record, the runner's return) as each segment ends."""
     x, Theta_0 = x0, None
-    for (kind, T, options), seg_seed in zip(plan, seeds):
-        if T == 0:
-            continue
+    for kind, T, seed, options in plan:
         if kind == "warmup":
-            out = run_warmup(model, K0, T, seed=seg_seed, x0=x)
+            out = run_warmup(model, K0, T, seed=seed, x0=x)
             Theta_0, rec = out
         else:
             out = run_aslo(model, **{"Theta_0": Theta_0, **options}, T=T, params=params,
-                           seed=seg_seed, x0=x)
+                           seed=seed, x0=x)
             rec = out[0]
-        yield kind, out
+        yield kind, rec, out
         x = rec.x[-1]

@@ -3,7 +3,6 @@ import logging
 import math
 import os
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from alqr.harness import (
 from alqr.linalg import _BLOCK
 from alqr.loops import TrajectoryRecord
 from alqr.regret import slope
+from test_loops import join_records
 
 
 def smoke_config(tmp_path, **overrides):
@@ -570,7 +570,7 @@ class TestRunExperiment:
 def doubling_oracle(model, K0, base, total_T, params, seed):
     """The doubling baseline as first written: segment i's warm-up and ASLO
     on children 2i and 2i+1 of ``SeedSequence(seed).spawn(64)``, their
-    arrays joined into one record with the policy ids offset per part."""
+    records joined into one."""
     seeds = np.random.SeedSequence(seed).spawn(64)
     parts, done, i, x = [], 0, 0, None
     while done < total_T:
@@ -585,18 +585,13 @@ def doubling_oracle(model, K0, base, total_T, params, seed):
                 lambda_override=schedules.lambda_t(max(Ti, 2), params))
             parts.append(rec)
         x, done, i = rec.x[-1], done + Ti, i + 1
-    offsets = np.cumsum([0] + [int(p.policy_id.max()) + 1 for p in parts[:-1]])
-    cat = {name: np.concatenate([getattr(p, name) for p in parts])
-           for name in ("cost", "lambda_t", "r_t", "logdet_V", "beta_used", "est_error")}
-    return SimpleNamespace(
-        **cat, x=np.concatenate([parts[0].x] + [p.x[1:] for p in parts[1:]]),
-        policy_id=np.concatenate([p.policy_id + o for p, o in zip(parts, offsets)]),
-        T=sum(p.T for p in parts))
+    return join_records(parts)
 
 
 class TestSegmentPlans:
-    """Every mode runs through ``loops.run_segments``: one stream rule and
-    one summary."""
+    """Every mode runs through ``loops.run_segments`` on the plan that
+    ``_segment_plan`` builds, which names each segment's seed, and has one
+    summary."""
 
     @staticmethod
     def capture(monkeypatch):
@@ -617,14 +612,38 @@ class TestSegmentPlans:
         assert not report.errors
         wrec, arec = seen
         assert not np.any(arec.omega[:40] == wrec.omega)
-        children = np.random.SeedSequence(0).spawn(2)
-        assert [r.seed.spawn_key for r in seen] == [c.spawn_key for c in children]
+        # the ASLO keeps the seed itself; the warm-up takes child 0
+        assert wrec.seed.spawn_key == np.random.SeedSequence(0).spawn(1)[0].spawn_key
+        assert arec.seed == 0
 
     @pytest.mark.parametrize("mode", ["aslo", "warmup"])
     def test_one_segment_modes_draw_from_the_seed_itself(self, tmp_path, monkeypatch, mode):
         seen = self.capture(monkeypatch)
         run_experiment(smoke_config(tmp_path, mode=mode, T0=30, T=30, seeds=[4]))
         assert [r.seed for r in seen] == [4]
+
+    @pytest.mark.parametrize("base", [1, 2, 16])
+    def test_doubling_draws_children_2i_and_2i_plus_1(self, tmp_path, bench2x2, base):
+        cfg = smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling", T=100,
+                           base_horizon=base, seeds=[3], checkpoints=[])
+        shared = harness.shared_setup(cfg)
+        plan, carry = harness._segment_plan(cfg, shared, 3)
+        done = list(loops.run_segments(bench2x2, shared.K0, plan, shared.params))
+        # epoch i's warm-up takes child 2i; its ASLO, when steps are left, 2i + 1
+        keys, left, i = [], 100, 0
+        while left > 0:
+            Ti = min(base * 2**i, left)
+            keys += [(2 * i,)] + ([(2 * i + 1,)] if Ti > math.ceil(math.sqrt(Ti)) else [])
+            left, i = left - Ti, i + 1
+        assert carry and [rec.seed.spawn_key for _, rec, _ in done] == keys
+        assert [kind for kind, _, _ in done] == [("warmup", "aslo")[k % 2] for k, in keys]
+        if base < 3:
+            assert len(keys) < 2 * i  # an epoch too short for ASLO steps
+        children = np.random.SeedSequence(3).spawn(2 * i)
+        for (k,), (_, rec, _) in zip(keys, done):
+            omega_rng, _, _ = loops._streams(children[k])
+            assert np.array_equal(rec.omega, bench2x2.sigma_w
+                                  * omega_rng.standard_normal((rec.T, bench2x2.n)))
 
     @pytest.mark.parametrize("base", [1, 2, 16])
     def test_doubling_csv_keeps_its_bytes(self, tmp_path, bench2x2, base):
@@ -638,6 +657,7 @@ class TestSegmentPlans:
         summary = report.per_seed[0]
         assert summary["final_cum_regret"] == float(np.cumsum(rec.cost - shared.J_star)[-1])
         assert summary["max_x_norm"] == float(np.max(np.linalg.norm(rec.x, axis=1)))
+        assert summary["segment_bounds"] == rec.segment_bounds
 
     def test_doubling_summary_counts_its_aslo_segments(self, tmp_path, monkeypatch):
         histories = []
@@ -660,6 +680,15 @@ class TestSegmentPlans:
         assert report.aggregate["epochs_max"] == len(epochs)
         # ledger and bound keys belong to a run whose one ASLO segment is its horizon
         assert "R_terms" not in summary and "T0" not in summary
+
+    def test_doubling_of_warm_ups_alone_still_reports_its_regret(self, tmp_path):
+        # base 1 and T = 3: epochs of 1 and 2 steps, each all warm-up
+        report = run_experiment(smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",
+                                             T=3, base_horizon=1, seeds=[0], checkpoints=[]))
+        summary = report.per_seed[0]
+        assert summary["segment_bounds"] == [1, 3] and summary["epochs"] == 0
+        assert summary["epoch_rho"] == [] and math.isfinite(summary["final_cum_regret"])
+        assert "T0" not in summary
 
 
 class TestCli:

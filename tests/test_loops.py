@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from alqr import estimation, loops, regret, schedules, synthesis
+from alqr import estimation, harness, loops, regret, schedules, synthesis
 from alqr.benchmarks import bench_2x2, bench_3x2, perturbed_gain, scalar_golden
 from alqr.exceptions import BlowUpError, CertificateError, ConfigurationError, SynthesisError
 from alqr.estimation import (
@@ -22,7 +22,6 @@ from alqr.estimation import (
 from alqr.linalg import logdet_pd, nuclear_norm, spectral_norm
 from alqr.loops import (
     _streams,
-    doubling_plan,
     perturbation_variance,
     run_aslo,
     run_fixed_policy,
@@ -651,7 +650,7 @@ class TestRunnerGuards:
         lambda m, K, p, a, x0: run_warmup(m, K, 10, seed=0, x0=x0),
         lambda m, K, p, a, x0: run_aslo(m, *a, T=10, params=p, seed=0, x0=x0),
         lambda m, K, p, a, x0: run_fixed_policy(m, K, 10, seed=0, params=p, x0=x0),
-        lambda m, K, p, a, x0: list(run_segments(m, K, doubling_plan(m, 4, 10, p), p, 0, x0)),
+        lambda m, K, p, a, x0: list(run_segments(m, K, doubling_plan(m, 4, 10, p), p, x0)),
     ], ids=["warmup", "aslo", "fixed-policy", "doubling"])
     @pytest.mark.parametrize("x0", [[1.0], [[1.0, 2.0]]], ids=["one-value", "nested"])
     def test_x0_not_one_value_per_state_rejected(self, bench2x2, bench2x2_gain,
@@ -788,21 +787,32 @@ class TestComputedAfterTheLoop:
         assert np.array_equal(cost, per_step_costs(model, x, u))
 
 
-def records(done):
-    """The records of a ``run_segments`` return, in segment order."""
-    return [out[1] if kind == "warmup" else out[0] for kind, out in done]
+def doubling_plan(model, base_horizon, total_T, params, seed=0):
+    """The doubling baseline's plan for one seed, as ``harness`` builds it."""
+    config = harness.ExperimentConfig(benchmark="bench-2x2", mode="doubling", T=total_T,
+                                      base_horizon=base_horizon)
+    shared = harness.SharedSetup(model=model, K0=None, params=params, J_star=0.0)
+    return harness._segment_plan(config, shared, seed)[0]
+
+
+def join_records(parts):
+    """Records joined end to end as one run: the states after each part's
+    first, the policy ids offset past the part before, and the parts' ends
+    as ``segment_bounds``."""
+    offsets = np.cumsum([0] + [int(p.policy_id.max()) + 1 for p in parts[:-1]])
+    cat = {name: np.concatenate([getattr(p, name) for p in parts])
+           for name in ("u", "eta", "omega", "cost", "lambda_t", "r_t", "logdet_V",
+                        "beta_used", "est_error")}
+    return SimpleNamespace(
+        **cat, x=np.concatenate([parts[0].x] + [p.x[1:] for p in parts[1:]]),
+        policy_id=np.concatenate([p.policy_id + o for p, o in zip(parts, offsets)]),
+        T=sum(p.T for p in parts), segment_bounds=np.cumsum([p.T for p in parts]).tolist())
 
 
 def run_doubling(model, K0, base_horizon, total_T, params, seed, x0=None):
-    """The doubling plan through the segment driver, its records' arrays
-    joined end to end and its segment ends as ``segment_bounds``."""
-    recs = records(run_segments(model, K0, doubling_plan(model, base_horizon, total_T, params),
-                                params, seed, x0))
-    cat = {name: np.concatenate([getattr(r, name) for r in recs])
-           for name in ("u", "eta", "omega", "cost", "lambda_t")}
-    return SimpleNamespace(**cat, x=np.concatenate([recs[0].x] + [r.x[1:] for r in recs[1:]]),
-                           T=sum(r.T for r in recs),
-                           segment_bounds=np.cumsum([r.T for r in recs]).tolist())
+    """The doubling plan through the segment driver, its records joined."""
+    plan = doubling_plan(model, base_horizon, total_T, params, seed)
+    return join_records([rec for _, rec, _ in run_segments(model, K0, plan, params, x0)])
 
 
 class TestRunDoubling:
@@ -905,59 +915,42 @@ def assert_same_record(a, b):
 
 
 class TestRunSegments:
-    """One driver for every mode, and one stream rule: a one-segment plan
-    draws from the seed itself, segment k of a longer plan from child k."""
+    """One driver for every mode: each segment on the seed its plan entry
+    names, from the state the segment before ended in."""
 
     def test_one_warmup_segment_is_run_warmup(self, bench2x2, bench2x2_gain, bench2x2_params):
-        (kind, (theta, rec)), = run_segments(bench2x2, bench2x2_gain, [("warmup", 60, {})],
-                                            bench2x2_params, 5, x0=[0.5, 0.0])
+        (kind, rec, (theta, out_rec)), = run_segments(
+            bench2x2, bench2x2_gain, [("warmup", 60, 5, {})], bench2x2_params, x0=[0.5, 0.0])
         theta_ref, ref = run_warmup(bench2x2, bench2x2_gain, 60, seed=5, x0=[0.5, 0.0])
-        assert kind == "warmup" and rec.seed == 5
+        assert kind == "warmup" and rec is out_rec and rec.seed == 5
         assert np.array_equal(theta, theta_ref)
         assert_same_record(rec, ref)
 
     def test_one_aslo_segment_is_run_aslo(self, bench2x2, bench2x2_gain, bench2x2_params,
                                           bench2x2_anchor):
         theta0, eps = bench2x2_anchor
-        plan = [("aslo", 120, {"Theta_0": theta0, "anchor_eps": eps, "checkpoints": [60]})]
-        (kind, (rec, hist, ledger)), = run_segments(bench2x2, bench2x2_gain, plan,
-                                                   bench2x2_params, 7)
+        plan = [("aslo", 120, 7, {"Theta_0": theta0, "anchor_eps": eps, "checkpoints": [60]})]
+        (kind, rec, (out_rec, hist, ledger)), = run_segments(bench2x2, bench2x2_gain, plan,
+                                                            bench2x2_params)
         ref, hist_ref, ledger_ref = run_aslo(bench2x2, theta0, eps, T=120,
                                              params=bench2x2_params, seed=7, checkpoints=[60])
-        assert kind == "aslo" and rec.seed == 7
+        assert kind == "aslo" and rec is out_rec and rec.seed == 7
         assert_same_record(rec, ref)
         assert [p.tau for p in hist] == [p.tau for p in hist_ref]
         assert ledger.terms() == ledger_ref.terms()
 
     def test_later_segments_start_where_the_last_ended(self, bench2x2, bench2x2_gain,
                                                        bench2x2_params):
-        plan = [("warmup", 30, {}), ("aslo", 40, {"anchor_eps": 0.5})]
-        (_, (theta, wrec)), (_, (arec, _, _)) = run_segments(
-            bench2x2, bench2x2_gain, plan, bench2x2_params, 2, x0=[1.0, -1.0])
+        plan = [("warmup", 30, 2, {}), ("aslo", 40, 3, {"anchor_eps": 0.5})]
+        (_, wrec, (theta, _)), (_, arec, _) = run_segments(
+            bench2x2, bench2x2_gain, plan, bench2x2_params, x0=[1.0, -1.0])
         assert np.array_equal(wrec.x[0], [1.0, -1.0])
         assert np.array_equal(arec.x[0], wrec.x[-1])
+        assert (wrec.seed, arec.seed) == (2, 3)
         # the ASLO segment is anchored on the warm-up's estimate
         ref, _, _ = run_aslo(bench2x2, theta, 0.5, T=40, params=bench2x2_params,
-                             seed=arec.seed, x0=wrec.x[-1])
+                             seed=3, x0=wrec.x[-1])
         assert_same_record(arec, ref)
-
-    @pytest.mark.parametrize("base", [1, 2, 16])
-    def test_doubling_draws_children_2i_and_2i_plus_1(self, bench2x2, bench2x2_gain,
-                                                      bench2x2_params, base):
-        plan = doubling_plan(bench2x2, base, 100, bench2x2_params)
-        done = list(run_segments(bench2x2, bench2x2_gain, plan, bench2x2_params, 3))
-        # a segment too short for ASLO steps skips its child 2i + 1
-        ran = [k for k, (_, T, _) in enumerate(plan) if T > 0]
-        assert [kind for kind, _ in done] == [plan[k][0] for k in ran]
-        assert [rec.seed.spawn_key for rec in records(done)] == [(k,) for k in ran]
-        assert all(kind == ("warmup", "aslo")[k % 2] for k, (kind, _, _) in enumerate(plan))
-        if base < 3:
-            assert len(ran) < len(plan)
-        children = np.random.SeedSequence(3).spawn(len(plan))
-        for k, rec in zip(ran, records(done)):
-            omega_rng, _, _ = _streams(children[k])
-            assert np.array_equal(rec.omega, bench2x2.sigma_w
-                                  * omega_rng.standard_normal((rec.T, bench2x2.n)))
 
 
 def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
