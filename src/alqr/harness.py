@@ -388,10 +388,10 @@ def _epoch_diagnostics(params, history):
 def _segment_plan(config: ExperimentConfig, shared: SharedSetup, seed: int):
     """The mode's (kind, T, seed, options) segments for ``loops.run_segments``
     and whether they make up one horizon.  warmup and aslo draw from the seed;
-    full gives its ASLO the seed and its warm-up child 0 of SeedSequence(seed),
-    so the two draw different noise.  doubling is one horizon of segments
-    T_i = base 2^i: ceil(sqrt(T_i)) warm-up steps on child 2i, then ASLO on
-    child 2i + 1 with lambda frozen at the horizon value lambda_t(max(T_i, 2))."""
+    full's ASLO does too, sharing aslo's noise at one seed, and its warm-up
+    from child 0 of SeedSequence(seed), so as not to replay it.  doubling is
+    one horizon of segments T_i = base 2^i: ceil(sqrt(T_i)) warm-up steps on
+    child 2i, then ASLO on child 2i + 1, lambda frozen at lambda_t(max(T_i, 2))."""
     model, params = shared.model, shared.params
     children = np.random.SeedSequence(seed)
     if config.mode == "doubling":

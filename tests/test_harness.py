@@ -612,9 +612,11 @@ class TestSegmentPlans:
         assert not report.errors
         wrec, arec = seen
         assert not np.any(arec.omega[:40] == wrec.omega)
-        # the ASLO keeps the seed itself; the warm-up takes child 0
+        # the ASLO keeps the seed itself, and so aslo mode's noise; the warm-up takes child 0
         assert wrec.seed.spawn_key == np.random.SeedSequence(0).spawn(1)[0].spawn_key
         assert arec.seed == 0
+        run_experiment(smoke_config(tmp_path, mode="aslo", T=50, seeds=[0]))
+        assert np.array_equal(seen[-1].omega, arec.omega)
 
     @pytest.mark.parametrize("mode", ["aslo", "warmup"])
     def test_one_segment_modes_draw_from_the_seed_itself(self, tmp_path, monkeypatch, mode):
