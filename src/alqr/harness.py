@@ -3,12 +3,14 @@ aggregation, and CSV/JSON emission.
 
 Per-seed runs are isolated (failures are recorded, never abort the batch) and
 merged in seed order, so a config maps to byte-identical output files.  All
-floats are written with 17 significant digits.
+floats are written with 17 significant digits: a CSV's cells as '%.17g'
+spells them, by a vectorised kernel that certifies each cell's digits in
+numpy and leaves the cells it cannot certify to '%.17g' itself.
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import json
 import math
 import os
@@ -21,7 +23,6 @@ import numpy as np
 from . import loops, regret, schedules
 from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
 from .exceptions import ConfigurationError
-from .linalg import row_blocks
 from .lqr import SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gaps
 
@@ -42,8 +43,9 @@ CRITERION_ALIASES = {
 
 CSV_COLUMNS = ("t", "x_norm", "cost", "cum_regret", "lambda_t", "logdet_V",
                "epoch", "policy_id", "beta", "r_t", "est_error")
-# One CSV row.  '%.17g' spells a float as format(v, ".17g") does (nan, inf,
-# -inf and -0 included) and an integer value below 1e17 as str(int) does.
+# One CSV row: the bytes ``emit`` writes, and the field its fallback spells
+# with.  '%.17g' spells a float as format(v, ".17g") does (nan, inf, -inf and
+# -0 included) and an integer value below 1e17 as str(int) does.
 CSV_ROW_FORMAT = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
@@ -248,31 +250,169 @@ def _runs(col, field: str):
     return starts, [field % v for v in col[starts].tolist()]
 
 
-def _run_cells(runs, lo: int, hi: int):
-    """The cells of rows lo..hi-1 of a run-coded column, or the one cell
-    they all hold when the rows lie in one run."""
-    starts, cells = runs
-    k = bisect.bisect_right(starts, lo) - 1
-    if k + 1 == len(starts) or starts[k + 1] >= hi:
-        return cells[k]
-    out = []
-    while lo < hi:
-        end = min(starts[k + 1], hi) if k + 1 < len(starts) else hi
-        out += [cells[k]] * (end - lo)
-        lo, k = end, k + 1
-    return out
+# A cell's slot: a sign, "0.000", then 17 digit slots, each followed by a
+# point slot.  Any '%.17g' spelling (at most 24 bytes) also fits, zero-padded.
+_SLOT = 40
+_EMIT_ROWS = 512  # rows per CSV block: a block's temporaries stay below about 1 MB
+
+
+@functools.cache
+def _slot_tables():
+    """The kernel's tables, built on first use:
+    - rows: the 8 slot bytes of each 4-digit group 0000..9999 ("d.d.d.d."),
+      then those of each lead digit 0..9 (slot bytes 0-7), 0xFF in the
+      sign, prefix and point bytes;
+    - zeros: each row's count of trailing zeros (4 for 0000);
+    - masks: for each (E + 4, sign, trailing zeros of the 17 digits), the
+      sign, "0.000" prefix and point bytes the cell spells, 0xFF on the
+      digit bytes it spells and 0 elsewhere;
+    - 10^(16 - E) for E = -4..16, exact doubles, and their Veltkamp halves."""
+    g = np.arange(10000)
+    rows = np.full((10010, 8), 0xFF, np.uint8)
+    for i in range(4):
+        rows[:10000, 2 * i] = 48 + g // 10 ** (3 - i) % 10
+    rows[10000:, 6] = 48 + np.arange(10)
+    zeros = np.zeros(10010, np.uint8)
+    zeros[:10000] = (g % 10 == 0).astype(np.uint8) + (g % 100 == 0) + (g % 1000 == 0)
+    zeros[0] = 4
+    masks = np.zeros((21, 2, 17, _SLOT), np.uint8)
+    for E in range(-4, 17):
+        for tz in range(17):
+            mask, k = masks[E + 4, :, tz], 17 - tz
+            mask[1, 0] = ord("-")
+            if E < 0:  # "0." and -E - 1 zeros
+                mask[:, 1:2 - E] = np.frombuffer(b"0.000", np.uint8)[:1 - E]
+            mask[:, 6:6 + 2 * max(k, E + 1):2] = 0xFF
+            if 0 <= E < k - 1:
+                mask[:, 7 + 2 * E] = ord(".")
+    scale = np.array([float(10 ** (16 - E)) for E in range(-4, 17)])
+    hi = scale * 134217729.0 - (scale * 134217729.0 - scale)
+    return rows, zeros, masks.reshape(-1, _SLOT), scale, hi, scale - hi
+
+
+def _exact_product(a, e):
+    """(ph, err) with ph + err = a 10^(16 - E) exactly, e = E + 4: ph the
+    rounded product and err Dekker's error term (10^(16 - E) is an exact
+    double, split like a into halves of at most 26 bits)."""
+    _, _, _, scale, scale_hi, scale_lo = _slot_tables()
+    ph = a * np.take(scale, e)
+    c = a * 134217729.0  # Veltkamp's split
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = np.take(scale_hi, e), np.take(scale_lo, e)
+    return ph, ((a_hi * s_hi - ph) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+
+
+def _digit_groups(x):
+    """(certified, E + 4, groups) of float array x: its cells' 17 significant
+    digits as a lead digit and four groups of four, rows of the slot table.
+
+    With E = floor(log10 |x|) clamped to the fixed-notation [-4, 16],
+    |x| 10^(16 - E) = ph + err exactly, so the digits are ph + round(err).
+    A cell is certified when 1e16 + 64 <= ph <= 1e17 - 64 (E is then exact
+    and rounding does not carry into an 18th digit) and err lies more than
+    1e-6 from a half-integer (no tie).  Others (0, -0, nan, inf, scientific
+    notation, ties, values next to a power of ten) get arbitrary groups."""
+    with np.errstate(all="ignore"):  # the uncertified cells may be nan or inf
+        a = np.abs(x)
+        E = np.floor(np.log10(a))
+        e = np.fmin(np.fmax(E, -4.0, out=E), 16.0, out=E).astype(np.intp)
+        e += 4
+        ph, err = _exact_product(a, e)
+        whole = np.floor(err)
+        err -= whole
+        ok = (ph >= 1e16 + 64) & (ph <= 1e17 - 64) & (np.abs(err - 0.5) > 1e-6)
+        whole += err > 0.5
+        # exact float steps: the quotients are integers or floor correctly
+        upper = np.floor(ph / 1e8)
+        lower = ph - upper * 1e8 + whole  # in [-1e8, 1e8 + 9]: the quotient may round up
+        carry = np.floor(lower / 1e8)
+        upper += carry
+        lower -= carry * 1e8
+        lead = np.floor(upper / 1e8)
+        upper -= lead * 1e8
+        groups = np.empty(x.shape + (5,), np.intp)
+        groups[..., 0] = lead + 10000
+        for i, half in ((1, upper), (3, lower)):
+            groups[..., i] = np.floor(half / 1e4)
+            groups[..., i + 1] = half - groups[..., i] * 1e4
+    return ok, e, groups
+
+
+def _fixed_notation(x):
+    """(certified, slots): the '%.17g' bytes of each cell of float array x
+    that ``_digit_groups`` certifies, in zero-padded ``_SLOT``-byte slots."""
+    rows, zeros, masks = _slot_tables()[:3]
+    ok, e, groups = _digit_groups(x)
+    slots = np.take(rows, groups, axis=0, mode="clip").reshape(x.shape + (_SLOT,))
+    t = np.take(zeros, groups, mode="clip")
+    tz = t[..., 4] + (t[..., 4] == 4) * (t[..., 3] + (t[..., 3] == 4) * (
+        t[..., 2] + (t[..., 2] == 4) * t[..., 1]))  # trailing zeros of the 17 digits
+    slots &= np.take(masks, e * 34 + np.signbit(x) * 17 + tz, axis=0, mode="clip")
+    return ok, slots
 
 
 def _column(values):
-    """A CSV column as int64 when it holds integers of magnitude at most
-    2^53, which a double holds exactly and "%d" spells as "%.17g" does, for
-    less; else as float64."""
+    """A CSV column as int64 when it holds integers or bools, else as
+    float64, each without a copy where it already is one; every cell is
+    spelled through its float value, one block at a time."""
     col = np.asarray(values)
-    if col.dtype.kind in "ib":
-        ints = col.astype(np.int64, copy=False)
-        if not ints.size or np.abs(ints).max() <= 2**53:
-            return ints
-    return np.asarray(col, dtype=float)
+    return col.astype(np.int64 if col.dtype.kind in "ib" else float, copy=False)
+
+
+def _as_slots(cells, width=_SLOT):
+    """Spelled cells as rows of ``width`` zero-padded bytes."""
+    return np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+def _spelled(x, field: str):
+    """Each cell of float array x as ``field % v`` spells it, in a
+    zero-padded ``_SLOT``-byte slot: the kernel's cells where it certifies
+    them, the others spelled with ``field`` once per distinct bit pattern."""
+    ok, slots = _fixed_notation(x)
+    rest = ~ok
+    if rest.any():
+        bits, where = np.unique(x[rest].view(np.int64), return_inverse=True)
+        slots[rest] = _as_slots([field % v for v in bits.view(np.float64).tolist()])[where]
+    return slots
+
+
+def _csv_blocks(cols, field: str):
+    """The CSV rows of one part's columns, a block of ``_EMIT_ROWS`` at a time.
+
+    A block's rows are laid out in one byte matrix, each cell in a fixed
+    slot followed by its separator; zero bytes mark what a cell does not
+    use, and deleting them gives the rows.  A column with few runs of equal
+    bits (the warm-up's lambda_t, runs of nan, the epoch columns) is spelled
+    once per run, in slots as wide as its longest cell, and copied down each
+    run; the other columns go through ``_spelled`` together."""
+    T = len(cols[0])
+    coded = [_runs(c, field) for c in cols]
+    free = [j for j, runs in enumerate(coded) if runs is None]
+    widths = [_SLOT if runs is None else max(map(len, runs[1])) for runs in coded]
+    ends = np.cumsum(widths) + np.arange(1, len(cols) + 1)  # one past each separator
+    spans = [slice(end - 1 - w, end - 1) for w, end in zip(widths, ends)]
+    runs = {j: (c[0], _as_slots(c[1], widths[j])) for j, c in enumerate(coded) if c}
+    buf = bytearray(_EMIT_ROWS * int(ends[-1]))
+    rows = np.frombuffer(buf, np.uint8).reshape(_EMIT_ROWS, -1)
+    rows[:, ends - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    filled = dict.fromkeys(runs)  # the run whose cell fills a column's every row
+    for lo in range(0, T, _EMIT_ROWS):
+        hi = min(lo + _EMIT_ROWS, T)
+        if free:
+            cells = _spelled(np.stack([cols[j][lo:hi] for j in free], axis=1, dtype=float), field)
+            for i, j in enumerate(free):
+                rows[:hi - lo, spans[j]] = cells[:, i]
+        for j, (starts, cells) in runs.items():
+            first, last = np.searchsorted(starts, (lo, hi - 1), "right") - 1
+            if first != last:
+                run = np.searchsorted(starts, np.arange(lo, hi), "right") - 1
+                rows[:hi - lo, spans[j]] = np.take(cells, run, axis=0)
+            elif filled[j] != first:
+                rows[:, spans[j]] = cells[first]
+            filled[j] = first if first == last else None
+        yield buf[:(hi - lo) * rows.shape[1]].translate(None, b"\0")
 
 
 def emit(obj, format: str, path):
@@ -280,38 +420,18 @@ def emit(obj, format: str, path):
     dict as JSON; returns the path.  A trajectory is a list of parts, each a
     dict of the ``CSV_COLUMNS`` arrays, written one after another.
 
-    A part's column with few runs of equal values (the warm-up's lambda_t,
-    the epoch columns, runs of nan) spells each run once with its field of
-    ``CSV_ROW_FORMAT``.  A block of rows inside one run carries that cell
-    in its row format; a block across runs writes the spelled cells with
-    "%s".  The other columns go through their field a value at a time; an
-    integer column's field is "%d".
-    (Cells written with "%s" in every block cost full-3x2 about 1 MB more
-    peak RSS and a 5% slower emission.)"""
+    Every cell is written as ``CSV_ROW_FORMAT`` spells its value as a float
+    ('%.17g', which spells an integer of magnitude at most 2^53 as "%d"
+    does): the kernel (``_fixed_notation``) spells the cells it certifies,
+    and the format the rest (see ``_csv_blocks``)."""
     path = os.fspath(path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if format == "csv":
-        row_fields = CSV_ROW_FORMAT[:-1].split(",")
-        with open(path, "w") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
+        field = CSV_ROW_FORMAT.split(",", 1)[0]
+        with open(path, "wb") as fh:
+            fh.write((",".join(CSV_COLUMNS) + "\n").encode())
             for part in obj:
-                cols = [_column(part[name]) for name in CSV_COLUMNS]
-                fields = [f if c.dtype == float else "%d" for c, f in zip(cols, row_fields)]
-                coded = [_runs(c, f) for c, f in zip(cols, fields)]
-                for lo, hi in row_blocks(len(cols[0])):
-                    spelled, values = [], []
-                    for f, c, runs in zip(fields, cols, coded):
-                        cells = c[lo:hi].tolist() if runs is None else _run_cells(runs, lo, hi)
-                        if isinstance(cells, str):  # part of the format: escape its '%'
-                            spelled.append(cells.replace("%", "%%"))
-                        else:
-                            spelled.append(f if runs is None else "%s")
-                            values.append(cells)
-                    width = len(values)
-                    flat = [None] * ((hi - lo) * width)
-                    for j, v in enumerate(values):
-                        flat[j::width] = v
-                    fh.write(((",".join(spelled) + "\n") * (hi - lo)) % tuple(flat))
+                fh.writelines(_csv_blocks([_column(part[name]) for name in CSV_COLUMNS], field))
     elif format == "json":
         with open(path, "w") as fh:
             fh.write(json_dumps(obj) + "\n")
@@ -425,8 +545,9 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
     """One isolated per-seed run: the mode's plan through ``loops.run_segments``,
     one CSV part per segment and one summary; returns the summary plus the
     parts' columns.  The parts of one horizon (doubling) carry t, cum_regret
-    (with the bits of one cumsum over the run) and the epoch ids on.  Else a
-    first warm-up is the run's own and a last ASLO segment is the horizon T."""
+    (with the bits of one cumsum over the run) and the epoch ids on, and its
+    checkpoints read that cum_regret.  Else a first warm-up is the run's own
+    and a last ASLO segment is the horizon T."""
     model, params, J_star = shared.model, shared.params, shared.J_star
     plan, carry = _segment_plan(config, shared, seed)
     records, aslos, columns = [], [], []
@@ -459,6 +580,10 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         })
     if carry:
         summary["segment_bounds"] = np.cumsum([rec.T for rec in records]).tolist()
+        if config.checkpoints:  # from the cum_regret carried over the horizon
+            rr = np.concatenate([cols["cum_regret"] for cols in columns])
+            summary["checkpoint_regret"] = {str(c): float(rr[c - 1])
+                                            for c in config.checkpoints if c <= config.T}
     elif aslos:
         (rec, _, ledger), = aslos
         rr = columns[-1]["cum_regret"]

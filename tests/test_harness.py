@@ -381,12 +381,132 @@ class TestEmitOracle:
         assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
     def test_oracle_tells_repr_from_the_row_format(self, tmp_path, monkeypatch):
-        # the inputs above discriminate: a repr-spelled row fails them
+        # the inputs above discriminate: a repr-spelled row fails them.  With
+        # the kernel certifying no cell, every cell is spelled by the
+        # fallback, with the row format's field
         cols = self.special_columns()
+        monkeypatch.setattr(harness, "_fixed_notation", lambda x: (
+            np.zeros(x.shape, bool), np.zeros(x.shape + (harness._SLOT,), np.uint8)))
+        path = emit([cols], "csv", tmp_path / "fallback.csv")
+        assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
         monkeypatch.setattr(harness, "CSV_ROW_FORMAT",
                             ",".join(["%r"] * len(CSV_COLUMNS)) + "\n")
         path = emit([cols], "csv", tmp_path / "repr.csv")
         assert Path(path).read_bytes() != oracle_csv(self.special_rows(cols))
+
+
+class TestSpellingKernel:
+    """The vectorised kernel spells each cell as format(v, ".17g") does, and
+    leaves to the fallback only the cells it cannot certify."""
+
+    @staticmethod
+    def assert_exact(values):
+        x = np.asarray(values, dtype=float)
+        slots = harness._spelled(x, "%.17g")
+        assert [bytes(s).replace(b"\0", b"").decode() for s in slots] == \
+            [format(v, ".17g") for v in x.tolist()]
+
+    @staticmethod
+    def certified(values):
+        return harness._fixed_notation(np.asarray(values, dtype=float))[0]
+
+    def test_random_bits_over_every_exponent(self):
+        rng = np.random.default_rng(27)
+        exponent = np.repeat(np.arange(2048, dtype=np.uint64), 16)
+        mantissa = rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, exponent.size, dtype=np.uint64)
+        self.assert_exact((sign << 63 | exponent << 52 | mantissa).view(np.float64))
+
+    def test_fixed_notation_range_is_certified(self):
+        # E in [-4, 16]; below 1e11 a double has too many fraction bits for
+        # an exact tie at 17 digits to be likely, so nearly every cell there
+        # goes through the kernel
+        rng = np.random.default_rng(5)
+        x = rng.choice([-1.0, 1.0], 20000) * 10 ** rng.uniform(-4, 17, 20000)
+        self.assert_exact(x)
+        assert self.certified(x[np.abs(x) < 1e11]).mean() > 0.999
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        near = [p]
+        for direction in (0.0, np.inf):
+            q = p
+            for _ in range(2):
+                q = np.nextafter(q, direction)
+                near.append(q)
+        self.assert_exact(np.concatenate(near))
+        self.assert_exact(-np.concatenate(near))
+
+    def test_digits_that_carry_across_groups(self):
+        # 17 digits whose last 8 are near 00000000 or 99999999, and the doubles
+        # around them: rounding carries into the upper half or borrows from it
+        rng = np.random.default_rng(8)
+        upper = rng.integers(10**8, 10**9, 3000)
+        lower = rng.choice([0, 1, 5, 50000000, 99999994, 99999995, 99999999], 3000)
+        x = np.array([float(f"{u}{lo:08d}e{e}") for u, lo, e in
+                      zip(upper, lower, rng.integers(-20, 1, 3000))])
+        near = [x]
+        for direction in (0.0, np.inf):
+            q = x
+            for _ in range(3):
+                q = np.nextafter(q, direction)
+                near.append(q)
+        self.assert_exact(np.concatenate(near))
+
+    def test_exact_ties_go_to_the_fallback(self):
+        # a/4 for odd a in [4e15, 2^53): 17 digits and a half, as in
+        # 1000000000000000.25 -> "1000000000000000.2"
+        rng = np.random.default_rng(3)
+        x = (rng.integers(4 * 10**15, 2**53, 20000) | 1) / 4
+        self.assert_exact(x)
+        assert not self.certified(x).any()
+
+    def test_special_values(self):
+        payloads = np.array([0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000001,
+                             -0x000FFFFFFFFFFFFF], dtype=np.int64).view(np.float64)
+        self.assert_exact([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                           2.2250738585072014e-308, 2.225073858507201e-308, *payloads])
+
+    @pytest.mark.parametrize("E", [-5, -4, 16, 17])
+    def test_notation_edges(self, E):
+        rng = np.random.default_rng(E + 10)
+        self.assert_exact(rng.uniform(1, 10, 2000) * float(f"1e{E}"))
+
+    def test_integer_values(self):
+        ints = [0, 1, -1, 2**53, -2**53] + [s * (10**k - 1) for k in range(1, 16) for s in (1, -1)]
+        x = np.asarray(ints, dtype=float)
+        assert [bytes(s).replace(b"\0", b"").decode() for s in harness._spelled(x, "%.17g")] == \
+            [str(i) for i in ints]
+
+    def test_few_cells_of_a_run_take_the_fallback(self, tmp_path, monkeypatch):
+        # a kernel that certified nothing would still write the right bytes
+        seen, kernel = [], harness._fixed_notation
+
+        def spy(x):
+            ok, slots = kernel(x)
+            seen.append(ok)
+            return ok, slots
+        monkeypatch.setattr(harness, "_fixed_notation", spy)
+        report = run_experiment(smoke_config(tmp_path, benchmark="bench-3x2", mode="full",
+                                             criterion="det2", T0=2000, T=200, seeds=[1]))
+        assert not report.errors
+        cells = np.concatenate([ok.ravel() for ok in seen])
+        assert cells.size > 5 * 2200 and 1 - cells.mean() < 0.01
+
+    def test_a_long_part_is_written_in_bounded_memory(self, tmp_path):
+        import tracemalloc
+        T = 100_000
+        rng = np.random.default_rng(0)
+        cols = {name: rng.standard_normal(T) * 10.0 ** j for j, name in enumerate(CSV_COLUMNS)}
+        cols.update(t=np.arange(1, T + 1), epoch=np.arange(T) // 1000,
+                    policy_id=np.arange(T) // 1000, r_t=np.full(T, np.nan))
+        tracemalloc.start()
+        try:
+            emit([cols], "csv", tmp_path / "long.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6  # bytes: a block's temporaries, not the part's
 
 
 class TestCoverageCheck:
@@ -691,6 +811,29 @@ class TestSegmentPlans:
         assert summary["segment_bounds"] == [1, 3] and summary["epochs"] == 0
         assert summary["epoch_rho"] == [] and math.isfinite(summary["final_cum_regret"])
         assert "T0" not in summary
+
+    def test_doubling_reads_its_checkpoints_from_the_carried_regret(self, tmp_path):
+        # doubling summaries once had no checkpoint_regret, so the aggregate
+        # had no regret_mean_t{c} to set beside aslo's and full's
+        report = run_experiment(smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",
+                                             T=200, seeds=[0, 1], checkpoints=[100, 200],
+                                             base_horizon=16))
+        assert not report.errors
+        for s in report.per_seed:
+            rr = read_trajectory_csv(tmp_path / "out" / f"seed_{s['seed']:04d}.csv")["cum_regret"]
+            assert s["checkpoint_regret"] == {"100": rr[99], "200": rr[199]}
+            assert s["checkpoint_regret"]["200"] == s["final_cum_regret"]
+        for c in (100, 200):
+            vals = [s["checkpoint_regret"][str(c)] for s in report.per_seed]
+            assert report.aggregate[f"regret_mean_t{c}"] == float(np.mean(vals))
+        # containment and the regret slope stay with a single-estimator horizon
+        assert "containment" not in report.per_seed[0]
+        assert "coverage_frequency" not in report.aggregate
+        assert "regret_slope" not in report.aggregate
+        # a config that names no checkpoints writes no key
+        report = run_experiment(smoke_config(tmp_path, benchmark="bench-2x2", mode="doubling",
+                                             T=40, base_horizon=16, checkpoints=[]))
+        assert "checkpoint_regret" not in report.per_seed[0]
 
 
 class TestCli:
