@@ -267,7 +267,7 @@ def _slot_tables():
       sign, "0.000" prefix and point bytes the cell spells, 0xFF on the
       digit bytes it spells and 0 elsewhere;
     - 10^(16 - E) for E = -4..16, exact doubles, and their Veltkamp halves."""
-    g = np.arange(10000)
+    g = np.arange(10000, dtype=np.int16)
     rows = np.full((10010, 8), 0xFF, np.uint8)
     for i in range(4):
         rows[:10000, 2 * i] = 48 + g // 10 ** (3 - i) % 10
@@ -348,7 +348,7 @@ def _fixed_notation(x):
     t = np.take(zeros, groups, mode="clip")
     tz = t[..., 4] + (t[..., 4] == 4) * (t[..., 3] + (t[..., 3] == 4) * (
         t[..., 2] + (t[..., 2] == 4) * t[..., 1]))  # trailing zeros of the 17 digits
-    slots &= np.take(masks, e * 34 + np.signbit(x) * 17 + tz, axis=0, mode="clip")
+    slots &= np.take(masks, (2 * e + np.signbit(x)) * 17 + tz, axis=0, mode="clip")
     return ok, slots
 
 
@@ -372,8 +372,10 @@ def _spelled(x, field: str):
     ok, slots = _fixed_notation(x)
     rest = ~ok
     if rest.any():
-        bits, where = np.unique(x[rest].view(np.int64), return_inverse=True)
-        slots[rest] = _as_slots([field % v for v in bits.view(np.float64).tolist()])[where]
+        bits = x[rest].view(np.int64).tolist()
+        values = dict(zip(bits, x[rest].tolist()))  # one value per bit pattern
+        spelled = {b: field % v for b, v in values.items()}
+        slots[rest] = _as_slots([spelled[b] for b in bits])
     return slots
 
 
@@ -393,25 +395,19 @@ def _csv_blocks(cols, field: str):
     ends = np.cumsum(widths) + np.arange(1, len(cols) + 1)  # one past each separator
     spans = [slice(end - 1 - w, end - 1) for w, end in zip(widths, ends)]
     runs = {j: (c[0], _as_slots(c[1], widths[j])) for j, c in enumerate(coded) if c}
-    buf = bytearray(_EMIT_ROWS * int(ends[-1]))
-    rows = np.frombuffer(buf, np.uint8).reshape(_EMIT_ROWS, -1)
+    buf = bytearray(min(T, _EMIT_ROWS) * int(ends[-1]))
+    rows = np.frombuffer(buf, np.uint8).reshape(-1, ends[-1])
     rows[:, ends - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    filled = dict.fromkeys(runs)  # the run whose cell fills a column's every row
     for lo in range(0, T, _EMIT_ROWS):
         hi = min(lo + _EMIT_ROWS, T)
         if free:
-            cells = _spelled(np.stack([cols[j][lo:hi] for j in free], axis=1, dtype=float), field)
+            slots = _spelled(np.stack([cols[j][lo:hi] for j in free], axis=1, dtype=float), field)
             for i, j in enumerate(free):
-                rows[:hi - lo, spans[j]] = cells[:, i]
+                rows[:hi - lo, spans[j]] = slots[:, i]
         for j, (starts, cells) in runs.items():
-            first, last = np.searchsorted(starts, (lo, hi - 1), "right") - 1
-            if first != last:
-                run = np.searchsorted(starts, np.arange(lo, hi), "right") - 1
-                rows[:hi - lo, spans[j]] = np.take(cells, run, axis=0)
-            elif filled[j] != first:
-                rows[:, spans[j]] = cells[first]
-            filled[j] = first if first == last else None
+            run = np.searchsorted(starts, np.arange(lo, hi), "right") - 1
+            rows[:hi - lo, spans[j]] = cells[run[0]] if run[0] == run[-1] else cells[run]
         yield buf[:(hi - lo) * rows.shape[1]].translate(None, b"\0")
 
 
