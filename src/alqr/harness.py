@@ -402,7 +402,8 @@ def _csv_blocks(cols, field: str):
     for lo in range(0, T, _EMIT_ROWS):
         hi = min(lo + _EMIT_ROWS, T)
         if free:
-            slots = _spelled(np.stack([cols[j][lo:hi] for j in free], axis=1, dtype=float), field)
+            block = np.stack([cols[j][lo:hi] for j in free], axis=1).astype(float, copy=False)
+            slots = _spelled(block, field)
             for i, j in enumerate(free):
                 rows[:hi - lo, spans[j]] = slots[:, i]
         for j, (starts, cells) in runs.items():
