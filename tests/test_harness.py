@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -494,7 +495,6 @@ class TestSpellingKernel:
         assert cells.size > 5 * 2200 and 1 - cells.mean() < 0.01
 
     def test_a_long_part_is_written_in_bounded_memory(self, tmp_path):
-        import tracemalloc
         T = 100_000
         rng = np.random.default_rng(0)
         cols = {name: rng.standard_normal(T) * 10.0 ** j for j, name in enumerate(CSV_COLUMNS)}
