@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import AlqrError, ConfigurationError
-from .lqr import SystemModel, solve_dare
+from .lqr import SystemModel, _split_theta, solve_dare
 
 
 def scalar_golden() -> SystemModel:
@@ -69,8 +69,7 @@ def perturbed_gain(model: SystemModel, rel_error: float = 0.2, seed: int = 0):
 
     for k in range(32):
         theta = perturbed_theta(model, rel_error, seed=seed + 1000 * k)
-        A = theta[: model.n, :].T
-        B = theta[model.n:, :].T
+        A, B = _split_theta(theta, model.n)
         try:
             nominal = SystemModel(A=A, B=B, Q=model.Q, R=model.R,
                                   sigma_w=max(model.sigma_w, 1.0))

@@ -193,7 +193,7 @@ def estimation_error_bound(tau: int, params) -> float:
     lambda_tau is ``lambda_t``'s; abar/G and sqrt(lambda_tau) eps_bar are
     evaluated in log10, since theory-mode G overflows doubles.
     """
-    from .schedules import p_bar
+    from .schedules import _lambda_form, p_bar
 
     if tau < 1:
         raise ConfigurationError("tau must be >= 1", field="tau")
@@ -203,10 +203,7 @@ def estimation_error_bound(tau: int, params) -> float:
     pb = p_bar(tau, delta, params.phi)
     lead = np.sqrt(40.0) / (sigma * np.sqrt(pb) * tau**0.25)
     ratio = 10.0 ** (math.log10(params.alpha_bar) - params.log10_G)
-    if params.criterion == "relaxed_sequential":
-        log10_G, power = params.log10_G_star, 1.0 / (1.0 - params.chi)
-    else:
-        log10_G, power = params.log10_G, 1.0
+    _, log10_G, power = _lambda_form(params)
     log_lam = log10_G + power * math.log10(math.log(tau / delta))
     log_term = 0.5 * log_lam + params.log10_eps_bar  # log10(sqrt(lambda) eps)
     tail = 10.0**log_term if log_term < 300 else np.inf

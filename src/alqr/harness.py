@@ -13,10 +13,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import warnings
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +48,25 @@ CSV_COLUMNS = ("t", "x_norm", "cost", "cum_regret", "lambda_t", "logdet_V",
 # with.  '%.17g' spells a float as format(v, ".17g") does (nan, inf, -inf and
 # -0 included) and an integer value below 1e17 as str(int) does.
 CSV_ROW_FORMAT = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+
+
+def _integer(floor):
+    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and v >= floor), f"an integer >= {floor}"
+
+
+_REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "a real number"
+# The type of each numeric, flag and path field, checked before any range;
+# a field whose default is None may also be None.  Seeds and checkpoints are
+# lists, whose integral floats ``_integral`` admits.
+FIELD_TYPES = {
+    **dict.fromkeys(("delta", "phi", "lambda_scale", "noise_scale", "beta", "chi",
+                     "eps_target", "anchor_rel_error", "k0_rel_error"), _REAL),
+    **dict.fromkeys(("T", "T0", "workers", "base_horizon"), _integer(1)),
+    **dict.fromkeys(("anchor_seed", "k0_seed"), _integer(0)),
+    "mu_clamp": ((lambda v: isinstance(v, bool)), "true or false"),
+    "out_dir": ((lambda v: isinstance(v, str)), "a path string"),
+}
 
 
 @dataclass
@@ -84,6 +104,13 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in FIELD_TYPES and not (value is None and f.default is None):
+                valid, kind = FIELD_TYPES[f.name]
+                if not valid(value):
+                    raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}",
+                                             field=f.name)
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported schema_version {self.schema_version}", field="schema_version")
@@ -99,22 +126,16 @@ class ExperimentConfig:
                 field="constants")
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must lie in (0, 1)", field="delta")
-        if self.T < 1:
-            raise ConfigurationError("T must be >= 1", field="T")
-        if self.T0 is not None and self.T0 < 1:
-            raise ConfigurationError("T0 must be >= 1 when given", field="T0")
-        if not (isinstance(self.base_horizon, int) and self.base_horizon >= 1):
-            raise ConfigurationError("base_horizon must be an integer >= 1", field="base_horizon")
         if self.eps_target is not None and not self.eps_target > 0:
             raise ConfigurationError("eps_target must be > 0 when given", field="eps_target")
         if isinstance(self.seeds, str):
             self.seeds = parse_seed_range(self.seeds)
-        self.seeds = [_integral_seed(s) for s in self.seeds]
+        self.seeds = [_integral(s, "seeds") for s in self.seeds]
         if not self.seeds:
             raise ConfigurationError("at least one seed is required", field="seeds")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError("seeds must be distinct", field="seeds")
-        self.checkpoints = sorted(int(c) for c in self.checkpoints)
+        self.checkpoints = sorted(_integral(c, "checkpoints") for c in self.checkpoints)
         if self.checkpoints and self.checkpoints[0] < 1:
             raise ConfigurationError("checkpoints must be >= 1", field="checkpoints")
         if self.benchmark is None and self.model is None:
@@ -142,15 +163,16 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _integral_seed(s) -> int:
-    """A seed as an int: integral floats such as 2.0 pass, a fractional one is refused."""
+def _integral(s, name) -> int:
+    """A seed or checkpoint as an int: integral floats such as 2.0 pass, a
+    fractional one is refused."""
     try:
-        seed = int(s)
+        value = int(s)
     except (TypeError, ValueError, OverflowError):
-        seed = None
-    if seed is None or (not isinstance(s, str) and seed != s):
-        raise ConfigurationError(f"seed {s!r} is not an integer", field="seeds")
-    return seed
+        value = None
+    if value is None or (not isinstance(s, str) and value != s):
+        raise ConfigurationError(f"{name[:-1]} {s!r} is not an integer", field=name)
+    return value
 
 
 def parse_seed_range(text: str) -> list:
@@ -585,7 +607,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         (rec, _, ledger), = aslos
         rr = columns[-1]["cum_regret"]
         stats = {
-            "X_T": rec.max_state_norm(),
+            "X_T": summary["max_x_norm"],  # rec is records[-1]
             "Z_T": float(np.max(np.sum(np.hstack([rec.x[:-1], rec.u]) ** 2, axis=1))),
             "r_T": float(rec.r_t[-1]),
             "lambda_T": float(rec.lambda_t[-1]),

@@ -41,8 +41,10 @@ def spectral_norm(M):
 
 
 def nuclear_norm(M):
+    """Nuclear norm of a matrix (a float), or of each matrix in a stack (an array)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return float(np.linalg.svd(M, compute_uv=False).sum())
+    norms = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    return float(norms) if M.ndim == 2 else norms
 
 
 def spectral_radius(M):

@@ -487,8 +487,8 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         lo = end
 
     # each epoch's estimation error, from one stacked SVD
-    errors = np.linalg.svd(np.array([p.theta_hat for p in history]) - model.theta_star,
-                           compute_uv=False).sum(axis=-1).tolist()
+    errors = nuclear_norm(np.array([p.theta_hat for p in history])
+                          - model.theta_star).tolist()
     for p, err in zip(history, errors):
         p.est_error = err
 

@@ -267,9 +267,7 @@ def solve_dare(model: SystemModel) -> OptimalSolution:
     A, B, Q, R = model.A, model.B, sym(model.Q), sym(model.R)
     if min_eig(R) <= 0:
         raise ConfigurationError("R must be PD for the DARE", field="R")
-    P = _dare_doubling(A, B, Q, R)
-    BtP = B.T @ P
-    K = -np.linalg.solve(BtP @ B + R, BtP @ A)
+    P, K, _ = _gain(A, B, np.zeros_like(B), R, _dare_doubling(A, B, Q, R))
     res = _riccati_residual(A, Q, P, A.T @ P @ B, K)
     if not np.isfinite(res) or res > 1e-8:
         raise NotStabilizableError(f"DARE residual {res:.3g} exceeds 1e-8")

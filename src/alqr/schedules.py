@@ -49,6 +49,11 @@ def phi_bar(delta: float) -> float:
     return 0.5 * math.log(1.0 / delta) - 1e-6
 
 
+def _exp10(x: float) -> float:
+    """10^x, or inf from x = 300 on, short of a double's overflow."""
+    return 10.0**x if x < 300 else math.inf
+
+
 def _log_powers(steps, delta: float, power: float, scale=1.0, base=1.0):
     """scale * (log(k/delta) / base)^power at each step k of an iterable, the
     form of both p_bar and lambda_t, with one Python ``math.log`` and ``**``
@@ -130,12 +135,12 @@ class GSpec:
             log10_ln_ts = log10_lstar + ll
             # l_* log10(1+abar/G), itself handled in logs
             t1 = log10_lstar + ll - math.log10(LN10)
-            log10_tau = math.log10(self.delta) + (10.0**t1 if t1 < 300 else math.inf)
+            log10_tau = math.log10(self.delta) + _exp10(t1)
         else:
             log10_ls = (self.log10_a1 + 0.5 * math.log10(4 * self.alpha_bar * d_tot)
                         + self.phi * math.log10(lnd) - math.log10(self.sigma_w))
             log10_expo = log10_ls / (self.phi - 1)
-            expo = 10.0**log10_expo if log10_expo < 300 else math.inf
+            expo = _exp10(log10_expo)
             log10_tau = math.log10(self.delta) + expo
             log10_ln_ts = math.log10(LN10) + math.log10(expo)
         b1 = (math.log10(self.sigma_w**2 / 40.0) + 0.5 * log10_tau
@@ -345,17 +350,15 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         gamma0=cert0.gamma if cert0 is not None else math.nan,
     )
     sig, tb, n, m = model.sigma_w, model.theta_bound, model.n, model.m
+    log_power1 = math.log(1 / delta) ** (1.0 / (1.0 - chi))  # relaxed-sequential lambda_1 / G*
     if constants_mode == "theory":
         fp = _g_fixed_point(g_spec(params, star=False))
         log10_G = fp.log10_G
-        G = 10.0**log10_G if log10_G < 300 else math.inf
         # relaxed-sequential constants: joint fixed point of G_* and alpha_under
         au = ab
         log10_Gs = log10_G
         for _ in range(60):
-            lam1 = 10.0**log10_Gs * math.log(1 / delta) ** (1.0 / (1.0 - chi)) \
-                if log10_Gs < 300 else math.inf
-            au_new = _alpha_under(kappa, gamma, sig, n, m, tb, chi, lam1)
+            au_new = _alpha_under(kappa, gamma, sig, n, m, tb, chi, _exp10(log10_Gs) * log_power1)
             fps = _g_fixed_point(g_spec(replace(params, alpha_under=au_new), star=True))
             moved = abs(fps.log10_G - log10_Gs)
             log10_Gs = fps.log10_G
@@ -363,19 +366,17 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
             if moved <= 1e-9 * max(1.0, abs(log10_Gs)):
                 break
         params = replace(
-            params, log10_G=log10_G, G_phi=G,
-            log10_G_star=log10_Gs,
-            G_star=10.0**log10_Gs if log10_Gs < 300 else math.inf,
+            params, log10_G=log10_G, G_phi=_exp10(log10_G),
+            log10_G_star=log10_Gs, G_star=_exp10(log10_Gs),
             log10_tau_star=fp.log10_tau_star, alpha_under=au,
             noise_scale=1.0 if noise_scale is None else noise_scale,
         )
     else:
         G = lambda_scale
-        lam1 = G * math.log(1 / delta) ** (1.0 / (1.0 - chi))
-        au = _alpha_under(kappa, gamma, sig, n, m, tb, chi, lam1)
         params = replace(
             params, G_phi=G, G_star=G, log10_G=math.log10(G),
-            log10_G_star=math.log10(G), alpha_under=au,
+            log10_G_star=math.log10(G),
+            alpha_under=_alpha_under(kappa, gamma, sig, n, m, tb, chi, G * log_power1),
             noise_scale=(1.0 / kappa**2) if noise_scale is None else noise_scale,
         )
     leb = _log10_eps_target(params, params.alpha_bar, params.log10_G, star=False)
@@ -386,18 +387,18 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
 
 
 def _lambda_form(params: ScheduleParams):
-    """(G, power) of lambda_t = G log(t/delta)^power: power 1/(1-chi) on G*
-    under relaxed_sequential, 1 on G(phi) otherwise."""
+    """(G, log10 G, power) of lambda_t = G log(t/delta)^power: power
+    1/(1-chi) on G* under relaxed_sequential, 1 on G(phi) otherwise."""
     if params.criterion == "relaxed_sequential":
-        return params.G_star, 1.0 / (1.0 - params.chi)
-    return params.G_phi, 1.0
+        return params.G_star, params.log10_G_star, 1.0 / (1.0 - params.chi)
+    return params.G_phi, params.log10_G, 1.0
 
 
 def lambda_t(t: float, params: ScheduleParams) -> float:
     """Regularizer at time t; relaxed_sequential raises the log power to 1/(1-chi)."""
     if t < 1:
         raise ConfigurationError("t must be >= 1", field="t")
-    G, power = _lambda_form(params)
+    G, _, power = _lambda_form(params)
     return next(_log_powers((t,), params.delta, power, scale=G))
 
 
@@ -405,7 +406,7 @@ def lambda_steps(T: int, params: ScheduleParams) -> np.ndarray:
     """lambda_1..lambda_T, each value with ``lambda_t``'s bits, as one
     read-only float64 array shared by all calls with the same (T, G, power,
     delta)."""
-    G, power = _lambda_form(params)
+    G, _, power = _lambda_form(params)
     return _log_power_prefix(T, params.delta, power, scale=G)
 
 

@@ -195,7 +195,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("text, field", [
         (None, "path"),
         ("{", "path"),
-        ('{"T": "ten"}', None),
+        ('{"T": "ten"}', "T"),
     ], ids=["unreadable", "invalid-json", "wrong-type"])
     def test_unloadable_config(self, tmp_path, text, field):
         p = tmp_path / "c.json"
@@ -853,6 +853,11 @@ class TestCli:
         ("phi", 1.0), ("chi", 1.0), ("lambda_scale", 0.0), ("mu_mode", "Lemma"),
         ("noise_scale", -1.0), ("tau_star_form", "stmt"),
         ("base_horizon", 0), ("base_horizon", 2.5), ("eps_target", -1.0),
+        # a value of the wrong type, or an integer below its floor
+        ("workers", "2"), ("workers", 2.5), ("workers", 0), ("workers", -3),
+        ("lambda_scale", "1"), ("noise_scale", "1"), ("phi", "2"), ("k0_seed", -1),
+        ("out_dir", 5), ("T", 20.5), ("beta", "x"), ("anchor_seed", 1.5),
+        ("mu_clamp", "no"), ("checkpoints", [10.5]), ("T0", 10.5),
     ])
     def test_schedule_config_error_exit_code(self, tmp_path, capsys, field, value):
         # values the set-up judges before any seed runs: exit 2 naming the field

@@ -2,6 +2,7 @@
 they print against what the harness runs, and the modules a run imports."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -18,9 +19,9 @@ SCRIPT_CASES = [
     ("compare_criteria.py", ["--T", "60", "--seeds", "1"]),
     ("run_benchmark.py", ["--T", "200", "--seeds", "2", "--out", "{out}"]),
     ("constants_report.py", []),
-    ("output_digests.py", []),
-    ("science_check.py", ["--out", "{out}"]),
 ]
+# output_digests.py runs the reference configs once, in `reference_run`
+REFERENCE_SCRIPT = "output_digests.py"
 
 
 def run_script(tmp_path, script, args):
@@ -41,7 +42,7 @@ def test_script_exits_cleanly(tmp_path, script, args):
 
 def test_every_script_has_a_clean_exit_case():
     assert {p.name for p in (ROOT / "scripts").glob("*.py")} == \
-        {script for script, _ in SCRIPT_CASES}
+        {script for script, _ in SCRIPT_CASES} | {REFERENCE_SCRIPT}
 
 
 @pytest.mark.parametrize("constants", ["practical", "theory"])
@@ -54,31 +55,48 @@ def test_constants_report_prints_what_the_harness_runs(tmp_path, constants):
     assert proc.stdout == json_dumps(report.constants) + "\n"
 
 
-def test_output_digests_prints_one_sha256_per_config(tmp_path):
+def load_script(script):
     spec = importlib.util.spec_from_file_location(
-        "output_digests", ROOT / "scripts" / "output_digests.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    proc = run_script(tmp_path, "output_digests.py", [])
+        Path(script).stem, ROOT / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """One run of the reference configs: digests, the committed SCIENCE.json
+    checked, and the number table written outside the working directory."""
+    cwd = tmp_path_factory.mktemp("cwd")
+    table = tmp_path_factory.mktemp("table") / "SCIENCE.json"
+    proc = run_script(cwd, REFERENCE_SCRIPT,
+                      ["--check", str(ROOT / "SCIENCE.json"), "--out", str(table)])
+    return proc, cwd, table
+
+
+def test_output_digests_prints_one_sha256_per_config(reference_run):
+    proc, cwd, _ = reference_run
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
-    assert [name for name, _ in lines] == list(script.CONFIGS)
+    assert [name for name, _ in lines] == list(load_script(REFERENCE_SCRIPT).CONFIGS)
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
-    assert not list(tmp_path.iterdir())  # it writes into a temporary directory
+    assert not list(cwd.iterdir())  # it writes into a temporary directory
 
 
-def test_science_matches_its_reference(tmp_path):
+def test_science_matches_its_reference(reference_run):
     # the committed SCIENCE.json: integers exactly, floats to REL_TOL
-    proc = run_script(tmp_path, "science_check.py", ["--check", str(ROOT / "SCIENCE.json")])
+    proc, _, _ = reference_run
     assert proc.returncode == 0, proc.stderr
 
 
-def test_science_check_tolerances(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    spec = importlib.util.spec_from_file_location(
-        "science_check", ROOT / "scripts" / "science_check.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_output_digests_writes_its_science_table(reference_run):
+    _, _, table = reference_run
+    with open(table) as fh:
+        assert list(json.load(fh)) == sorted(load_script(REFERENCE_SCRIPT).CONFIGS)
+
+
+def test_science_check_tolerances():
+    script = load_script(REFERENCE_SCRIPT)
     ref = {"a": {"epochs": 19, "regret": 100.0, "rho": [0.5, float("nan")], "ok": True}}
     same = {"a": {"epochs": 19, "regret": 100.0 * (1 + 0.9e-6), "rho": [0.5, float("nan")],
                   "ok": True}}
