@@ -12,7 +12,7 @@ over three runs).
 import argparse
 from pathlib import Path
 
-from alqr.harness import ExperimentConfig, load_config, run_experiment
+from alqr.harness import FIELDS, ExperimentConfig, load_config, run_experiment
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bench2x2_regret.json"
 
@@ -22,8 +22,7 @@ def main():
     ap.add_argument("--out", help="output directory (default: the file's out_dir)")
     ap.add_argument("--T", type=int)
     ap.add_argument("--seeds", type=int, help="run seeds 0..N-1")
-    ap.add_argument("--criterion",
-                    choices=["det2", "fixed-beta", "adaptive", "relaxed-seq"])
+    ap.add_argument("--criterion", choices=FIELDS["criterion"].domain)
     args = ap.parse_args()
 
     given = {"out_dir": args.out, "T": args.T, "criterion": args.criterion,

@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success, 2 configuration error (including one the schedule
-set-up finds), 3 any per-seed runner failure.
+Exit codes: 0 success, 2 configuration error (a value outside its field's
+domain in ``harness.FIELDS``, or one the schedule set-up finds), 3 any
+per-seed runner failure.
 The ALQR_LOG environment variable sets the log level (DEBUG/INFO/WARNING).
 """
 
@@ -13,7 +14,7 @@ import os
 import sys
 
 from .exceptions import ConfigurationError, ScheduleError
-from .harness import ExperimentConfig, load_config, run_experiment
+from .harness import FIELDS, ExperimentConfig, load_config, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,15 +23,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive SDP-based LQ control experiment harness.",
     )
     p.add_argument("--config", metavar="PATH", help="JSON experiment config")
-    p.add_argument("--mode", choices=["warmup", "aslo", "doubling", "full"])
-    p.add_argument("--criterion",
-                   choices=["det2", "fixed-beta", "adaptive", "relaxed-seq"])
-    p.add_argument("--constants", choices=["theory", "practical"])
+    for name in ("mode", "criterion", "constants"):
+        p.add_argument(f"--{name}", choices=FIELDS[name].domain)
     p.add_argument("--T", type=int, metavar="N")
     p.add_argument("--seeds", metavar="a..b", help="seed range a..b or comma list")
     p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     p.add_argument("--benchmark", metavar="NAME",
-                   help="named plant (scalar-golden, bench-2x2, bench-3x2)")
+                   help=f"named plant ({', '.join(FIELDS['benchmark'].domain)})")
     p.add_argument("--beta", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--workers", type=int)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .linalg import chol_solve, logdet_pd, row_blocks, sym
+from .schedules import check_domain
 
 
 @dataclass
@@ -140,18 +141,16 @@ def confidence_radius(state: EstimatorState, delta: float, lambda_t: float,
 
     c = eps for the anchored variant and c = theta_bound for the unanchored one.
     """
-    if not 0 < delta < 1:
-        raise ConfigurationError("delta must lie in (0, 1)", field="delta")
+    check_domain("delta", delta)
+    check_domain("radius_variant", variant)
     if variant == "anchored":
         c = state.anchor_error if eps is None else eps
         if c is None:
             raise ConfigurationError("anchored radius needs eps", field="eps")
-    elif variant == "unanchored":
+    else:
         c = theta_bound
         if c is None:
             raise ConfigurationError("unanchored radius needs theta_bound", field="theta_bound")
-    else:
-        raise ConfigurationError(f"unknown variant {variant!r}", field="variant")
     n = state.dim_x
     V = state.covariance(lambda_t)
     logdet_ratio = logdet_pd(V) - state.dim_z * np.log(lambda_t)

@@ -16,14 +16,15 @@ import math
 import numbers
 import os
 import warnings
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import loops, regret, schedules
-from .benchmarks import get_benchmark, perturbed_gain, perturbed_theta
-from .exceptions import ConfigurationError
+from .benchmarks import BENCHMARKS, get_benchmark, perturbed_gain, perturbed_theta
+from .exceptions import AlqrError, ConfigurationError
 from .lqr import SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gaps
 
@@ -31,16 +32,10 @@ SCHEMA_VERSION = 1
 
 MODES = ("warmup", "aslo", "doubling", "full")
 
-CRITERION_ALIASES = {
-    "det2": "det_double",
-    "det_double": "det_double",
-    "fixed-beta": "fixed_beta",
-    "fixed_beta": "fixed_beta",
-    "adaptive": "adaptive_beta",
-    "adaptive_beta": "adaptive_beta",
-    "relaxed-seq": "relaxed_sequential",
-    "relaxed_sequential": "relaxed_sequential",
-}
+# Each criterion's name, and its short spelling, to the name it stands for.
+CRITERION_ALIASES = {**{c: c for c in schedules.DOMAINS["criterion"]}, "det2": "det_double",
+                     "fixed-beta": "fixed_beta", "adaptive": "adaptive_beta",
+                     "relaxed-seq": "relaxed_sequential"}
 
 CSV_COLUMNS = ("t", "x_norm", "cost", "cum_regret", "lambda_t", "logdet_V",
                "epoch", "policy_id", "beta", "r_t", "est_error")
@@ -50,22 +45,88 @@ CSV_COLUMNS = ("t", "x_norm", "cost", "cum_regret", "lambda_t", "logdet_V",
 CSV_ROW_FORMAT = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
 
 
-def _integer(floor):
-    return (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and v >= floor), f"an integer >= {floor}"
+# A field's kind checks a value against the field's domain, when it has one,
+# and returns the value the config keeps; it raises, saying what is wrong, on
+# any other value.
+def _kind(types, what):
+    """A kind that keeps a value of ``types`` (a bool only as a flag)."""
+    def check(value, domain):
+        if not (isinstance(value, types) and (types is bool or not isinstance(value, bool))
+                and (domain is None or value in domain)):
+            raise ValueError(f"{value!r} is not {what}" + (f" in {domain}" if domain else ""))
+        return value
+    return check
 
 
-_REAL = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "a real number"
-# The type of each numeric, flag and path field, checked before any range;
-# a field whose default is None may also be None.  Seeds and checkpoints are
-# lists, whose integral floats ``_integral`` admits.
-FIELD_TYPES = {
-    **dict.fromkeys(("delta", "phi", "lambda_scale", "noise_scale", "beta", "chi",
-                     "eps_target", "anchor_rel_error", "k0_rel_error"), _REAL),
-    **dict.fromkeys(("T", "T0", "workers", "base_horizon"), _integer(1)),
-    **dict.fromkeys(("anchor_seed", "k0_seed"), _integer(0)),
-    "mu_clamp": ((lambda v: isinstance(v, bool)), "true or false"),
-    "out_dir": ((lambda v: isinstance(v, str)), "a path string"),
+_REAL, _INTEGER = _kind(numbers.Real, "a real number"), _kind(numbers.Integral, "an integer")
+_STRING, _FLAG, _LIST = _kind(str, "a string"), _kind(bool, "true or false"), _kind(list, "a list")
+
+
+def _integers(values, domain):
+    """A list of integers as ints: an integral float such as 2.0 passes."""
+    return [int(_INTEGER(int(v) if isinstance(v, float) and v.is_integer() else v, domain))
+            for v in _LIST(values, None)]
+
+
+def _seeds(values, domain):
+    seeds = _integers(parse_seed_range(values) if isinstance(values, str) else values, domain)
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ValueError(f"{values!r} is not a non-empty list of distinct seeds")
+    return seeds
+
+
+def _model(spec, _):
+    _plant(spec)  # refuses what SystemModel refuses: a missing or unknown key, a bad value
+    return spec
+
+
+def _x0(x0, _):
+    loops.start_state(_LIST(x0, None))  # its length is shared_setup's to check
+    return x0
+
+
+def _optional(kind):
+    return lambda value, domain: None if value is None else kind(value, domain)
+
+
+# a field's kind and its domain: a tuple of values, a schedules.Interval or none
+Field = namedtuple("Field", "kind domain", defaults=[None])
+
+_AT_LEAST_0 = schedules.Interval(0, closed=True)
+_AT_LEAST_1 = schedules.Interval(1, closed=True)
+# Every ExperimentConfig field's kind and domain, the schedule options' read
+# from schedules.DOMAINS; the CLI and the scripts take their flags' choices
+# from here.
+FIELDS = {
+    "benchmark": Field(_optional(_STRING), tuple(BENCHMARKS)),
+    "model": Field(_optional(_model)),
+    "mode": Field(_STRING, MODES),
+    "criterion": Field(_STRING, tuple(CRITERION_ALIASES)),
+    "constants": Field(_STRING, schedules.DOMAINS["constants_mode"]),
+    "delta": Field(_REAL, schedules.DOMAINS["delta"]),
+    "phi": Field(_optional(_REAL), schedules.Interval()),  # build_schedule bounds it
+    "lambda_scale": Field(_REAL, schedules.DOMAINS["lambda_scale"]),
+    "noise_scale": Field(_optional(_REAL), schedules.DOMAINS["noise_scale"]),
+    "beta": Field(_REAL, schedules.DOMAINS["beta"]),
+    "chi": Field(_REAL, schedules.DOMAINS["chi"]),
+    "mu_mode": Field(_STRING, schedules.DOMAINS["mu_mode"]),
+    "radius_variant": Field(_STRING, schedules.DOMAINS["radius_variant"]),
+    "mu_clamp": Field(_FLAG),
+    "tau_star_form": Field(_STRING, schedules.DOMAINS["tau_star_form"]),
+    "T": Field(_INTEGER, _AT_LEAST_1),
+    "T0": Field(_optional(_INTEGER), _AT_LEAST_1),
+    "eps_target": Field(_optional(_REAL), schedules.DOMAINS["eps_target"]),
+    "seeds": Field(_seeds, _AT_LEAST_0),
+    "checkpoints": Field(lambda values, domain: sorted(_integers(values, domain)), _AT_LEAST_1),
+    "out_dir": Field(_optional(_STRING)),
+    "workers": Field(_INTEGER, _AT_LEAST_1),
+    "x0": Field(_optional(_x0)),
+    "base_horizon": Field(_INTEGER, _AT_LEAST_1),
+    "anchor_rel_error": Field(_REAL, _AT_LEAST_0),
+    "anchor_seed": Field(_INTEGER, _AT_LEAST_0),
+    "k0_rel_error": Field(_REAL, _AT_LEAST_0),
+    "k0_seed": Field(_INTEGER, _AT_LEAST_0),
+    "schema_version": Field(_INTEGER, (SCHEMA_VERSION,)),
 }
 
 
@@ -105,74 +166,27 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in FIELD_TYPES and not (value is None and f.default is None):
-                valid, kind = FIELD_TYPES[f.name]
-                if not valid(value):
-                    raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}",
-                                             field=f.name)
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported schema_version {self.schema_version}", field="schema_version")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}", field="mode")
-        if self.criterion not in CRITERION_ALIASES:
-            raise ConfigurationError(
-                f"unknown criterion {self.criterion!r}", field="criterion")
+            kind, domain = FIELDS[f.name]
+            try:
+                setattr(self, f.name, kind(getattr(self, f.name), domain))
+            except (AlqrError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{f.name}: {exc}", field=f.name) from None
         self.criterion = CRITERION_ALIASES[self.criterion]
-        if self.constants not in ("theory", "practical"):
-            raise ConfigurationError(
-                f"constants must be theory|practical, got {self.constants!r}",
-                field="constants")
-        if not 0 < self.delta < 1:
-            raise ConfigurationError("delta must lie in (0, 1)", field="delta")
-        if self.eps_target is not None and not self.eps_target > 0:
-            raise ConfigurationError("eps_target must be > 0 when given", field="eps_target")
-        if isinstance(self.seeds, str):
-            self.seeds = parse_seed_range(self.seeds)
-        self.seeds = [_integral(s, "seeds") for s in self.seeds]
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required", field="seeds")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigurationError("seeds must be distinct", field="seeds")
-        self.checkpoints = sorted(_integral(c, "checkpoints") for c in self.checkpoints)
-        if self.checkpoints and self.checkpoints[0] < 1:
-            raise ConfigurationError("checkpoints must be >= 1", field="checkpoints")
         if self.benchmark is None and self.model is None:
             raise ConfigurationError("need a benchmark name or model matrices",
                                      field="benchmark")
-        self.build_model()  # validates dimensions eagerly
-        if self.x0 is not None:
-            loops.start_state(self.x0)  # its length is checked by shared_setup
 
     def build_model(self) -> SystemModel:
-        if self.model is not None:
-            spec = dict(self.model)
-            return SystemModel(
-                A=np.asarray(spec["A"], dtype=float),
-                B=np.asarray(spec["B"], dtype=float),
-                Q=np.asarray(spec["Q"], dtype=float),
-                R=np.asarray(spec["R"], dtype=float),
-                sigma_w=float(spec.get("sigma_w", 1.0)),
-                theta_bound=spec.get("theta_bound"),
-                name=spec.get("name", "custom"),
-            )
-        return get_benchmark(self.benchmark)
+        return get_benchmark(self.benchmark) if self.model is None else _plant(self.model)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _integral(s, name) -> int:
-    """A seed or checkpoint as an int: integral floats such as 2.0 pass, a
-    fractional one is refused."""
-    try:
-        value = int(s)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or (not isinstance(s, str) and value != s):
-        raise ConfigurationError(f"{name[:-1]} {s!r} is not an integer", field=name)
-    return value
+def _plant(spec: dict) -> SystemModel:
+    """The plant of a config's model dict: its keys are SystemModel's fields,
+    and its name is "custom" unless it gives one."""
+    return SystemModel(**{"name": "custom", **spec})
 
 
 def parse_seed_range(text: str) -> list:
@@ -188,7 +202,7 @@ def parse_seed_range(text: str) -> list:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment config."""
+    """Load and validate a JSON experiment config: one object of config fields."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -196,15 +210,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config: {exc}", field="path") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config parse error: {exc}", field="path") from exc
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {raw!r}", field="path")
+    unknown = sorted(set(raw) - set(FIELDS))
     if unknown:
-        raise ConfigurationError(f"unknown config fields {sorted(unknown)}",
-                                 field=sorted(unknown)[0])
-    try:
-        return ExperimentConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid config: {exc}") from exc
+        raise ConfigurationError(f"unknown config fields {unknown}", field=unknown[0])
+    return ExperimentConfig(**raw)
 
 
 def json_dumps(obj, indent=0) -> str:
@@ -597,15 +608,17 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
                                       for rec, _, _ in aslos),
             "epoch_rho": np.abs(np.linalg.eigvals(Ms)).max(axis=-1).tolist(),
         })
+    # one horizon reads its checkpoints, when it has any, from the cum_regret
+    # carried over its parts; a run with an ASLO segment from the last part
+    if config.checkpoints if carry else aslos:
+        rr = (np.concatenate([cols["cum_regret"] for cols in columns]) if carry
+              else columns[-1]["cum_regret"])
+        summary["checkpoint_regret"] = {str(c): float(rr[c - 1])
+                                        for c in config.checkpoints if c <= config.T}
     if carry:
         summary["segment_bounds"] = np.cumsum([rec.T for rec in records]).tolist()
-        if config.checkpoints:  # from the cum_regret carried over the horizon
-            rr = np.concatenate([cols["cum_regret"] for cols in columns])
-            summary["checkpoint_regret"] = {str(c): float(rr[c - 1])
-                                            for c in config.checkpoints if c <= config.T}
     elif aslos:
         (rec, _, ledger), = aslos
-        rr = columns[-1]["cum_regret"]
         stats = {
             "X_T": summary["max_x_norm"],  # rec is records[-1]
             "Z_T": float(np.max(np.sum(np.hstack([rec.x[:-1], rec.u]) ** 2, axis=1))),
@@ -617,8 +630,6 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
         bounds = regret.term_bounds(config.T, params, stats)
         terms = ledger.terms()
         summary.update({
-            "checkpoint_regret": {str(c): float(rr[c - 1])
-                                  for c in config.checkpoints if c <= config.T},
             "n_updates": ledger.n_updates(),
             "containment": [[int(t), bool(ok)]
                             for t, ok in rec.diagnostics["containment"]],
@@ -626,7 +637,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
             "R_terms": terms,
             "R_bounds": bounds,
             "bound_violations": int(sum(terms[k] > bounds[k] for k in regret.R_NAMES)),
-            "realized_vs_sum": {"realized": float(rr[-1]),
+            "realized_vs_sum": {"realized": summary["final_cum_regret"],
                                 "sum_R": float(sum(terms.values()))},
             "anynum_holds_ever": bool(any(rec.diagnostics["anynum_condition"])),
         })

@@ -66,6 +66,10 @@ class SystemModel:
             raise ConfigurationError("Q must be n x n", field="Q")
         if self.R.shape != (m, m):
             raise ConfigurationError("R must be m x m", field="R")
+        for name in ("A", "B", "Q", "R", "sigma_w", "theta_bound", "alpha0", "alpha1"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigurationError(f"{name} must be finite", field=name)
         eq = np.linalg.eigvalsh(sym(self.Q))
         er = np.linalg.eigvalsh(sym(self.R))
         if self.alpha0 is None:

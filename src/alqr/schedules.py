@@ -22,7 +22,46 @@ from .exceptions import ConfigurationError, ScheduleError
 from .linalg import sym
 log = logging.getLogger(__name__)
 
-CRITERIA = ("det_double", "fixed_beta", "adaptive_beta", "relaxed_sequential")
+
+@dataclass(frozen=True)
+class Interval:
+    """The reals from lo to hi, lo included when ``closed`` and hi never, so
+    that nan and the infinities lie in no interval."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    closed: bool = False
+
+    def __contains__(self, value):
+        return (self.lo <= value if self.closed else self.lo < value) and value < self.hi
+
+    def __str__(self):
+        return f"{'[' if self.closed else '('}{self.lo:g}, {self.hi:g})"
+
+
+# The value set or range of each schedule option: ``build_schedule``,
+# ``warmup_duration``, ``estimation.confidence_radius`` and the experiment
+# config's fields check their values against these.
+DOMAINS = {
+    "criterion": ("det_double", "fixed_beta", "adaptive_beta", "relaxed_sequential"),
+    "constants_mode": ("theory", "practical"),
+    "mu_mode": ("paper", "lemma"),
+    "radius_variant": ("anchored", "unanchored"),
+    "tau_star_form": ("proof", "statement"),
+    "delta": Interval(0, 1),
+    "chi": Interval(0, 1, closed=True),
+    "lambda_scale": Interval(0),
+    "noise_scale": Interval(0, closed=True),
+    "beta": Interval(0),
+    "eps_target": Interval(0),
+}
+
+
+def check_domain(name: str, value) -> None:
+    """Refuse a value outside ``DOMAINS[name]``, naming the field."""
+    if value not in DOMAINS[name]:
+        raise ConfigurationError(f"{name} must be in {DOMAINS[name]}, got {value!r}", field=name)
+
 
 LN10 = math.log(10.0)
 _EPS = float(np.finfo(float).eps)
@@ -44,8 +83,7 @@ def phi_bar(delta: float) -> float:
     less a 1e-6 margin.  With v = ln t / ln(1/delta), h = (ln(1/delta)/2) v/ln(1+v),
     and v/ln(1+v) increases on v > 0, so the infimum is the t -> 1 limit ln(1/delta)/2.
     """
-    if not 0 < delta < 1:
-        raise ConfigurationError("delta must lie in (0, 1)", field="delta")
+    check_domain("delta", delta)
     return 0.5 * math.log(1.0 / delta) - 1e-6
 
 
@@ -303,23 +341,13 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
     """
     from .lqr import kappa_gamma, nu_bound
 
-    if criterion not in CRITERIA:
-        raise ConfigurationError(f"unknown criterion {criterion!r}", field="criterion")
-    if not 0 < delta < 1:
-        raise ConfigurationError("delta must lie in (0, 1)", field="delta")
-    if not 0 <= chi < 1:
-        raise ConfigurationError("chi must lie in [0, 1)", field="chi")
-    if not lambda_scale > 0:
-        raise ConfigurationError("lambda_scale must be > 0", field="lambda_scale")
-    if noise_scale is not None and not noise_scale >= 0:
-        raise ConfigurationError("noise_scale must be >= 0", field="noise_scale")
-    for name, value, allowed in (("constants_mode", constants_mode, ("theory", "practical")),
-                                 ("mu_mode", mu_mode, ("paper", "lemma")),
-                                 ("radius_variant", radius_variant, ("anchored", "unanchored")),
-                                 ("tau_star_form", tau_star_form, ("proof", "statement"))):
-        if value not in allowed:
-            raise ConfigurationError(f"{name} must be one of {allowed}, got {value!r}",
-                                     field=name)
+    for name, value in (("criterion", criterion), ("delta", delta), ("chi", chi),
+                        ("lambda_scale", lambda_scale), ("noise_scale", noise_scale),
+                        ("beta", beta), ("constants_mode", constants_mode),
+                        ("mu_mode", mu_mode), ("radius_variant", radius_variant),
+                        ("tau_star_form", tau_star_form)):
+        if value is not None or name != "noise_scale":  # None: the mode's default
+            check_domain(name, value)
     if nu is None:
         if cert0 is None:
             raise ConfigurationError("need nu or an initial certificate", field="nu")
@@ -413,8 +441,7 @@ def lambda_steps(T: int, params: ScheduleParams) -> np.ndarray:
 def warmup_duration(eps_target: float, params: ScheduleParams,
                     kappa0: float | None = None, gamma0: float | None = None) -> int:
     """Smallest t whose warm-up estimation-error bound drops below eps_target."""
-    if eps_target <= 0:
-        raise ConfigurationError("eps_target must be > 0", field="eps_target")
+    check_domain("eps_target", eps_target)
     k0 = params.kappa0 if kappa0 is None else kappa0
     g0 = params.gamma0 if gamma0 is None else gamma0
     if not (math.isfinite(k0) and math.isfinite(g0)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -77,6 +78,9 @@ def empty_record():
         beta_used=np.zeros(0), est_error=np.zeros(0))
 
 
+SCALAR_MODEL = {"A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+
+
 class TestLoadConfig:
     def test_minimal_benchmark_config(self, tmp_path):
         p = tmp_path / "c.json"
@@ -145,6 +149,15 @@ class TestConfigValidation:
             ExperimentConfig(**overrides)
         assert exc.value.field == field
 
+    def test_every_field_has_a_domain(self):
+        assert set(harness.FIELDS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_model_keys_are_the_plant_fields(self):
+        spec = dict(SCALAR_MODEL, sigma_w=0.5, alpha0=0.5, alpha1=2.0)
+        model = ExperimentConfig(benchmark=None, model=spec).build_model()
+        assert (model.name, model.sigma_w, model.alpha0, model.alpha1) == ("custom", 0.5, 0.5, 2.0)
+        assert ExperimentConfig(model=dict(spec, name="mine")).build_model().name == "mine"
+
     @pytest.mark.parametrize("seeds", [[0, 0], [2, 1, 2], "1,1", "0..2,2"])
     def test_duplicate_seeds_rejected(self, seeds):
         # each seed runs once: a repeat would run twice and keep one summary
@@ -196,7 +209,9 @@ class TestConfigValidation:
         (None, "path"),
         ("{", "path"),
         ('{"T": "ten"}', "T"),
-    ], ids=["unreadable", "invalid-json", "wrong-type"])
+        # a file that holds no JSON object
+        ("5", "path"), ("null", "path"), ('"abc"', "path"), ("[1, 2]", "path"),
+    ], ids=["unreadable", "invalid-json", "wrong-type", "number", "null", "string", "list"])
     def test_unloadable_config(self, tmp_path, text, field):
         p = tmp_path / "c.json"
         if text is not None:
@@ -858,6 +873,14 @@ class TestCli:
         ("lambda_scale", "1"), ("noise_scale", "1"), ("phi", "2"), ("k0_seed", -1),
         ("out_dir", 5), ("T", 20.5), ("beta", "x"), ("anchor_seed", 1.5),
         ("mu_clamp", "no"), ("checkpoints", [10.5]), ("T0", 10.5),
+        # a negative or bool seed, a bare number for a list, a model SystemModel
+        # refuses, an unhashable choice, a real that is out of range or not finite
+        ("seeds", [-1]), ("seeds", [True]), ("seeds", 5), ("checkpoints", 5), ("model", 5),
+        ("model", {"A": [[1.0]]}), ("model", dict(SCALAR_MODEL, foo=1)),
+        ("model", dict(SCALAR_MODEL, A=[["a"]])), ("criterion", ["det2"]), ("beta", -1),
+        ("beta", math.nan), ("lambda_scale", math.inf), ("noise_scale", math.inf),
+        ("eps_target", math.inf), ("anchor_rel_error", -1), ("k0_rel_error", math.nan),
+        ("model", dict(SCALAR_MODEL, A=[[math.inf]])),
     ])
     def test_schedule_config_error_exit_code(self, tmp_path, capsys, field, value):
         # values the set-up judges before any seed runs: exit 2 naming the field

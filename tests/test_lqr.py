@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,8 +209,15 @@ class TestModelValidation:
         (dict(R=[[5.0]], alpha0=1.0, alpha1=2.0), "alpha0", "<= R <="),
         (dict(sigma_w=-1.0), "sigma_w", "sigma_w"),
         (dict(theta_bound=0.1), "theta_bound", "exceeds theta_bound"),
+        (dict(A=[[math.inf]]), "A", "A must be finite"),
+        (dict(Q=[[math.nan]]), "Q", "Q must be finite"),
+        (dict(sigma_w=math.nan), "sigma_w", "sigma_w must be finite"),
+        (dict(theta_bound=math.nan), "theta_bound", "theta_bound must be finite"),
+        (dict(alpha1=math.inf), "alpha1", "alpha1 must be finite"),
     ], ids=["A-not-square", "B-rows", "Q-shape", "R-shape", "Q-not-psd", "R-not-psd",
-            "Q-alpha-bounds", "R-alpha-bounds", "negative-sigma", "theta-bound"])
+            "Q-alpha-bounds", "R-alpha-bounds", "negative-sigma", "theta-bound",
+            "A-not-finite", "Q-not-finite", "sigma-not-finite", "theta-bound-not-finite",
+            "alpha1-not-finite"])
     def test_invalid_model_rejected(self, overrides, field, match):
         spec = dict(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]], sigma_w=1.0)
         with pytest.raises(ConfigurationError, match=match) as exc:

@@ -432,7 +432,8 @@ class TestBuildSchedule:
         ("chi", 1.0), ("chi", -0.1), ("lambda_scale", 0.0), ("lambda_scale", -1.0),
         ("lambda_scale", math.nan), ("noise_scale", -1.0), ("mu_mode", "Lemma"),
         ("radius_variant", "anchor"), ("tau_star_form", "stmt"),
-        ("constants_mode", "Theory"),
+        ("constants_mode", "Theory"), ("beta", 0.0), ("beta", math.nan), ("delta", 1.0),
+        ("lambda_scale", math.inf), ("noise_scale", math.inf),
     ])
     def test_out_of_domain_value_names_field(self, bench2x2, field, value):
         with pytest.raises(ConfigurationError) as exc:

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from alqr.harness import ExperimentConfig, json_dumps, run_experiment
+from alqr.cli import build_parser, config_from_args
+from alqr.harness import FIELDS, ExperimentConfig, json_dumps, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +62,36 @@ def load_script(script):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# the scripts that offer a config field's flag, each with the harness call
+# its main hands the config to
+SCRIPT_FLAGS = {"criterion": [("run_benchmark.py", "run_experiment")],
+                "constants": [("constants_report.py", "shared_setup")]}
+
+
+class Handed(Exception):
+    """Raised in place of the harness call a script's main makes, with its config."""
+
+
+def hand_over(config):
+    raise Handed(config)
+
+
+@pytest.mark.parametrize("field, value", [
+    (name, value) for name in ("mode", "criterion", "constants") for value in FIELDS[name].domain])
+def test_every_accepted_value_parses_as_a_flag(monkeypatch, field, value):
+    # a flag takes each spelling a config file takes, and means the same by it
+    expected = getattr(ExperimentConfig(**{field: value}), field)
+    argv = [f"--{field}", value]
+    assert getattr(config_from_args(build_parser().parse_args(argv)), field) == expected
+    for script, call in SCRIPT_FLAGS.get(field, []):
+        module = load_script(script)
+        monkeypatch.setattr(module, call, hand_over)
+        monkeypatch.setattr(sys, "argv", [script, *argv])
+        with pytest.raises(Handed) as exc:
+            module.main()
+        assert getattr(exc.value.args[0], field) == expected
 
 
 @pytest.fixture(scope="module")
