@@ -94,79 +94,57 @@ Field = namedtuple("Field", "kind domain", defaults=[None])
 
 _AT_LEAST_0 = schedules.Interval(0, closed=True)
 _AT_LEAST_1 = schedules.Interval(1, closed=True)
-# Every ExperimentConfig field's kind and domain, the schedule options' read
-# from schedules.DOMAINS; the CLI and the scripts take their flags' choices
-# from here.
-FIELDS = {
-    "benchmark": Field(_optional(_STRING), tuple(BENCHMARKS)),
-    "model": Field(_optional(_model)),
-    "mode": Field(_STRING, MODES),
-    "criterion": Field(_STRING, tuple(CRITERION_ALIASES)),
-    "constants": Field(_STRING, schedules.DOMAINS["constants_mode"]),
-    "delta": Field(_REAL, schedules.DOMAINS["delta"]),
-    "phi": Field(_optional(_REAL), schedules.Interval()),  # build_schedule bounds it
-    "lambda_scale": Field(_REAL, schedules.DOMAINS["lambda_scale"]),
-    "noise_scale": Field(_optional(_REAL), schedules.DOMAINS["noise_scale"]),
-    "beta": Field(_REAL, schedules.DOMAINS["beta"]),
-    "chi": Field(_REAL, schedules.DOMAINS["chi"]),
-    "mu_mode": Field(_STRING, schedules.DOMAINS["mu_mode"]),
-    "radius_variant": Field(_STRING, schedules.DOMAINS["radius_variant"]),
-    "mu_clamp": Field(_FLAG),
-    "tau_star_form": Field(_STRING, schedules.DOMAINS["tau_star_form"]),
-    "T": Field(_INTEGER, _AT_LEAST_1),
-    "T0": Field(_optional(_INTEGER), _AT_LEAST_1),
-    "eps_target": Field(_optional(_REAL), schedules.DOMAINS["eps_target"]),
-    "seeds": Field(_seeds, _AT_LEAST_0),
-    "checkpoints": Field(lambda values, domain: sorted(_integers(values, domain)), _AT_LEAST_1),
-    "out_dir": Field(_optional(_STRING)),
-    "workers": Field(_INTEGER, _AT_LEAST_1),
-    "x0": Field(_optional(_x0)),
-    "base_horizon": Field(_INTEGER, _AT_LEAST_1),
-    "anchor_rel_error": Field(_REAL, _AT_LEAST_0),
-    "anchor_seed": Field(_INTEGER, _AT_LEAST_0),
-    "k0_rel_error": Field(_REAL, _AT_LEAST_0),
-    "k0_seed": Field(_INTEGER, _AT_LEAST_0),
-    "schema_version": Field(_INTEGER, (SCHEMA_VERSION,)),
-}
+
+
+def _declare(default, kind, domain=None):
+    """A config field with its default, and its ``Field``: the kind and the
+    domain its values are checked against, kept in the field's metadata."""
+    metadata = {"field": Field(kind, domain)}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; defaults are desk-scale."""
+    """Validated experiment description; defaults are desk-scale.  Each field
+    is declared once, with its default, kind and domain; the schedule
+    options' domains are read from schedules.DOMAINS."""
 
-    benchmark: str | None = "bench-2x2"
-    model: dict | None = None
-    mode: str = "aslo"
-    criterion: str = "det_double"
-    constants: str = "practical"
-    delta: float = 0.1
-    phi: float | None = None  # None: phi_bar(delta)
-    lambda_scale: float = 1.0
-    noise_scale: float | None = None
-    beta: float = 1.0
-    chi: float = 0.0
-    mu_mode: str = "lemma"
-    radius_variant: str = "anchored"
-    mu_clamp: bool = True
-    tau_star_form: str = "proof"
-    T: int = 1000
-    T0: int | None = None
-    eps_target: float | None = None
-    seeds: list = field(default_factory=lambda: [0])
-    checkpoints: list = field(default_factory=list)
-    out_dir: str | None = None
-    workers: int = 1
-    x0: list | None = None
-    base_horizon: int = 64
-    anchor_rel_error: float = 0.1
-    anchor_seed: int = 3
-    k0_rel_error: float = 0.2
-    k0_seed: int = 0
-    schema_version: int = SCHEMA_VERSION
+    benchmark: str | None = _declare("bench-2x2", _optional(_STRING), tuple(BENCHMARKS))
+    model: dict | None = _declare(None, _optional(_model))
+    mode: str = _declare("aslo", _STRING, MODES)
+    criterion: str = _declare("det_double", _STRING, tuple(CRITERION_ALIASES))
+    constants: str = _declare("practical", _STRING, schedules.DOMAINS["constants_mode"])
+    delta: float = _declare(0.1, _REAL, schedules.DOMAINS["delta"])
+    # None: phi_bar(delta); build_schedule bounds it
+    phi: float | None = _declare(None, _optional(_REAL), schedules.Interval())
+    lambda_scale: float = _declare(1.0, _REAL, schedules.DOMAINS["lambda_scale"])
+    noise_scale: float | None = _declare(None, _optional(_REAL), schedules.DOMAINS["noise_scale"])
+    beta: float = _declare(1.0, _REAL, schedules.DOMAINS["beta"])
+    chi: float = _declare(0.0, _REAL, schedules.DOMAINS["chi"])
+    mu_mode: str = _declare("lemma", _STRING, schedules.DOMAINS["mu_mode"])
+    radius_variant: str = _declare("anchored", _STRING, schedules.DOMAINS["radius_variant"])
+    mu_clamp: bool = _declare(True, _FLAG)
+    tau_star_form: str = _declare("proof", _STRING, schedules.DOMAINS["tau_star_form"])
+    T: int = _declare(1000, _INTEGER, _AT_LEAST_1)
+    T0: int | None = _declare(None, _optional(_INTEGER), _AT_LEAST_1)
+    eps_target: float | None = _declare(None, _optional(_REAL), schedules.DOMAINS["eps_target"])
+    seeds: list = _declare([0], _seeds, _AT_LEAST_0)
+    checkpoints: list = _declare([], lambda v, domain: sorted(_integers(v, domain)), _AT_LEAST_1)
+    out_dir: str | None = _declare(None, _optional(_STRING))
+    workers: int = _declare(1, _INTEGER, _AT_LEAST_1)
+    x0: list | None = _declare(None, _optional(_x0))
+    base_horizon: int = _declare(64, _INTEGER, _AT_LEAST_1)
+    anchor_rel_error: float = _declare(0.1, _REAL, _AT_LEAST_0)
+    anchor_seed: int = _declare(3, _INTEGER, _AT_LEAST_0)
+    k0_rel_error: float = _declare(0.2, _REAL, _AT_LEAST_0)
+    k0_seed: int = _declare(0, _INTEGER, _AT_LEAST_0)
+    schema_version: int = _declare(SCHEMA_VERSION, _INTEGER, (SCHEMA_VERSION,))
 
     def __post_init__(self):
         for f in fields(self):
-            kind, domain = FIELDS[f.name]
+            kind, domain = f.metadata["field"]
             try:
                 setattr(self, f.name, kind(getattr(self, f.name), domain))
             except (AlqrError, TypeError, ValueError) as exc:
@@ -181,6 +159,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# Every config field's kind and domain, from its declaration; the CLI and the
+# scripts take their flags' choices from here.
+FIELDS = {f.name: f.metadata["field"] for f in fields(ExperimentConfig)}
 
 
 def _plant(spec: dict) -> SystemModel:
@@ -506,22 +489,31 @@ class SharedSetup:
 
 def shared_setup(config: ExperimentConfig) -> SharedSetup:
     """How a config becomes a run: the model, the initial gain K0, the
-    schedule built on K0's certificate, and J*.  The one set-up of a run."""
-    model = config.build_model()
-    if config.x0 is not None:  # before any seed runs: --benchmark may swap the plant
-        loops.start_state(config.x0, model.n)
-    K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
-    cert0 = stability_certificate(model, K0)
-    params = schedules.build_schedule(
-        model, cert0=cert0, delta=config.delta, phi=config.phi,
-        criterion=config.criterion, constants_mode=config.constants,
-        lambda_scale=config.lambda_scale, noise_scale=config.noise_scale,
-        beta=config.beta, chi=config.chi, mu_mode=config.mu_mode,
-        radius_variant=config.radius_variant, mu_clamp=config.mu_clamp,
-        tau_star_form=config.tau_star_form,
-    )
-    return SharedSetup(model=model, K0=K0, params=params,
-                       J_star=solve_dare(model).J_star)
+    schedule built on K0's certificate, and J*.  The one set-up of a run.
+
+    A ConfigurationError that names no config field is the plant's, so it is
+    reported against ``model``, or ``benchmark`` for a named plant."""
+    try:
+        model = config.build_model()
+        if config.x0 is not None:  # before any seed runs: --benchmark may swap the plant
+            loops.start_state(config.x0, model.n)
+        K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
+        cert0 = stability_certificate(model, K0)
+        params = schedules.build_schedule(
+            model, cert0=cert0, delta=config.delta, phi=config.phi,
+            criterion=config.criterion, constants_mode=config.constants,
+            lambda_scale=config.lambda_scale, noise_scale=config.noise_scale,
+            beta=config.beta, chi=config.chi, mu_mode=config.mu_mode,
+            radius_variant=config.radius_variant, mu_clamp=config.mu_clamp,
+            tau_star_form=config.tau_star_form,
+        )
+        return SharedSetup(model=model, K0=K0, params=params,
+                           J_star=solve_dare(model).J_star)
+    except ConfigurationError as exc:
+        if exc.field in FIELDS:
+            raise
+        plant = "benchmark" if config.model is None else "model"
+        raise ConfigurationError(f"the plant's set-up failed: {exc}", field=plant) from exc
 
 
 def _epoch_diagnostics(params, history):

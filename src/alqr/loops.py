@@ -152,10 +152,11 @@ def perturbation_variance(t, params: schedules.ScheduleParams):
     ``t`` is one step, giving a float, or an array of steps, giving an array
     with the same bits per step.
     """
+    scalar = np.ndim(t) == 0
     var = (2.0 * params.sigma_w**2 * params.kappa**2
-           * schedules.p_bar(t, params.delta, params.phi) / np.sqrt(t)
+           * schedules.p_bar(t, params.delta, params.phi) / (math.sqrt(t) if scalar else np.sqrt(t))
            * params.noise_scale)
-    return float(var) if np.ndim(t) == 0 else var
+    return float(var) if scalar else var
 
 
 def sample_perturbation(t, params: schedules.ScheduleParams, rng) -> np.ndarray:

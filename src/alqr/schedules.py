@@ -119,12 +119,14 @@ def p_bar(t, delta: float, phi: float):
     its perturbation for, give one read-only array shared by all calls with
     the same (T, delta, phi).
     """
-    steps = np.atleast_1d(t)
-    if steps.size and steps.min() < 1:
-        raise ConfigurationError("t must be >= 1", field="t")
     base = math.log(1.0 / delta)
     if np.ndim(t) == 0:
-        return float(next(_log_powers(steps.tolist(), delta, phi, base=base)))
+        if t < 1:
+            raise ConfigurationError("t must be >= 1", field="t")
+        return next(_log_powers((t,), delta, phi, base=base))
+    steps = np.asarray(t)
+    if steps.size and steps.min() < 1:
+        raise ConfigurationError("t must be >= 1", field="t")
     if np.array_equal(steps, np.arange(1, steps.size + 1)):
         return _log_power_prefix(steps.size, delta, phi, base=base)
     return np.fromiter(_log_powers(steps.tolist(), delta, phi, base=base), dtype=float,
@@ -268,7 +270,11 @@ def _log10_eps_target(params: "ScheduleParams", alpha: float, log10_G: float,
 
 @dataclass
 class ScheduleParams:
-    """All scalar schedule inputs of one run; immutable after construction."""
+    """All scalar schedule inputs of one run; immutable after construction.
+
+    ``build_schedule`` gives every field without a default; the defaulted
+    ones are derived after, and log10_tau_star stays nan under practical
+    constants."""
 
     delta: float
     phi: float
@@ -283,13 +289,19 @@ class ScheduleParams:
     kappa: float
     gamma: float
     alpha_bar: float
-    criterion: str = "det_double"
-    constants_mode: str = "practical"
-    lambda_scale: float = 1.0
-    noise_scale: float = 1.0
-    beta: float = 1.0
-    chi: float = 0.0
-    zeta: float = 0.0
+    criterion: str
+    constants_mode: str
+    lambda_scale: float
+    noise_scale: float
+    beta: float
+    chi: float
+    zeta: float
+    mu_mode: str
+    radius_variant: str
+    mu_clamp: bool
+    tau_star_form: str
+    kappa0: float
+    gamma0: float
     alpha_under: float = math.nan
     G_phi: float = math.nan
     G_star: float = math.nan
@@ -300,12 +312,6 @@ class ScheduleParams:
     eps_under: float = math.nan
     log10_eps_bar: float = math.nan
     log10_eps_under: float = math.nan
-    mu_mode: str = "lemma"
-    radius_variant: str = "anchored"
-    mu_clamp: bool = True
-    tau_star_form: str = "proof"
-    kappa0: float = math.nan
-    gamma0: float = math.nan
 
 
 def _alpha_bar(kappa, gamma, sigma_w, n, m, theta_bound):
@@ -364,12 +370,14 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         raise ConfigurationError(
             f"phi must satisfy {lo:.4g} < phi <= phi_bar={pb:.4g}", field="phi")
     ab = _alpha_bar(kappa, gamma, model.sigma_w, model.n, model.m, model.theta_bound)
+    if noise_scale is None:  # the mode's default
+        noise_scale = 1.0 if constants_mode == "theory" else 1.0 / kappa**2
     params = ScheduleParams(
         delta=delta, phi=phi, phi_bar=pb, n=model.n, m=model.m,
         sigma_w=model.sigma_w, theta_bound=model.theta_bound,
         alpha0=model.alpha0, alpha1=model.alpha1, nu=nu, kappa=kappa,
         gamma=gamma, alpha_bar=ab, criterion=criterion,
-        constants_mode=constants_mode, lambda_scale=lambda_scale,
+        constants_mode=constants_mode, lambda_scale=lambda_scale, noise_scale=noise_scale,
         beta=1.0 if criterion == "det_double" else beta, chi=chi,
         zeta=kappa**2 / (4.0 * gamma), mu_mode=mu_mode,
         radius_variant=radius_variant, mu_clamp=mu_clamp,
@@ -397,7 +405,6 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
             params, log10_G=log10_G, G_phi=_exp10(log10_G),
             log10_G_star=log10_Gs, G_star=_exp10(log10_Gs),
             log10_tau_star=fp.log10_tau_star, alpha_under=au,
-            noise_scale=1.0 if noise_scale is None else noise_scale,
         )
     else:
         G = lambda_scale
@@ -405,7 +412,6 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
             params, G_phi=G, G_star=G, log10_G=math.log10(G),
             log10_G_star=math.log10(G),
             alpha_under=_alpha_under(kappa, gamma, sig, n, m, tb, chi, G * log_power1),
-            noise_scale=(1.0 / kappa**2) if noise_scale is None else noise_scale,
         )
     leb = _log10_eps_target(params, params.alpha_bar, params.log10_G, star=False)
     leu = _log10_eps_target(params, params.alpha_under, params.log10_G_star, star=True)
@@ -549,30 +555,16 @@ def _exact_flags(mu, V, rhs):
             for m, w_min in zip(mu.tolist(), w.tolist())]
 
 
+# The ScheduleParams fields ``constants_report`` lists, in its order.
+_REPORTED = ("delta", "phi", "phi_bar", "constants_mode", "criterion", "nu", "kappa", "gamma",
+             "zeta", "chi", "beta", "alpha_bar", "alpha_under", "log10_G", "log10_G_star",
+             "log10_tau_star", "log10_eps_bar", "log10_eps_under", "eps_bar", "eps_under",
+             "lambda_scale", "noise_scale")
+
+
 def constants_report(params: ScheduleParams) -> dict:
-    """Structured key-value dump of the schedule constants (log10 where needed)."""
-    return {
-        "delta": params.delta,
-        "phi": params.phi,
-        "phi_bar": params.phi_bar,
-        "constants_mode": params.constants_mode,
-        "criterion": params.criterion,
-        "nu": params.nu,
-        "kappa": params.kappa,
-        "gamma": params.gamma,
-        "zeta": params.zeta,
-        "chi": params.chi,
-        "beta": params.beta,
-        "alpha_bar": params.alpha_bar,
-        "alpha_under": params.alpha_under,
-        "log10_G": params.log10_G,
-        "log10_G_star": params.log10_G_star,
-        "log10_tau_star": params.log10_tau_star,
-        "log10_eps_bar": params.log10_eps_bar,
-        "log10_eps_under": params.log10_eps_under,
-        "eps_bar": params.eps_bar,
-        "eps_under": params.eps_under,
-        "lambda_scale": params.lambda_scale,
-        "noise_scale": params.noise_scale,
-        "log10_beta_floor": (params.n + params.m) * math.log10(1.0 + params.zeta),
-    }
+    """Structured key-value dump of the schedule constants (log10 where
+    needed), with the derived log10 of the beta floor."""
+    report = {name: getattr(params, name) for name in _REPORTED}
+    report["log10_beta_floor"] = (params.n + params.m) * math.log10(1.0 + params.zeta)
+    return report

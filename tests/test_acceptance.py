@@ -129,9 +129,10 @@ def test_p6_stability(bench2x2, bench2x2_params, p5_runs):
         rho_ok &= all(spectral_radius(bench2x2.A + bench2x2.B @ p.K) < 1.0
                       for p in hist)
         anynum = rec.diagnostics["anynum_condition"]
-        # first step from which the mu-smallness condition holds onward
-        t0 = next((i + 1 for i in range(len(anynum))
-                   if all(anynum[i:])), None)
+        # first step from which the mu-smallness condition holds onward: the
+        # step after its last failure, none when the last step fails
+        last_fail = next((i for i in reversed(range(len(anynum))) if not anynum[i]), -1)
+        t0 = last_fail + 2 if last_fail + 1 < len(anynum) else None
         for i in range(1, len(hist)):
             g = sequential_gap(hist[i - 1].P_dual, hist[i].P_dual)
             gaps_seen += 1

@@ -150,7 +150,10 @@ class TestConfigValidation:
         assert exc.value.field == field
 
     def test_every_field_has_a_domain(self):
-        assert set(harness.FIELDS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        # a field declared without its Field would fail every config with a KeyError
+        for f in dataclasses.fields(ExperimentConfig):
+            assert isinstance(f.metadata.get("field"), harness.Field), f.name
+            assert harness.FIELDS[f.name] is f.metadata["field"]
 
     def test_model_keys_are_the_plant_fields(self):
         spec = dict(SCALAR_MODEL, sigma_w=0.5, alpha0=0.5, alpha1=2.0)
@@ -881,6 +884,8 @@ class TestCli:
         ("beta", math.nan), ("lambda_scale", math.inf), ("noise_scale", math.inf),
         ("eps_target", math.inf), ("anchor_rel_error", -1), ("k0_rel_error", math.nan),
         ("model", dict(SCALAR_MODEL, A=[[math.inf]])),
+        # plants SystemModel accepts but the set-up cannot use: alpha0 below 0, and Q = 0
+        ("model", dict(SCALAR_MODEL, alpha0=-1)), ("model", dict(SCALAR_MODEL, Q=[[0]])),
     ])
     def test_schedule_config_error_exit_code(self, tmp_path, capsys, field, value):
         # values the set-up judges before any seed runs: exit 2 naming the field

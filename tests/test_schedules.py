@@ -1,15 +1,16 @@
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alqr import schedules
 from alqr.estimation import step_covariances
 from alqr.exceptions import ConfigurationError
 from alqr.harness import ExperimentConfig, shared_setup
-from alqr.lqr import SystemModel
+from alqr.lqr import SystemModel, stability_certificate
 from alqr.schedules import (
     _g_fixed_point,
     adaptive_beta,
@@ -176,7 +177,6 @@ class TestLambdaT:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_relaxed_with_chi_zero_matches_base(self, bench2x2, bench2x2_gain):
-        from alqr.lqr import stability_certificate
         cert0 = stability_certificate(bench2x2, bench2x2_gain)
         base = build_schedule(bench2x2, cert0=cert0, constants_mode="practical")
         relaxed = build_schedule(bench2x2, cert0=cert0, constants_mode="practical",
@@ -418,6 +418,17 @@ class TestAnynumScreen:
 
 
 class TestBuildSchedule:
+    @pytest.mark.parametrize("constants_mode", ["practical", "theory"])
+    def test_params_keep_no_default_it_overrides(self, monkeypatch, bench2x2, bench2x2_gain,
+                                                 constants_mode):
+        # build_schedule constructs ScheduleParams once, and gives no field that has a default
+        made, real = [], schedules.ScheduleParams
+        monkeypatch.setattr(schedules, "ScheduleParams", lambda **kw: made.append(kw) or real(**kw))
+        build_schedule(bench2x2, cert0=stability_certificate(bench2x2, bench2x2_gain),
+                       constants_mode=constants_mode)
+        defaulted = {f.name for f in fields(real) if f.default is not MISSING}
+        assert len(made) == 1 and not defaulted & set(made[0])
+
     def test_criterion_validation(self, bench2x2):
         with pytest.raises(ConfigurationError):
             build_schedule(bench2x2, nu=100.0, criterion="bogus")
