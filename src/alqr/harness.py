@@ -25,6 +25,7 @@ import numpy as np
 from . import loops, regret, schedules
 from .benchmarks import BENCHMARKS, get_benchmark, perturbed_gain, perturbed_theta
 from .exceptions import AlqrError, ConfigurationError
+from .linalg import eigvals
 from .lqr import SystemModel, solve_dare, stability_certificate
 from .synthesis import sequential_gaps
 
@@ -492,12 +493,21 @@ def shared_setup(config: ExperimentConfig) -> SharedSetup:
     schedule built on K0's certificate, and J*.  The one set-up of a run.
 
     A ConfigurationError that names no config field is the plant's, so it is
-    reported against ``model``, or ``benchmark`` for a named plant."""
+    reported against ``model``, or ``benchmark`` for a named plant; but when
+    no perturbed gain stabilizes a plant whose own DARE gain does, the offset
+    is at fault, and it names ``k0_rel_error``."""
     try:
         model = config.build_model()
         if config.x0 is not None:  # before any seed runs: --benchmark may swap the plant
             loops.start_state(config.x0, model.n)
-        K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
+        try:
+            K0 = perturbed_gain(model, config.k0_rel_error, seed=config.k0_seed)
+        except ConfigurationError as exc:
+            try:
+                solve_dare(model)  # its gain stabilizes the plant, or it raises
+            except (AlqrError, np.linalg.LinAlgError):
+                raise exc from None
+            raise ConfigurationError(str(exc), field="k0_rel_error") from exc
         cert0 = stability_certificate(model, K0)
         params = schedules.build_schedule(
             model, cert0=cert0, delta=config.delta, phi=config.phi,
@@ -598,7 +608,7 @@ def run_seed(config: ExperimentConfig, shared: SharedSetup, seed: int) -> dict:
             "epochs": len(history),
             "synthesis_failures": sum(rec.diagnostics["synthesis_failures"]
                                       for rec, _, _ in aslos),
-            "epoch_rho": np.abs(np.linalg.eigvals(Ms)).max(axis=-1).tolist(),
+            "epoch_rho": np.abs(eigvals(Ms)).max(axis=-1).tolist(),
         })
     # one horizon reads its checkpoints, when it has any, from the cum_regret
     # carried over its parts; a run with an ASLO segment from the last part

@@ -1,4 +1,5 @@
-"""Small dense linear-algebra helpers used throughout the package.
+"""Small dense linear-algebra helpers used throughout the package, and the
+one layer that calls LAPACK.
 
 Matrix norm conventions: ``spectral_norm`` is the largest singular value,
 ``nuclear_norm`` is the sum of singular values (written tr sqrt(M^T M)
@@ -7,7 +8,10 @@ elsewhere); for PSD matrices the nuclear norm reduces to the trace.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .exceptions import CertificateError
 
@@ -15,6 +19,83 @@ from .exceptions import CertificateError
 # for p <= 5.  Blocks of 1024 rows left full-3x2's peak RSS 1-3 MB higher
 # after a few repeats (heap fragmentation); blocks of 256 left it unchanged.
 _BLOCK = 256
+
+
+# The LAPACK layer: solve, inv, cholesky, eigvals, eigvalsh, eigh, svdvals and
+# slogdet each call, for a float64 input, the gufunc and signature that its
+# np.linalg counterpart calls, under the same errstate and error message, so
+# each result keeps np.linalg's bits.  What they skip is np.linalg's per-call
+# Python work (array conversion, shape and type checks, result wrapping),
+# about half the time of a call on the 2x2-5x5 matrices synthesis runs on.
+# The gufuncs are bound here, so a numpy without them fails at import.
+_SOLVE, _SOLVE1, _INV, _CHOLESKY, _EIGVALS, _EIGVALSH, _EIGH, _SVD, _SLOGDET = (
+    _umath_linalg.solve, _umath_linalg.solve1, _umath_linalg.inv,
+    _umath_linalg.cholesky_lo, _umath_linalg.eigvals, _umath_linalg.eigvalsh_lo,
+    _umath_linalg.eigh_lo, _umath_linalg.svd, _umath_linalg.slogdet)
+_errstate = partial(np.errstate, invalid="call", over="ignore", divide="ignore",
+                    under="ignore")
+
+
+def _raiser(message):
+    def handler(err, flag):
+        raise LinAlgError(message)
+    return handler
+
+
+_SINGULAR = _raiser("Singular matrix")
+_NOT_PD = _raiser("Matrix is not positive definite")
+_EIG_FAILED = _raiser("Eigenvalues did not converge")
+_SVD_FAILED = _raiser("SVD did not converge")
+
+
+def solve(a, b):
+    """``np.linalg.solve(a, b)``: b a vector when 1-D, else a stack of matrices."""
+    with _errstate(call=_SINGULAR):
+        return (_SOLVE1 if b.ndim == 1 else _SOLVE)(a, b, signature="dd->d")
+
+
+def inv(a):
+    """``np.linalg.inv(a)``."""
+    with _errstate(call=_SINGULAR):
+        return _INV(a, signature="d->d")
+
+
+def cholesky(a):
+    """Lower Cholesky factor, as ``np.linalg.cholesky(a)``."""
+    with _errstate(call=_NOT_PD):
+        return _CHOLESKY(a, signature="d->d")
+
+
+def eigvals(a):
+    """``np.linalg.eigvals(a)``: real when every eigenvalue is."""
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    with _errstate(call=_EIG_FAILED):
+        w = _EIGVALS(a, signature="d->D")
+    return w if w.imag.any() else w.real
+
+
+def eigvalsh(a):
+    """Ascending eigenvalues from the lower triangle, as ``np.linalg.eigvalsh(a)``."""
+    with _errstate(call=_EIG_FAILED):
+        return _EIGVALSH(a, signature="d->d")
+
+
+def eigh(a):
+    """(w, U) from the lower triangle, as ``np.linalg.eigh(a)``."""
+    with _errstate(call=_EIG_FAILED):
+        return _EIGH(a, signature="d->dd")
+
+
+def svdvals(a):
+    """Descending singular values, as ``np.linalg.svd(a, compute_uv=False)``."""
+    with _errstate(call=_SVD_FAILED):
+        return _SVD(a, signature="d->d")
+
+
+def slogdet(a):
+    """(sign, log |det|), as ``np.linalg.slogdet(a)``, which sets no errstate."""
+    return _SLOGDET(a, signature="d->dd")
 
 
 def as_matrix(M, name="matrix"):
@@ -37,29 +118,29 @@ def spectral_norm(M):
     """Largest singular value: the first of the descending list that the
     SVD returns, which is the value ``np.linalg.norm(M, 2)`` takes the max of."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    return float(svdvals(M)[0])
 
 
 def nuclear_norm(M):
     """Nuclear norm of a matrix (a float), or of each matrix in a stack (an array)."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    norms = np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    norms = svdvals(M).sum(axis=-1)
     return float(norms) if M.ndim == 2 else norms
 
 
 def spectral_radius(M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    return float(np.max(np.abs(eigvals(M))))
 
 
 def min_eig(M):
-    return float(np.linalg.eigvalsh(sym(np.atleast_2d(M)))[0])
+    return float(eigvalsh(sym(np.atleast_2d(M)))[0])
 
 
 def psd_sqrt(M, floor=1e-12):
     """Symmetric square root via eigendecomposition, eigenvalues floored.
     Gate P8 (``test_p8_perturbation_lemma``) builds its perturbations with it."""
-    w, U = np.linalg.eigh(sym(np.atleast_2d(M)))
+    w, U = eigh(sym(np.atleast_2d(M)))
     w = np.maximum(w, floor)
     return (U * np.sqrt(w)) @ U.T
 
@@ -68,7 +149,7 @@ def psd_roots(M, floor=1e-12):
     """(M^{1/2}, M^{-1/2}) of a PD matrix, or of each matrix in a stack, from
     one eigendecomposition each; a non-PD matrix raises CertificateError
     naming the least eigenvalue of the first such."""
-    w, U = np.linalg.eigh(sym(np.atleast_2d(M)))
+    w, U = eigh(sym(np.atleast_2d(M)))
     bad = np.flatnonzero(w[..., 0].ravel() <= 0)
     if bad.size:
         raise CertificateError(
@@ -80,9 +161,9 @@ def psd_roots(M, floor=1e-12):
 
 def chol_solve(A, B):
     """Solve A X = B for symmetric PD A via Cholesky."""
-    L = np.linalg.cholesky(sym(A))
-    Y = np.linalg.solve(L, B)
-    return np.linalg.solve(L.T, Y)
+    L = cholesky(sym(A))
+    Y = solve(L, B)
+    return solve(L.T, Y)
 
 
 def logdet_pd(M, strict=True):
@@ -92,7 +173,7 @@ def logdet_pd(M, strict=True):
     reads nan instead.
     """
     M = np.atleast_2d(M)
-    sign, ld = np.linalg.slogdet(sym(M))
+    sign, ld = slogdet(sym(M))
     bad = sign <= 0
     if not strict:
         ld = np.where(bad, np.nan, ld)
@@ -135,5 +216,5 @@ def solve_discrete_lyapunov(M, S):
     n = M.shape[0]
     # kron(M, M) as one broadcast product: the same single products, less overhead
     A = np.eye(n * n) - (M[:, None, :, None] * M[None, :, None, :]).reshape(n * n, n * n)
-    x = np.linalg.solve(A, S.reshape(-1))
+    x = solve(A, S.reshape(-1))
     return sym(x.reshape(n, n))

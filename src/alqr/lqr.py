@@ -20,8 +20,11 @@ from .exceptions import (
 )
 from .linalg import (
     as_matrix,
+    eigvalsh,
+    inv,
     min_eig,
     psd_roots,
+    solve,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
@@ -70,8 +73,8 @@ class SystemModel:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise ConfigurationError(f"{name} must be finite", field=name)
-        eq = np.linalg.eigvalsh(sym(self.Q))
-        er = np.linalg.eigvalsh(sym(self.R))
+        eq = eigvalsh(sym(self.Q))
+        er = eigvalsh(sym(self.R))
         if self.alpha0 is None:
             self.alpha0 = float(min(eq[0], er[0]))
         if self.alpha1 is None:
@@ -162,14 +165,14 @@ def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=64):
     n = A.shape[0]
     eye = np.eye(n)
     Ak = A.copy()
-    Gk = B @ np.linalg.solve(R, B.T)
+    Gk = B @ solve(R, B.T)
     Hk = Q.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             IGH = Gk @ Hk
             IGH += eye
             try:
-                Minv = np.linalg.inv(IGH)
+                Minv = inv(IGH)
             except np.linalg.LinAlgError as exc:
                 raise NotStabilizableError("doubling iteration broke down") from exc
             AkT = Ak.T
@@ -250,7 +253,7 @@ def _dare_cross(A, B, C, K=None):
         P, K, H = _gain(A, B, S, R, P)
         if spectral_radius(A + B @ K) < 1.0:
             return P, K, H
-    RiSt = np.linalg.solve(R, S.T)
+    RiSt = solve(R, S.T)
     return _gain(A, B, S, R, _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R))
 
 
@@ -259,7 +262,7 @@ def _gain(A, B, S, R, P):
     BtP = B.T @ P
     H = BtP @ B + R
     G = BtP @ A + S.T
-    return P, -np.linalg.solve(H, G), H
+    return P, -solve(H, G), H
 
 
 def solve_dare(model: SystemModel) -> OptimalSolution:
@@ -312,7 +315,7 @@ def stability_certificate(model: SystemModel, K) -> StabilityCert:
     # P solves Qs' P Qs + I = P (identity forcing), i.e. P = sum_k (Qs')^k Qs^k
     P = solve_discrete_lyapunov(Qs.T, np.eye(model.n))
     H = psd_roots(P)[1]
-    Hinv = np.linalg.inv(H)
+    Hinv = inv(H)
     L = Hinv @ M @ H
     kappa = max(spectral_norm(H) * spectral_norm(Hinv), spectral_norm(K))
     return StabilityCert(

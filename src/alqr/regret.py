@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimation import covariance_blocks
 from .exceptions import ConfigurationError, IncompleteTrajectoryError
-from .linalg import matvec_rows, quad_rows, row_blocks
+from .linalg import matvec_rows, quad_rows, row_blocks, solve
 
 R_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6")
 
@@ -100,7 +100,7 @@ def realized_regret(traj, J_star: float) -> np.ndarray:
 def q_values(z, V):
     """z_s' V_s^{-1} z_s for stacks z (k, p) and V (k, p, p), with the bits of
     ``z[s] @ np.linalg.solve(V[s], z[s])``."""
-    return (z[:, None, :] @ np.linalg.solve(V, z[:, :, None]))[:, 0, 0]
+    return (z[:, None, :] @ solve(V, z[:, :, None]))[:, 0, 0]
 
 
 def decompose(traj, policy_history, params, model) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ConfigurationError, ScheduleError
-from .linalg import sym
+from .linalg import eigvalsh, sym
 log = logging.getLogger(__name__)
 
 
@@ -548,7 +548,7 @@ def anynum_condition(mu_t, V_t, kappa: float, lam=None, terms=0):
 def _exact_flags(mu, V, rhs):
     """The flags from ``eigvalsh`` and ``math.log`` per value: np.log may
     differ from math.log in the last bit."""
-    w = np.linalg.eigvalsh(sym(V))[:, 0]
+    w = eigvalsh(sym(V))[:, 0]
     if np.any(w <= 0):
         raise ConfigurationError("V_t must be PD", field="V_t")
     return [m <= 0 or math.log(m) - math.log(w_min) <= rhs

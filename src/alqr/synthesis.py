@@ -24,11 +24,14 @@ from .exceptions import (
 )
 from .linalg import (
     chol_solve,
+    cholesky,
     min_eig,
     psd_roots,
+    solve,
     solve_discrete_lyapunov,
     spectral_norm,
     spectral_radius,
+    svdvals,
     sym,
 )
 from .lqr import _dare_cross, _riccati_residual, _split_theta
@@ -98,9 +101,9 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
 
     s_max = math.inf
     if mu > 0:
-        L = np.linalg.cholesky(C0[n:, n:])
-        LiV = np.linalg.solve(L, V_inv[n:, n:])
-        s_max = 1.0 / (mu * spectral_norm(np.linalg.solve(L, LiV.T)))
+        L = cholesky(C0[n:, n:])
+        LiV = solve(L, V_inv[n:, n:])
+        s_max = 1.0 / (mu * spectral_norm(solve(L, LiV.T)))
     s = float(s0) if mu > 0 and 0.0 < s0 < s_max else 0.0
     lo, hi = 0.0, s_max
     C, P, K, H = solve_at(s)
@@ -162,7 +165,7 @@ def sequential_gaps(Ps) -> list:
     if not len(Ps):
         return []
     roots, inv_roots = psd_roots(np.array(Ps, dtype=float))
-    return np.linalg.svd(inv_roots[1:] @ roots[:-1], compute_uv=False)[:, 0].tolist()
+    return svdvals(inv_roots[1:] @ roots[:-1])[:, 0].tolist()
 
 
 def sequential_gap(P_prev, P_next) -> float:

@@ -1,6 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import alqr
+from alqr import linalg
 from alqr.exceptions import CertificateError
 from alqr.linalg import (
     logdet_pd,
@@ -9,6 +14,7 @@ from alqr.linalg import (
     quad_rows,
     row_blocks,
     spectral_norm,
+    sym,
 )
 
 
@@ -160,3 +166,129 @@ class TestStackedBits:
         rng = np.random.default_rng(k)
         s = 10.0 ** rng.uniform(-8, 8, size=(500, k))
         assert np.array_equal(s.sum(axis=-1), [row.sum() for row in s])
+
+
+class TestLapackLayer:
+    """Each function of linalg's LAPACK layer gives the bits, or raises the
+    exception and message, of its np.linalg counterpart: on every size the
+    package runs (n <= 5), on C- and F-ordered inputs, the strided views and
+    stacks the runtime passes, and singular, non-PD and non-finite inputs.
+    A numpy whose gufuncs changed fails here."""
+
+    NUMPY = {
+        "solve": np.linalg.solve,
+        "inv": np.linalg.inv,
+        "cholesky": np.linalg.cholesky,
+        "eigvals": np.linalg.eigvals,
+        "eigvalsh": np.linalg.eigvalsh,
+        "eigh": np.linalg.eigh,
+        "svdvals": lambda a: np.linalg.svd(a, compute_uv=False),
+        "slogdet": np.linalg.slogdet,
+    }
+    UNARY = tuple(NUMPY)[1:]
+    LAPACK = {"solve", "inv", "cholesky", "eigvals", "eigvalsh", "eigh", "svd", "svdvals",
+              "slogdet"}
+
+    @staticmethod
+    def outcome(f, *args):
+        """What a call gives: each array's dtype, shape and bytes, or the
+        exception's type and message."""
+        try:
+            out = f(*args)
+        except Exception as exc:  # a warning turned error counts too
+            return type(exc), str(exc)
+        parts = out if isinstance(out, tuple) else (out,)
+        return [(np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes()) for x in parts]
+
+    def assert_same(self, name, *args):
+        want = self.outcome(self.NUMPY[name], *args)
+        assert self.outcome(getattr(linalg, name), *args) == want, name
+
+    @staticmethod
+    def matrices(n, seed, order):
+        """A general matrix, an SPD one and its Cholesky factor, in ``order``,
+        and the strided views the runtime passes: a trailing block
+        (``C0[n:, n:]``) and a transpose (``L.T``)."""
+        rng = np.random.default_rng(seed)
+        M = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, n))
+        S = spd_stack(rng, 1, n)[0]
+        big = spd_stack(rng, 1, n + 2)[0]
+        L = np.linalg.cholesky(S)
+        return [np.asarray(a, order=order) for a in (M, S, L, sym(M))] + [big[2:, 2:], L.T]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_unary_bits(self, n, order):
+        for seed in range(20):
+            for a in self.matrices(n, 100 * n + seed, order):
+                for name in self.UNARY:
+                    self.assert_same(name, a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_solve_bits(self, n, order):
+        rng = np.random.default_rng(n)
+        for seed in range(20):
+            for a in self.matrices(n, 200 * n + seed, order):
+                self.assert_same("solve", a, rng.standard_normal(n))
+                for k in range(1, 6):
+                    b = rng.standard_normal((n, k))
+                    self.assert_same("solve", a, np.asarray(b, order=order))
+                    self.assert_same("solve", a, rng.standard_normal((k, n)).T)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 4, 5])
+    def test_svdvals_of_rectangles(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        for _ in range(20):
+            M = rng.standard_normal((rows, cols))
+            self.assert_same("svdvals", M)
+            self.assert_same("svdvals", np.asfortranarray(M))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stacks(self, n):
+        # logdet_pd, anynum_condition, psd_roots and nuclear_norm pass SPD
+        # stacks; epoch_rho a stack of closed loops; q_values (k, p, 1) rhs
+        rng = np.random.default_rng(30 + n)
+        S = spd_stack(rng, 40, n)
+        M = rng.standard_normal((40, n, n))
+        for a in (S, M, S.swapaxes(1, 2), M[::2]):
+            for name in self.UNARY:
+                self.assert_same(name, a)
+        self.assert_same("solve", S, rng.standard_normal((40, n, 1)))
+        self.assert_same("solve", M, rng.standard_normal((40, n, n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_failures_raise_as_numpy_does(self, n):
+        zero, ones, eye = np.zeros((n, n)), np.ones((n, n)), np.eye(n)
+        bad = [zero, ones, -eye, np.diag(np.r_[np.ones(n - 1), -1.0])]  # singular, not PD
+        for value in (np.nan, np.inf, -np.inf):
+            a = eye.copy()
+            a[-1, 0] = value
+            bad.append(a)
+        for a in bad:
+            for name in self.UNARY:
+                self.assert_same(name, a)
+            self.assert_same("solve", a, np.ones(n))
+            self.assert_same("solve", a, np.ones((n, 2)))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            linalg.inv(zero)
+        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
+            linalg.cholesky(-eye)
+        with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs or NaNs$"):
+            linalg.eigvals(bad[-1])
+
+    def test_only_linalg_calls_lapack(self):
+        # sdp, a test oracle that is never on the run path, is exempt
+        found = []
+        for path in sorted(Path(alqr.__file__).parent.glob("*.py")):
+            if path.name in ("linalg.py", "sdp.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr in self.LAPACK
+                        and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+                elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                        and {a.name for a in node.names} & self.LAPACK):
+                    found.append(f"{path.name}:{node.lineno}: from numpy.linalg import")
+        assert found == []
