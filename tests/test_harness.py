@@ -883,11 +883,11 @@ class TestCli:
         ("model", dict(SCALAR_MODEL, A=[["a"]])), ("criterion", ["det2"]), ("beta", -1),
         ("beta", math.nan), ("lambda_scale", math.inf), ("noise_scale", math.inf),
         ("eps_target", math.inf), ("anchor_rel_error", -1), ("k0_rel_error", math.nan),
-        # no perturbed gain stabilizes the plant, though its own DARE gain does
-        ("k0_rel_error", 1e6),
         ("model", dict(SCALAR_MODEL, A=[[math.inf]])),
         # plants SystemModel accepts but the set-up cannot use: alpha0 below 0, and Q = 0
         ("model", dict(SCALAR_MODEL, alpha0=-1)), ("model", dict(SCALAR_MODEL, Q=[[0]])),
+        # no perturbed gain stabilizes the plant, though its own DARE gain does
+        ("k0_rel_error", 1e6),
     ])
     def test_schedule_config_error_exit_code(self, tmp_path, capsys, field, value):
         # values the set-up judges before any seed runs: exit 2 naming the field
