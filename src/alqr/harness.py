@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 import warnings
+from bisect import bisect_right
 from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
@@ -121,6 +122,7 @@ class ExperimentConfig:
     # None: phi_bar(delta); build_schedule bounds it
     phi: float | None = _declare(None, _optional(_REAL), schedules.Interval())
     lambda_scale: float = _declare(1.0, _REAL, schedules.DOMAINS["lambda_scale"])
+    # a multiple of the mode's default exploration variance; None: 1x
     noise_scale: float | None = _declare(None, _optional(_REAL), schedules.DOMAINS["noise_scale"])
     beta: float = _declare(1.0, _REAL, schedules.DOMAINS["beta"])
     chi: float = _declare(0.0, _REAL, schedules.DOMAINS["chi"])
@@ -404,7 +406,9 @@ def _csv_blocks(cols, field: str):
     use, and deleting them gives the rows.  A column with few runs of equal
     bits (the warm-up's lambda_t, runs of nan, the epoch columns) is spelled
     once per run, in slots as wide as its longest cell, and copied down each
-    run; the other columns go through ``_spelled`` together."""
+    run, or, for a block within one run, written only when the reused rows
+    do not already hold that run's cell; the other columns go through
+    ``_spelled`` together."""
     T = len(cols[0])
     coded = [_runs(c, field) for c in cols]
     free = [j for j, runs in enumerate(coded) if runs is None]
@@ -416,6 +420,7 @@ def _csv_blocks(cols, field: str):
     rows = np.frombuffer(buf, np.uint8).reshape(-1, ends[-1])
     rows[:, ends - 1] = ord(",")
     rows[:, -1] = ord("\n")
+    held = dict.fromkeys(runs)  # the run whose cell last filled each column's rows
     for lo in range(0, T, _EMIT_ROWS):
         hi = min(lo + _EMIT_ROWS, T)
         if free:
@@ -424,8 +429,13 @@ def _csv_blocks(cols, field: str):
             for i, j in enumerate(free):
                 rows[:hi - lo, spans[j]] = slots[:, i]
         for j, (starts, cells) in runs.items():
-            run = np.searchsorted(starts, np.arange(lo, hi), "right") - 1
-            rows[:hi - lo, spans[j]] = cells[run[0]] if run[0] == run[-1] else cells[run]
+            first = bisect_right(starts, lo) - 1
+            if first != bisect_right(starts, hi - 1) - 1:
+                run = np.searchsorted(starts, np.arange(lo, hi), "right") - 1
+                rows[:hi - lo, spans[j]] = cells[run]
+            elif held[j] != first:  # runs only advance, and no block outgrows the last
+                rows[:hi - lo, spans[j]] = cells[first]
+                held[j] = first
         yield buf[:(hi - lo) * rows.shape[1]].translate(None, b"\0")
 
 
@@ -739,6 +749,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         errors=errors,
         aggregate=_aggregate(config, summaries, tails),
     )
-    if config.out_dir:
-        emit(report.to_dict(), "json", os.path.join(config.out_dir, "aggregate.json"))
+    if config.out_dir:  # a shallow dict: json_dumps reads it as it reads to_dict()'s copy
+        emit({f.name: getattr(report, f.name) for f in fields(report)}, "json",
+             os.path.join(config.out_dir, "aggregate.json"))
     return report

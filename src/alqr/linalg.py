@@ -4,13 +4,19 @@ one layer that calls LAPACK.
 Matrix norm conventions: ``spectral_norm`` is the largest singular value,
 ``nuclear_norm`` is the sum of singular values (written tr sqrt(M^T M)
 elsewhere); for PSD matrices the nuclear norm reduces to the trace.
+
+Apart from ``as_matrix``, which converts outside input, the helpers take a
+float64 matrix, or a stack of them, as it is: the run path passes nothing
+else, so none of them converts or reshapes its input.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar
+from numpy._core.umath import _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .exceptions import CertificateError
@@ -23,74 +29,100 @@ _BLOCK = 256
 
 # The LAPACK layer: solve, inv, cholesky, eigvals, eigvalsh, eigh, svdvals and
 # slogdet each call, for a float64 input, the gufunc and signature that its
-# np.linalg counterpart calls, under the same errstate and error message, so
-# each result keeps np.linalg's bits.  What they skip is np.linalg's per-call
-# Python work (array conversion, shape and type checks, result wrapping),
-# about half the time of a call on the 2x2-5x5 matrices synthesis runs on.
-# The gufuncs are bound here, so a numpy without them fails at import.
+# np.linalg counterpart calls, under the same error state and error message,
+# so each result keeps np.linalg's bits.  What they skip is np.linalg's
+# per-call Python work (array conversion, shape and type checks, result
+# wrapping) and the np.errstate object it builds per call: each error state
+# is built once, here, and set around the gufunc call through the context
+# variable np.errstate sets.  The gufuncs and those two private numpy names
+# are bound here, so a numpy without them fails at import.
 _SOLVE, _SOLVE1, _INV, _CHOLESKY, _EIGVALS, _EIGVALSH, _EIGH, _SVD, _SLOGDET = (
     _umath_linalg.solve, _umath_linalg.solve1, _umath_linalg.inv,
     _umath_linalg.cholesky_lo, _umath_linalg.eigvals, _umath_linalg.eigvalsh_lo,
     _umath_linalg.eigh_lo, _umath_linalg.svd, _umath_linalg.slogdet)
-_errstate = partial(np.errstate, invalid="call", over="ignore", divide="ignore",
-                    under="ignore")
+_set_state, _reset_state = _extobj_contextvar.set, _extobj_contextvar.reset
 
 
-def _raiser(message):
+def _raising(message):
+    """The error state of ``np.errstate(call=handler, invalid="call",
+    over="ignore", divide="ignore", under="ignore")``, its handler raising
+    LinAlgError(message): np.linalg's state for a gufunc that can fail."""
     def handler(err, flag):
         raise LinAlgError(message)
-    return handler
+    return _make_extobj(call=handler, invalid="call", over="ignore", divide="ignore",
+                        under="ignore")
 
 
-_SINGULAR = _raiser("Singular matrix")
-_NOT_PD = _raiser("Matrix is not positive definite")
-_EIG_FAILED = _raiser("Eigenvalues did not converge")
-_SVD_FAILED = _raiser("SVD did not converge")
+_SINGULAR = _raising("Singular matrix")
+_NOT_PD = _raising("Matrix is not positive definite")
+_EIG_FAILED = _raising("Eigenvalues did not converge")
+_SVD_FAILED = _raising("SVD did not converge")
 
 
 def solve(a, b):
     """``np.linalg.solve(a, b)``: b a vector when 1-D, else a stack of matrices."""
-    with _errstate(call=_SINGULAR):
+    token = _set_state(_SINGULAR)
+    try:
         return (_SOLVE1 if b.ndim == 1 else _SOLVE)(a, b, signature="dd->d")
+    finally:
+        _reset_state(token)
 
 
 def inv(a):
     """``np.linalg.inv(a)``."""
-    with _errstate(call=_SINGULAR):
+    token = _set_state(_SINGULAR)
+    try:
         return _INV(a, signature="d->d")
+    finally:
+        _reset_state(token)
 
 
 def cholesky(a):
     """Lower Cholesky factor, as ``np.linalg.cholesky(a)``."""
-    with _errstate(call=_NOT_PD):
+    token = _set_state(_NOT_PD)
+    try:
         return _CHOLESKY(a, signature="d->d")
+    finally:
+        _reset_state(token)
 
 
 def eigvals(a):
     """``np.linalg.eigvals(a)``: real when every eigenvalue is."""
     if not np.isfinite(a).all():
         raise LinAlgError("Array must not contain infs or NaNs")
-    with _errstate(call=_EIG_FAILED):
+    token = _set_state(_EIG_FAILED)
+    try:
         w = _EIGVALS(a, signature="d->D")
+    finally:
+        _reset_state(token)
     return w if w.imag.any() else w.real
 
 
 def eigvalsh(a):
     """Ascending eigenvalues from the lower triangle, as ``np.linalg.eigvalsh(a)``."""
-    with _errstate(call=_EIG_FAILED):
+    token = _set_state(_EIG_FAILED)
+    try:
         return _EIGVALSH(a, signature="d->d")
+    finally:
+        _reset_state(token)
 
 
 def eigh(a):
     """(w, U) from the lower triangle, as ``np.linalg.eigh(a)``."""
-    with _errstate(call=_EIG_FAILED):
+    token = _set_state(_EIG_FAILED)
+    try:
         return _EIGH(a, signature="d->dd")
+    finally:
+        _reset_state(token)
 
 
 def svdvals(a):
     """Descending singular values, as ``np.linalg.svd(a, compute_uv=False)``."""
-    with _errstate(call=_SVD_FAILED):
+    token = _set_state(_SVD_FAILED)
+    try:
         return _SVD(a, signature="d->d")
+    finally:
+        _reset_state(token)
 
 
 def slogdet(a):
@@ -117,30 +149,27 @@ def sym(M):
 def spectral_norm(M):
     """Largest singular value: the first of the descending list that the
     SVD returns, which is the value ``np.linalg.norm(M, 2)`` takes the max of."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
     return float(svdvals(M)[0])
 
 
 def nuclear_norm(M):
     """Nuclear norm of a matrix (a float), or of each matrix in a stack (an array)."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
     norms = svdvals(M).sum(axis=-1)
     return float(norms) if M.ndim == 2 else norms
 
 
 def spectral_radius(M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return float(np.max(np.abs(eigvals(M))))
+    return float(abs(eigvals(M)).max())
 
 
 def min_eig(M):
-    return float(eigvalsh(sym(np.atleast_2d(M)))[0])
+    return float(eigvalsh(sym(M))[0])
 
 
 def psd_sqrt(M, floor=1e-12):
     """Symmetric square root via eigendecomposition, eigenvalues floored.
     Gate P8 (``test_p8_perturbation_lemma``) builds its perturbations with it."""
-    w, U = eigh(sym(np.atleast_2d(M)))
+    w, U = eigh(sym(M))
     w = np.maximum(w, floor)
     return (U * np.sqrt(w)) @ U.T
 
@@ -149,7 +178,7 @@ def psd_roots(M, floor=1e-12):
     """(M^{1/2}, M^{-1/2}) of a PD matrix, or of each matrix in a stack, from
     one eigendecomposition each; a non-PD matrix raises CertificateError
     naming the least eigenvalue of the first such."""
-    w, U = eigh(sym(np.atleast_2d(M)))
+    w, U = eigh(sym(M))
     bad = np.flatnonzero(w[..., 0].ravel() <= 0)
     if bad.size:
         raise CertificateError(
@@ -172,7 +201,6 @@ def logdet_pd(M, strict=True):
     A non-PD matrix raises CertificateError; with ``strict=False`` its log det
     reads nan instead.
     """
-    M = np.atleast_2d(M)
     sign, ld = slogdet(sym(M))
     bad = sign <= 0
     if not strict:
@@ -211,10 +239,16 @@ def solve_discrete_lyapunov(M, S):
 
     Requires rho(M) < 1; sizes here are tiny so the dense solve is fine.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    S = np.atleast_2d(np.asarray(S, dtype=float))
     n = M.shape[0]
     # kron(M, M) as one broadcast product: the same single products, less overhead
-    A = np.eye(n * n) - (M[:, None, :, None] * M[None, :, None, :]).reshape(n * n, n * n)
+    A = _eye(n * n) - (M[:, None, :, None] * M[None, :, None, :]).reshape(n * n, n * n)
     x = solve(A, S.reshape(-1))
     return sym(x.reshape(n, n))
+
+
+@cache
+def _eye(k):
+    """A read-only k x k identity, built once per size."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye

@@ -200,19 +200,23 @@ def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=64):
     raise NotStabilizableError("doubling iteration did not converge")
 
 
-def _dare_newton(A, B, C, K, tol=1e-12, max_iter=8):
+def _dare_newton(A, B, C, K, M=None, stable=False, tol=1e-12, max_iter=8):
     """Newton-Kleinman iteration (Kleinman 1968; Hewer 1971) for the DARE of
     the joint cost weight C, started from a gain K that stabilises A + BK.
 
     Step j solves the Lyapunov equation P_j = M_j' P_j M_j + [I; K_j]' C
     [I; K_j] of the closed loop M_j = A + B K_j and sets K_{j+1} = -H_j^{-1}
-    G_j.  Returns P once successive iterates pass the doubling's stopping
-    test, or None when K does not stabilise A + BK, an iterate is not
-    finite or a solve is singular, or max_iter steps do not converge.
+    G_j.  M, when given, is A + BK, and ``stable`` says that rho(M) < 1 is
+    already certified, so it is not computed again.  Returns P once
+    successive iterates pass the doubling's stopping test, or None when K
+    does not stabilise A + BK, an iterate is not finite or a solve is
+    singular, or max_iter steps do not converge.
     """
     n, m = B.shape
     S, R = C[:n, n:], C[n:, n:]
-    if not spectral_radius(A + B @ K) < 1.0:
+    if M is None:
+        M = A + B @ K
+    if not (stable or spectral_radius(M) < 1.0):
         return None
     IK = np.eye(n + m, n)  # [I; K], its K rows filled in at each step
     P_prev = None
@@ -220,7 +224,7 @@ def _dare_newton(A, B, C, K, tol=1e-12, max_iter=8):
         try:
             for _ in range(max_iter):
                 IK[n:] = K
-                P = solve_discrete_lyapunov((A + B @ K).T, IK.T @ C @ IK)
+                P = solve_discrete_lyapunov(M.T, IK.T @ C @ IK)
                 if not np.isfinite(P).all():
                     return None
                 if P_prev is not None:
@@ -228,33 +232,39 @@ def _dare_newton(A, B, C, K, tol=1e-12, max_iter=8):
                     if delta <= tol * max(1.0, max(map(abs, P.ravel().tolist()))):
                         return P
                 _, K, _ = _gain(A, B, S, R, P)
+                M = A + B @ K
                 P_prev = P
         except np.linalg.LinAlgError:
             pass
     return None
 
 
-def _dare_cross(A, B, C, K=None):
+def _dare_cross(A, B, C, K=None, M=None, stable=False):
     """Stabilising DARE solution and gain for the joint cost weight C.
 
     C = [[Q, S], [S', R]] weighs (x, u).  Given a gain K that stabilises
-    A + BK, the solution comes from ``_dare_newton`` started at K, kept
-    when its gain stabilises A + BK too (the stabilising solution is the
-    only one whose gain does).  Otherwise, or without K, the doubling
-    solves it: the cross term is removed by the substitution u = v - R^{-1}
-    S' x, which leaves the standard DARE of (A - B R^{-1} S', B) with cost
-    Q - S R^{-1} S' on x and R on v.  Returns (P, K, H) with K = -H^{-1} G,
-    H = B'PB + R and G = B'PA + S'.
+    A + BK (M and ``stable`` as ``_dare_newton`` takes them), the solution
+    comes from ``_dare_newton`` started at K, kept when its gain stabilises
+    A + BK too (the stabilising solution is the only one whose gain does).
+    Otherwise, or without K, the doubling solves it: the cross term is
+    removed by the substitution u = v - R^{-1} S' x, which leaves the
+    standard DARE of (A - B R^{-1} S', B) with cost Q - S R^{-1} S' on x
+    and R on v.  Returns (P, K, H, M, stable) with K = -H^{-1} G,
+    H = B'PB + R, G = B'PA + S', M = A + BK and ``stable`` whether rho(M) < 1
+    was certified here: true for the Newton-Kleinman gain, false for the
+    doubling's, whose check is left to the caller.
     """
     n = A.shape[0]
     Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
-    P = None if K is None else _dare_newton(A, B, C, K)
+    P = None if K is None else _dare_newton(A, B, C, K, M, stable)
     if P is not None:
         P, K, H = _gain(A, B, S, R, P)
-        if spectral_radius(A + B @ K) < 1.0:
-            return P, K, H
+        M = A + B @ K
+        if spectral_radius(M) < 1.0:
+            return P, K, H, M, True
     RiSt = solve(R, S.T)
-    return _gain(A, B, S, R, _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R))
+    P, K, H = _gain(A, B, S, R, _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R))
+    return P, K, H, A + B @ K, False
 
 
 def _gain(A, B, S, R, P):

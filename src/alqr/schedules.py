@@ -344,6 +344,9 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
     """Assemble ScheduleParams from a model plus either nu or an initial cert.
 
     ``phi=None`` means phi_bar(delta); a larger phi is clipped to it.
+    ``noise_scale`` is a multiple of the mode's default exploration variance
+    (1 in theory mode, 1/kappa^2 in practical mode), None meaning 1; the
+    params hold the resolved product.
     """
     from .lqr import kappa_gamma, nu_bound
 
@@ -352,7 +355,7 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
                         ("beta", beta), ("constants_mode", constants_mode),
                         ("mu_mode", mu_mode), ("radius_variant", radius_variant),
                         ("tau_star_form", tau_star_form)):
-        if value is not None or name != "noise_scale":  # None: the mode's default
+        if value is not None or name != "noise_scale":  # None: 1x the mode's default
             check_domain(name, value)
     if nu is None:
         if cert0 is None:
@@ -370,8 +373,8 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
         raise ConfigurationError(
             f"phi must satisfy {lo:.4g} < phi <= phi_bar={pb:.4g}", field="phi")
     ab = _alpha_bar(kappa, gamma, model.sigma_w, model.n, model.m, model.theta_bound)
-    if noise_scale is None:  # the mode's default
-        noise_scale = 1.0 if constants_mode == "theory" else 1.0 / kappa**2
+    noise_scale = (1.0 if noise_scale is None else noise_scale) * (
+        1.0 if constants_mode == "theory" else 1.0 / kappa**2)
     params = ScheduleParams(
         delta=delta, phi=phi, phi_bar=pb, n=model.n, m=model.m,
         sigma_w=model.sigma_w, theta_bound=model.theta_bound,

@@ -78,7 +78,9 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
     is solved by doubling; each later one by Newton-Kleinman from the gain
     at the last s, which stabilises the same estimate (2 or 3 Lyapunov
     solves on bench-2x2 against 5 or 6 doubling steps), falling back to
-    the doubling where that cannot be trusted (``lqr._dare_cross``).
+    the doubling where that cannot be trusted (``lqr._dare_cross``).  Each
+    gain's closed loop A + BK is formed once, and its spectral radius is
+    not computed again once that path has certified it.
 
     Raises CertificateError when a check of the result fails and
     NotStabilizableError when the doubling iteration does.
@@ -93,11 +95,11 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
     C0[:n, :n] = sym(model.Q)
     C0[n:, n:] = sym(model.R)
 
-    def solve_at(s, K=None):
+    def solve_at(s, K=None, M=None, stable=False):
         C = C0 - mu * s * V_inv
         if min_eig(C[n:, n:]) <= 0:
             raise CertificateError(f"R~(s) is not PD at s = {s:.6g}")
-        return (C, *_dare_cross(A, B, C, K))
+        return (C, *_dare_cross(A, B, C, K, M, stable))
 
     s_max = math.inf
     if mu > 0:
@@ -106,7 +108,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
         s_max = 1.0 / (mu * spectral_norm(solve(L, LiV.T)))
     s = float(s0) if mu > 0 and 0.0 < s0 < s_max else 0.0
     lo, hi = 0.0, s_max
-    C, P, K, H = solve_at(s)
+    C, P, K, H, M, stable = solve_at(s)  # M = A + BK, stable: rho(M) < 1 certified
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
         tr = float(P.trace())
         f = tr - s
@@ -115,7 +117,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
         else:
             hi = s
         IK[n:] = K
-        X = solve_discrete_lyapunov((A + B @ K).T, IK.T @ V_inv @ IK)
+        X = solve_discrete_lyapunov(M.T, IK.T @ V_inv @ IK)
         slope = mu * float(X.trace())  # -d tr P*/ds
         step = f / (1.0 + slope)
         if not math.isfinite(step):
@@ -127,7 +129,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
             break
         s_next = s + step
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
-        C, P, K, H = solve_at(s, K)  # Newton-Kleinman from the gain at the last s
+        C, P, K, H, M, stable = solve_at(s, K, M, stable)  # Newton-Kleinman from the last gain
 
     # H = B'PB + R~ is the gain solve's own term
     if min_eig(H) <= 0:
@@ -139,7 +141,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
         raise CertificateError(f"Riccati residual {res:.3g} too large")
     if mu > 0 and not abs(float(P.trace()) - s) <= RICCATI_TOL * max(1.0, s):
         raise CertificateError(f"tr P = {np.trace(P):.12g} misses s = {s:.12g}")
-    if not spectral_radius(A + B @ K) < 1.0:
+    if not (stable or spectral_radius(M) < 1.0):
         raise CertificateError("Riccati gain does not stabilise the estimate")
     return K, sym(P)
 

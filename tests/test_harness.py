@@ -399,6 +399,38 @@ class TestEmitOracle:
         path = emit([cols], "csv", tmp_path / "blocks.csv")
         assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
 
+    @staticmethod
+    def block_columns(lam):
+        """Columns whose lambda_t and epoch columns are run-coded; epoch
+        changes exactly at each emission block's first row."""
+        T = len(lam)
+        cols = {name: np.arange(T) * 0.5 for name in CSV_COLUMNS}
+        cols.update(t=np.arange(1, T + 1), lambda_t=lam,
+                    epoch=np.arange(T) // harness._EMIT_ROWS, policy_id=np.arange(T) // 300)
+        return cols
+
+    def test_run_changes_at_a_block_boundary(self, tmp_path):
+        # each block lies in one run, and the next block starts the next run:
+        # the reused rows hold the last run's cell and must be overwritten
+        rows = harness._EMIT_ROWS
+        lam = np.repeat([1.5, 2.5, -0.0], rows)[:3 * rows - 9]
+        cols = self.block_columns(lam)
+        assert harness._runs(lam, "%.17g")[0] == [0, rows, 2 * rows]
+        path = emit([cols], "csv", tmp_path / "edge.csv")
+        assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
+
+    def test_run_value_returns_after_a_multi_run_block(self, tmp_path):
+        # block 0 holds the value 0.25; block 1 holds 0.25, then 7, then 0.25
+        # again; blocks 2 and 3 lie in that last run, whose value the rows of
+        # block 0 held but the rows of block 1 do not
+        rows = harness._EMIT_ROWS
+        lam = np.full(3 * rows + 11, 0.25)
+        lam[rows + 10:rows + 20] = 7.0
+        cols = self.block_columns(lam)
+        assert harness._runs(lam, "%.17g") == ([0, rows + 10, rows + 20], ["0.25", "7", "0.25"])
+        path = emit([cols], "csv", tmp_path / "back.csv")
+        assert Path(path).read_bytes() == oracle_csv(self.special_rows(cols))
+
     def test_oracle_tells_repr_from_the_row_format(self, tmp_path, monkeypatch):
         # the inputs above discriminate: a repr-spelled row fails them.  With
         # the kernel certifying no cell, every cell is spelled by the

@@ -278,6 +278,58 @@ class TestLapackLayer:
         with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs or NaNs$"):
             linalg.eigvals(bad[-1])
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_failures_raise_inside_an_ignoring_errstate(self, n):
+        # the doubling calls inv under np.errstate(over="ignore",
+        # invalid="ignore"): the layer's own state must still raise
+        eye = np.eye(n)
+        bad = [np.zeros((n, n)), -eye, np.where(eye > 0, np.nan, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in bad:
+                for name in self.UNARY:
+                    self.assert_same(name, a)
+                self.assert_same("solve", a, np.ones(n))
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                linalg.inv(bad[0])
+
+    @pytest.mark.parametrize("outer", [
+        {}, {"all": "raise"}, {"all": "ignore", "call": print}, {"under": "warn", "call": None}])
+    def test_calls_leave_the_error_state_as_they_found_it(self, outer):
+        good, singular, nan = np.eye(3) + 0.1, np.zeros((3, 3)), np.full((3, 3), np.nan)
+        failing = {"solve": (singular, np.ones(3)), "inv": (singular,), "cholesky": (-good,),
+                   "eigvals": (nan,), "eigvalsh": (nan,), "eigh": (nan,), "svdvals": (nan,)}
+        with np.errstate(**outer):
+            before = np.geterr(), np.geterrcall(), np.getbufsize()
+            for name in self.NUMPY:
+                f = getattr(linalg, name)
+                f(*((good, np.ones(3)) if name == "solve" else (good,)))
+                assert (np.geterr(), np.geterrcall(), np.getbufsize()) == before, name
+                if name in failing:  # slogdet sets no state and raises on nothing
+                    with pytest.raises(np.linalg.LinAlgError):
+                        f(*failing[name])
+                    assert (np.geterr(), np.geterrcall(), np.getbufsize()) == before, name
+
+    @pytest.mark.parametrize("state, message", [
+        (linalg._SINGULAR, "Singular matrix"),
+        (linalg._NOT_PD, "Matrix is not positive definite"),
+        (linalg._EIG_FAILED, "Eigenvalues did not converge"),
+        (linalg._SVD_FAILED, "SVD did not converge"),
+    ])
+    def test_prebuilt_states_read_as_the_errstate_they_replace(self, state, message):
+        token = linalg._set_state(state)
+        try:
+            got = np.geterr(), np.geterrcall(), np.getbufsize()
+        finally:
+            linalg._reset_state(token)
+        handler = got[1]
+        with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            assert got == (np.geterr(), np.geterrcall(), np.getbufsize())
+        assert got[0] == {"divide": "ignore", "over": "ignore", "under": "ignore",
+                          "invalid": "call"}
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            handler("invalid value", 8)
+
     def test_only_linalg_calls_lapack(self):
         # sdp, a test oracle that is never on the run path, is exempt
         found = []

@@ -466,3 +466,38 @@ class TestBuildSchedule:
         assert math.isfinite(params.log10_G_star)
         assert math.isfinite(params.log10_tau_star)
         assert params.log10_eps_bar <= math.log10(2 * params.theta_bound)
+
+
+class TestNoiseScale:
+    """``noise_scale`` is a multiple of the mode's default exploration
+    variance, 1 in theory mode and 1/kappa^2 in practical mode; None means
+    1x, and the params hold the product."""
+
+    @staticmethod
+    def params(plant, **kw):
+        return shared_setup(ExperimentConfig(benchmark=plant, T=10, seeds=[0], **kw)).params
+
+    @pytest.mark.parametrize("plant, constants", [
+        ("bench-2x2", "practical"), ("bench-3x2", "practical"), ("bench-2x2", "theory")])
+    def test_a_multiple_of_the_default(self, plant, constants):
+        default = self.params(plant, constants=constants)
+        base = 1.0 if constants == "theory" else 1.0 / default.kappa**2
+        assert default.noise_scale == base
+        for scale in (1, 1.0, 0.25, 3.0):
+            got = self.params(plant, constants=constants, noise_scale=scale).noise_scale
+            assert np.float64(got).tobytes() == np.float64(scale * base).tobytes()
+        assert self.params(plant, constants=constants, noise_scale=1.0) == default
+
+    def test_zero_turns_the_perturbation_off(self, bench2x2, bench2x2_anchor):
+        from alqr.loops import run_aslo, sample_perturbation
+
+        params = self.params("bench-2x2", noise_scale=0.0)
+        assert params.noise_scale == 0.0
+        assert not sample_perturbation(np.arange(1, 1001), params,
+                                       np.random.default_rng(0)).any()
+        theta0, eps = bench2x2_anchor
+        rec, _, _ = run_aslo(bench2x2, theta0, eps, T=50, params=params, seed=0)
+        assert not rec.eta.any()
+        on, _, _ = run_aslo(bench2x2, theta0, eps, T=50,
+                            params=self.params("bench-2x2"), seed=0)
+        assert on.eta.all()

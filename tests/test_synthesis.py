@@ -456,7 +456,7 @@ def outcome(solve, *args):
     except Exception as exc:
         return type(exc).__name__, str(exc)
     arrays = out if isinstance(out, tuple) else (out,)
-    return "returned", [(a.shape, a.tobytes()) for a in arrays]
+    return "returned", [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
 
 
 class TestRiccatiOracle:
@@ -474,9 +474,9 @@ class TestRiccatiOracle:
         trail = []
         real_cross, real_lyap = synthesis._dare_cross, synthesis.solve_discrete_lyapunov
 
-        def cross(A, B, C, K=None):
+        def cross(A, B, C, K=None, *start):
             trail.append((C.copy(), None if K is None else K.copy()))
-            return real_cross(A, B, C, K)
+            return real_cross(A, B, C, K, *start)
 
         def lyap(M, S):
             trail.append(real_lyap(M, S))
@@ -709,8 +709,8 @@ class TestNewtonKleinman:
     def test_agrees_with_cold_doubling(self, monkeypatch, config):
         calls, real = [], synthesis._dare_cross
 
-        def cross(A, B, C, K=None):
-            out = real(A, B, C, K)
+        def cross(A, B, C, K=None, *start):
+            out = real(A, B, C, K, *start)
             if K is not None:
                 calls.append((A, B, C.copy(), K.copy(), out))
             return out
@@ -719,12 +719,35 @@ class TestNewtonKleinman:
         run_seed(config, shared_setup(config), config.seeds[0])
         monkeypatch.undo()
         assert len(calls) >= 30
-        for A, B, C, K0, (P, K, H) in calls:
+        for A, B, C, K0, (P, K, H, *_) in calls:
             P_newton, steps = self.newton_steps(monkeypatch, A, B, C, K0)
             assert P_newton is not None and steps <= 4  # no fallback
             assert np.array_equal(P, P_newton)
-            P_cold, K_cold, _ = lqr._dare_cross(A, B, C)
+            P_cold, K_cold, *_ = lqr._dare_cross(A, B, C)
             assert rel_err(P, P_cold) <= 1e-12 and rel_err(K, K_cold) <= 1e-12
+
+    def test_no_closed_loop_radius_is_computed_twice(self, bench2x2, bench2x2_params,
+                                                     bench2x2_anchor, monkeypatch):
+        # a gain the Newton-Kleinman path certified is checked neither by the
+        # next _dare_newton nor by the final check; a doubling gain keeps one
+        seen, certified = [], []
+        for module in (lqr, synthesis):
+            monkeypatch.setattr(module, "spectral_radius",
+                                lambda M, _real=module.spectral_radius:
+                                seen.append(M.tobytes()) or _real(M))
+        newton = lqr._dare_newton
+        monkeypatch.setattr(lqr, "_dare_newton",
+                            lambda A, B, C, K, M, stable:
+                            certified.append(stable) or newton(A, B, C, K, M, stable))
+        params = replace(bench2x2_params, criterion="adaptive_beta")
+        theta0, eps = bench2x2_anchor
+        _, hist, _ = run_aslo(bench2x2, theta0, eps, T=60, params=params, seed=4)
+        assert len(hist) == 60 and len(seen) >= 2 * len(hist)
+        # from s = 0 the search takes several Newton-Kleinman solves in a row
+        model, theta, mu, V = bisect_case()
+        solve_relaxed_riccati(theta, model, mu, V)
+        assert True in certified and False in certified
+        assert len(set(seen)) == len(seen)
 
     @staticmethod
     def solved_inputs():
@@ -744,8 +767,8 @@ class TestNewtonKleinman:
         assert lqr._dare_newton(A, B, C, K_bad) is None
         assert outcome(lqr._dare_cross, A, B, C, K_bad) == outcome(lqr._dare_cross, A, B, C)
         # a stabilising start keeps its own result, within the doubling's tolerance
-        P, K_new, _ = lqr._dare_cross(A, B, C, K)
-        P_cold, K_cold, _ = lqr._dare_cross(A, B, C)
+        P, K_new, *_ = lqr._dare_cross(A, B, C, K)
+        P_cold, K_cold, *_ = lqr._dare_cross(A, B, C)
         assert rel_err(P, P_cold) <= 1e-12 and not np.array_equal(P, P_cold)
 
     def test_budget_and_non_finite_iterates_fall_back(self, monkeypatch):
@@ -774,7 +797,7 @@ class TestCertificateChecks:
         def fault(monkeypatch):
             real = synthesis._dare_cross
             monkeypatch.setattr(synthesis, "_dare_cross",
-                                lambda A, B, C, K=None: change(*real(A, B, C, K)))
+                                lambda A, B, C, *start: change(*real(A, B, C, *start)))
         return fault
 
     @staticmethod
@@ -783,9 +806,10 @@ class TestCertificateChecks:
         monkeypatch.setattr(synthesis, "spectral_radius", lambda M: 1.0)
 
     @pytest.mark.parametrize("fault, message", [
-        (doctor(lambda P, K, H: (P, K, -H)), "R~ + B'PB is not PD"),
-        (doctor(lambda P, K, H: (-P, K, H)), "P is not PSD"),
-        (doctor(lambda P, K, H: (P + 1e-3 * np.eye(len(P)), K, H)), "Riccati residual"),
+        (doctor(lambda P, K, H, *gain: (P, K, -H, *gain)), "R~ + B'PB is not PD"),
+        (doctor(lambda P, K, H, *gain: (-P, K, H, *gain)), "P is not PSD"),
+        (doctor(lambda P, K, H, *gain: (P + 1e-3 * np.eye(len(P)), K, H, *gain)),
+         "Riccati residual"),
         (unstable, "does not stabilise"),
     ], ids=["gain-weight", "psd", "residual", "stability"])
     def test_check_declines(self, monkeypatch, fault, message):
