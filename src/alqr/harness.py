@@ -675,7 +675,8 @@ class AggregateReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_dict(self):
-        return asdict(self)
+        # shallow: json_dumps reads the fields' own dicts and lists
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _aggregate(config: ExperimentConfig, summaries: list, tails: list) -> dict:
@@ -749,7 +750,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         errors=errors,
         aggregate=_aggregate(config, summaries, tails),
     )
-    if config.out_dir:  # a shallow dict: json_dumps reads it as it reads to_dict()'s copy
-        emit({f.name: getattr(report, f.name) for f in fields(report)}, "json",
-             os.path.join(config.out_dir, "aggregate.json"))
+    if config.out_dir:
+        emit(report.to_dict(), "json", os.path.join(config.out_dir, "aggregate.json"))
     return report

@@ -200,14 +200,14 @@ def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=64):
     raise NotStabilizableError("doubling iteration did not converge")
 
 
-def _dare_newton(A, B, C, K, M=None, stable=False, tol=1e-12, max_iter=8):
+def _dare_newton(A, B, C, K, M=None, stable=None, tol=1e-12, max_iter=8):
     """Newton-Kleinman iteration (Kleinman 1968; Hewer 1971) for the DARE of
     the joint cost weight C, started from a gain K that stabilises A + BK.
 
     Step j solves the Lyapunov equation P_j = M_j' P_j M_j + [I; K_j]' C
     [I; K_j] of the closed loop M_j = A + B K_j and sets K_{j+1} = -H_j^{-1}
-    G_j.  M, when given, is A + BK, and ``stable`` says that rho(M) < 1 is
-    already certified, so it is not computed again.  Returns P once
+    G_j.  M = A + BK and ``stable``, whether rho(M) < 1, come together from
+    ``_dare_cross``; without them both are computed here.  Returns P once
     successive iterates pass the doubling's stopping test, or None when K
     does not stabilise A + BK, an iterate is not finite or a solve is
     singular, or max_iter steps do not converge.
@@ -216,7 +216,8 @@ def _dare_newton(A, B, C, K, M=None, stable=False, tol=1e-12, max_iter=8):
     S, R = C[:n, n:], C[n:, n:]
     if M is None:
         M = A + B @ K
-    if not (stable or spectral_radius(M) < 1.0):
+        stable = spectral_radius(M) < 1.0
+    if not stable:
         return None
     IK = np.eye(n + m, n)  # [I; K], its K rows filled in at each step
     P_prev = None
@@ -239,7 +240,7 @@ def _dare_newton(A, B, C, K, M=None, stable=False, tol=1e-12, max_iter=8):
     return None
 
 
-def _dare_cross(A, B, C, K=None, M=None, stable=False):
+def _dare_cross(A, B, C, K=None, M=None, stable=None):
     """Stabilising DARE solution and gain for the joint cost weight C.
 
     C = [[Q, S], [S', R]] weighs (x, u).  Given a gain K that stabilises
@@ -250,9 +251,8 @@ def _dare_cross(A, B, C, K=None, M=None, stable=False):
     removed by the substitution u = v - R^{-1} S' x, which leaves the
     standard DARE of (A - B R^{-1} S', B) with cost Q - S R^{-1} S' on x
     and R on v.  Returns (P, K, H, M, stable) with K = -H^{-1} G,
-    H = B'PB + R, G = B'PA + S', M = A + BK and ``stable`` whether rho(M) < 1
-    was certified here: true for the Newton-Kleinman gain, false for the
-    doubling's, whose check is left to the caller.
+    H = B'PB + R, G = B'PA + S', M = A + BK and ``stable`` whether
+    rho(M) < 1, so a caller never computes the radius of a gain again.
     """
     n = A.shape[0]
     Q, S, R = C[:n, :n], C[:n, n:], C[n:, n:]
@@ -264,7 +264,8 @@ def _dare_cross(A, B, C, K=None, M=None, stable=False):
             return P, K, H, M, True
     RiSt = solve(R, S.T)
     P, K, H = _gain(A, B, S, R, _dare_doubling(A - B @ RiSt, B, sym(Q - S @ RiSt), R))
-    return P, K, H, A + B @ K, False
+    M = A + B @ K
+    return P, K, H, M, spectral_radius(M) < 1.0
 
 
 def _gain(A, B, S, R, P):

@@ -30,7 +30,6 @@ from .linalg import (
     solve,
     solve_discrete_lyapunov,
     spectral_norm,
-    spectral_radius,
     svdvals,
     sym,
 )
@@ -79,8 +78,8 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
     at the last s, which stabilises the same estimate (2 or 3 Lyapunov
     solves on bench-2x2 against 5 or 6 doubling steps), falling back to
     the doubling where that cannot be trusted (``lqr._dare_cross``).  Each
-    gain's closed loop A + BK is formed once, and its spectral radius is
-    not computed again once that path has certified it.
+    gain's closed loop A + BK is formed and its spectral radius computed
+    once, in ``_dare_cross``.
 
     Raises CertificateError when a check of the result fails and
     NotStabilizableError when the doubling iteration does.
@@ -95,7 +94,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
     C0[:n, :n] = sym(model.Q)
     C0[n:, n:] = sym(model.R)
 
-    def solve_at(s, K=None, M=None, stable=False):
+    def solve_at(s, K=None, M=None, stable=None):
         C = C0 - mu * s * V_inv
         if min_eig(C[n:, n:]) <= 0:
             raise CertificateError(f"R~(s) is not PD at s = {s:.6g}")
@@ -108,7 +107,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
         s_max = 1.0 / (mu * spectral_norm(solve(L, LiV.T)))
     s = float(s0) if mu > 0 and 0.0 < s0 < s_max else 0.0
     lo, hi = 0.0, s_max
-    C, P, K, H, M, stable = solve_at(s)  # M = A + BK, stable: rho(M) < 1 certified
+    C, P, K, H, M, stable = solve_at(s)  # M = A + BK, stable: rho(M) < 1
     for _ in range(RICCATI_MAX_ITER if mu > 0 else 0):
         tr = float(P.trace())
         f = tr - s
@@ -141,7 +140,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
         raise CertificateError(f"Riccati residual {res:.3g} too large")
     if mu > 0 and not abs(float(P.trace()) - s) <= RICCATI_TOL * max(1.0, s):
         raise CertificateError(f"tr P = {np.trace(P):.12g} misses s = {s:.12g}")
-    if not (stable or spectral_radius(M) < 1.0):
+    if not stable:
         raise CertificateError("Riccati gain does not stabilise the estimate")
     return K, sym(P)
 
