@@ -1,8 +1,10 @@
 """Online regularized least squares for Theta and confidence ellipsoids.
 
 The state stores the raw Gram matrix S_t = sum z z' and cross moments
-C_t = sum z x'; the regularized covariance V_t = lambda_t I + S_t is
-reassembled per query because lambda_t drifts over time.  All logs natural.
+C_t = sum z x', each entry summed in step order; the regularized covariance
+V_t = lambda_t I + S_t is reassembled per query because lambda_t drifts over
+time.  z_i z_j and z_j z_i are the same product, summed in the same order,
+so S_t and every V_t are exactly symmetric.  All logs natural.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .linalg import chol_solve, logdet_pd, row_blocks, sym
+from .linalg import _eye, chol_solve, logdet_pd, row_blocks
 from .schedules import check_domain
 
 
@@ -41,7 +43,7 @@ class EstimatorState:
 
     def covariance(self, lambda_t: float):
         """V_t = lambda_t I + S_t, assembled fresh for the requested lambda."""
-        return lambda_t * np.eye(self.dim_z) + self.gram
+        return lambda_t * _eye(self.dim_z) + self.gram
 
 
 @dataclass
@@ -61,16 +63,21 @@ def _step_sums(a, b, carry):
 def gram_sums(state: EstimatorState, z) -> np.ndarray:
     """S[j] = state.gram + z_0 z_0' + ... + z_j z_j' for each row of z, in step
     order: what ``state.gram`` holds after ingesting z_0..z_j, bit for bit,
-    without ingesting them.  ``ingest(..., grams=S[:k])`` commits k rows."""
+    without ingesting them."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     return _step_sums(z, z, state.gram)
 
 
-def ingest(state: EstimatorState, z, x_next, grams=None) -> EstimatorState:
+def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
     """Accumulate one transition (z_t, x_{t+1}), or k rows of them, in place.
 
-    Rows add in step order a block at a time: the bits of k one-row ingests.
-    ``grams``, the ``gram_sums`` of the same rows, sets the Gram from them.
+    A block of rows at a time, one outer product of z with [z | x_next]
+    holds both moments' terms, and one reduce over the block's rows adds
+    them to [S_t | C_t] in step order: the bits of k one-row ingests, and of
+    ``gram_sums``.  The layout keeps that order: numpy reduces the outer
+    axis of a stack row by row only when a row holds more than one entry,
+    and a row here holds dim_z (dim_z + dim_x) >= 2 of them; a 1 x 1 moment
+    reduced alone would be summed pairwise.
     """
     z = np.asarray(z, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
@@ -80,12 +87,16 @@ def ingest(state: EstimatorState, z, x_next, grams=None) -> EstimatorState:
         raise ConfigurationError("state dimension mismatch", field="x_next")
     if z.ndim > 2 or z.shape[:-1] != x_next.shape[:-1]:
         raise ConfigurationError("z and x_next must hold the same rows", field="x_next")
-    z, x_next = z.reshape(-1, state.dim_z), x_next.reshape(-1, state.dim_x)
-    for lo, hi in row_blocks(len(z)):
-        state.gram[...] = (_step_sums(z[lo:hi], z[lo:hi], state.gram)[-1] if grams is None
-                           else grams[hi - 1])
-        state.cross[...] = _step_sums(z[lo:hi], x_next[lo:hi], state.cross)[-1]
-    state.t += len(z)
+    p = state.dim_z
+    zx = np.concatenate([z.reshape(-1, p), x_next.reshape(-1, state.dim_x)], axis=1)
+    total = np.concatenate([state.gram, state.cross], axis=1)
+    for lo, hi in row_blocks(len(zx)):
+        S = zx[lo:hi, :p, None] * zx[lo:hi, None, :]
+        S[0] += total
+        total = np.add.reduce(S, axis=0)
+    state.gram[...] = total[:, :p]
+    state.cross[...] = total[:, p:]
+    state.t += len(zx)
     return state
 
 
@@ -118,19 +129,21 @@ def step_covariances(z, lambda_t, carry):
     """
     S = _step_sums(z, z, carry)
     before = np.concatenate([carry[None], S[:-1]])
-    return lambda_t[:, None, None] * np.eye(z.shape[1]) + before, S[-1]
+    return lambda_t[:, None, None] * _eye(z.shape[1]) + before, S[-1]
 
 
 def estimate(state: EstimatorState, lambda_t: float) -> np.ndarray:
     """Theta_hat = V_t^{-1} (C_t + lambda_t Theta_0); unanchored drops the anchor."""
+    return _center(state, lambda_t, state.covariance(lambda_t))
+
+
+def _center(state: EstimatorState, lambda_t: float, V) -> np.ndarray:
+    """``estimate`` from V = ``state.covariance(lambda_t)``."""
     if lambda_t <= 0:
         raise ConfigurationError("lambda_t must be > 0", field="lambda_t")
     if state.t == 0 and state.anchored:
         return state.anchor.copy()  # (lambda I)^{-1} lambda Theta_0, exactly
-    V = state.covariance(lambda_t)
-    rhs = state.cross.copy()
-    if state.anchored:
-        rhs = rhs + lambda_t * state.anchor
+    rhs = state.cross + lambda_t * state.anchor if state.anchored else state.cross
     return chol_solve(V, rhs)
 
 
@@ -141,6 +154,13 @@ def confidence_radius(state: EstimatorState, delta: float, lambda_t: float,
 
     c = eps for the anchored variant and c = theta_bound for the unanchored one.
     """
+    return _radius(state, state.covariance(lambda_t), delta, lambda_t, sigma_w, variant,
+                   eps, theta_bound)
+
+
+def _radius(state: EstimatorState, V, delta, lambda_t, sigma_w, variant, eps,
+            theta_bound) -> float:
+    """``confidence_radius`` from V = ``state.covariance(lambda_t)``."""
     check_domain("delta", delta)
     check_domain("radius_variant", variant)
     if variant == "anchored":
@@ -152,7 +172,6 @@ def confidence_radius(state: EstimatorState, delta: float, lambda_t: float,
         if c is None:
             raise ConfigurationError("unanchored radius needs theta_bound", field="theta_bound")
     n = state.dim_x
-    V = state.covariance(lambda_t)
     logdet_ratio = logdet_pd(V) - state.dim_z * np.log(lambda_t)
     inner = 2.0 * n * (np.log(n / delta) + logdet_ratio)
     return float((sigma_w * np.sqrt(max(inner, 0.0)) + np.sqrt(lambda_t) * c) ** 2)
@@ -161,11 +180,12 @@ def confidence_radius(state: EstimatorState, delta: float, lambda_t: float,
 def ellipsoid(state: EstimatorState, delta: float, lambda_t: float, sigma_w: float,
               variant: str = "anchored", eps: float | None = None,
               theta_bound: float | None = None) -> ConfidenceEllipsoid:
+    """The ellipsoid's centre, shape V_t and radius, from one V_t."""
+    V = state.covariance(lambda_t)
     return ConfidenceEllipsoid(
-        center=estimate(state, lambda_t),
-        shape=sym(state.covariance(lambda_t)),
-        radius=confidence_radius(state, delta, lambda_t, sigma_w, variant,
-                                 eps=eps, theta_bound=theta_bound),
+        center=_center(state, lambda_t, V),
+        shape=V,
+        radius=_radius(state, V, delta, lambda_t, sigma_w, variant, eps, theta_bound),
     )
 
 

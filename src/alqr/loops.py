@@ -15,7 +15,7 @@ sub-blocks anchored at the row where the gain took over (0, or ASLO's
 firing), and ingests the moments from the record after it: the warm-up all
 T0 steps, ``run_fixed_policy`` one checkpoint segment at a time, and ASLO
 one fixed-gain segment at a time.
-The warm-up and ASLO take V_t from the ``gram_sums`` that ``ingest`` commits.
+The warm-up and ASLO take V_t from ``gram_sums``, whose bits ``ingest`` adds.
 Between two policy updates ASLO is a fixed-gain rollout too; it rolls the
 gain out over a block of steps, takes the determinant criterion of the
 block's later steps from one stacked log-det, and keeps the steps before
@@ -47,6 +47,7 @@ from .exceptions import (
 )
 from .linalg import (
     _BLOCK,
+    _eye,
     logdet_pd,
     matvec_rows,
     min_eig,
@@ -203,7 +204,7 @@ class _Plan:
         sub-block have finite powers (L unless a power overflows)."""
         n = len(self.M)
         P = np.zeros((_SUB + 2, n, n))  # [0, I, M, ..., M^L]
-        P[1], P[2], h = np.eye(n), self.M, 1
+        P[1], P[2], h = _eye(n), self.M, 1
         with np.errstate(over="ignore", invalid="ignore"):
             while h < _SUB:
                 np.matmul(P[2:h + 2], P[h + 1], out=P[h + 2:2 * h + 2])
@@ -307,7 +308,8 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
 
     Returns (Theta_0, record) where Theta_0 is the ridge estimate with
     regularizer rho = sigma^2 / theta_bound^2 pulled toward zero.  Each
-    block's ``gram_sums`` give its log det V and are committed by ``ingest``.
+    block's ``gram_sums`` give its log det V, and ``ingest`` adds the same
+    bits to the Gram.
     """
     if T0 < 1:
         raise ConfigurationError("T0 must be >= 1", field="T0")
@@ -323,8 +325,8 @@ def run_warmup(model: SystemModel, K0, T0: int, seed, x0=None):
     for lo, hi in row_blocks(T0):  # log det V after each ingest, V = rho I + S
         z = np.hstack([x[lo:hi], u[lo:hi]])
         S = estimation.gram_sums(est, z)
-        logdets[lo:hi] = logdet_pd(max(rho, 1e-300) * np.eye(n + m) + S)
-        estimation.ingest(est, z, x[lo + 1:hi + 1], grams=S)
+        logdets[lo:hi] = logdet_pd(max(rho, 1e-300) * _eye(n + m) + S)
+        estimation.ingest(est, z, x[lo + 1:hi + 1])
     if rho > 0:
         Theta_0 = estimation.estimate(est, rho)
     else:  # degenerate sigma_w = 0: minimum-norm solution of S Theta = C
@@ -373,9 +375,9 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     restarted at 1 row after each firing would pay it about twice as often.
     V_t of the block's later steps comes from the block's ``gram_sums``, and
     one stacked log-det flags the first of them whose criterion fires (or
-    whose V_t is not PD).  The rows before it are ingested from the same
-    sums, so each kept row enters the Gram once, and the next block opens
-    at it.  A blow-up in the block stands only if no step up to it fires.
+    whose V_t is not PD).  The rows before it are ingested, which gives the
+    Gram the bits of those sums, and the next block opens at it.  A blow-up
+    in the block stands only if no step up to it fires.
     The record, history and diagnostics have the bits of stepping one step
     at a time, each row from its sub-block's anchor, whatever the block sizes.  The anynum flags are screened
     from bounds on the least eigenvalue of each V_t (see
@@ -467,7 +469,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         S = estimation.gram_sums(est, z)
         end = hi
         if hi - lo > 1:  # the criterion of steps lo+2..hi from the rows before each
-            logdets = logdet_pd(lam_arr[lo + 1:hi, None, None] * np.eye(n + m) + S[:-1],
+            logdets = logdet_pd(lam_arr[lo + 1:hi, None, None] * _eye(n + m) + S[:-1],
                                 strict=False)  # nan where V is not PD
             # the first step that fires, or whose own checks would raise, opens the next block
             limit = math.log1p(beta_in_force) + logdet_tau
@@ -477,7 +479,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
             logdet_arr[lo + 1:end] = logdets[:end - lo - 1]
         if blow_up is not None and end == hi:
             raise blow_up
-        estimation.ingest(est, z[:end - lo], x[lo + 1:end + 1], grams=S[:end - lo])
+        estimation.ingest(est, z[:end - lo], x[lo + 1:end + 1])
         policy_id[lo:end] = current.epoch_index
         if end in checkpoints:
             containment.append((end, _holds_truth(

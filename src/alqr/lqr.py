@@ -19,6 +19,7 @@ from .exceptions import (
     NotStabilizingError,
 )
 from .linalg import (
+    _eye,
     as_matrix,
     eigvalsh,
     inv,
@@ -163,7 +164,7 @@ def _dare_doubling(A, B, Q, R, tol=1e-12, max_iter=64):
     tests all three for finiteness and one symmetrises Gn and Hn together.
     """
     n = A.shape[0]
-    eye = np.eye(n)
+    eye = _eye(n)
     Ak = A.copy()
     Gk = B @ solve(R, B.T)
     Hk = Q.copy()

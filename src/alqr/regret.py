@@ -42,13 +42,18 @@ class RegretLedger:
         Each step's contributions have the bits of the per-step formulas and
         are added to the running sums in step order.
         """
+        def times(aW, b):  # (a_s' W) b_s for each row, as quad_rows forms it
+            return (aW @ b[:, :, None])[:, 0, 0]
+
+        wP = omega[:, None, :] @ P  # omega_s' P, shared by R2 and R3
+        eR = eta[:, None, :] @ R  # eta_s' R, shared by R5 and R6
         steps = (
             quad_rows(x[:-1], P) - quad_rows(x[1:], P),
-            quad_rows(omega, P, matvec_rows(M, x[:-1])),
-            quad_rows(omega, P) - noise_trace,
+            times(wP, matvec_rows(M, x[:-1])),
+            times(wP, omega) - noise_trace,
             r4_coef * q[:, None],
-            2.0 * quad_rows(eta, R, matvec_rows(K, x[:-1])),
-            quad_rows(eta, R),
+            2.0 * times(eR, matvec_rows(K, x[:-1])),
+            times(eR, eta),
         )
         for i, v in enumerate(steps):
             # cumsum adds one value at a time, as the per-step sums did

@@ -23,6 +23,7 @@ from .exceptions import (
     SynthesisError,
 )
 from .linalg import (
+    _eye,
     chol_solve,
     cholesky,
     min_eig,
@@ -88,7 +89,7 @@ def solve_relaxed_riccati(theta_hat, model, mu, V_t, s0=0.0):
     V_t = np.atleast_2d(np.asarray(V_t, dtype=float))
     n, m = model.n, model.m
     A, B = _split_theta(theta_hat, n)
-    V_inv = sym(chol_solve(V_t, np.eye(n + m)))
+    V_inv = sym(chol_solve(V_t, _eye(n + m)))
     IK = np.eye(n + m, n)  # [I; K], its K rows filled in at each Newton step
     C0 = np.zeros((n + m, n + m))
     C0[:n, :n] = sym(model.Q)

@@ -21,6 +21,7 @@ from alqr.estimation import (
 )
 from alqr.exceptions import ConfigurationError
 from alqr.harness import ExperimentConfig, shared_setup
+from alqr.linalg import logdet_pd, sym
 from alqr.schedules import build_schedule, lambda_t, p_bar
 
 
@@ -101,19 +102,50 @@ class TestIngest:
             assert rows.t == one.t == 100 + k
 
     def test_gram_sums_hand_off_has_ingest_bits(self):
-        # the sums of a speculative block, of which the first k rows are kept
+        # the sums of a speculative block give V_t of its steps; ingesting the
+        # first k rows, the ones kept, leaves the Gram with the same bits
         rng = np.random.default_rng(1)
         Z, X = rng.standard_normal((300, 4)) * 3.0, rng.standard_normal((300, 2))
         start = ingest(fresh(dim_z=4, dim_x=2), Z[:40], X[:40])
         for k in (1, 37, 256):
-            plain, handed = copy.deepcopy(start), copy.deepcopy(start)
-            ingest(plain, Z[40:40 + k], X[40:40 + k])
-            S = gram_sums(handed, Z[40:44 + k])
-            assert handed.t == 40 and np.array_equal(handed.gram, start.gram)
-            ingest(handed, Z[40:40 + k], X[40:40 + k], grams=S[:k])
-            assert np.array_equal(handed.gram, plain.gram)
-            assert np.array_equal(handed.cross, plain.cross)
-            assert handed.t == plain.t == 40 + k
+            kept = copy.deepcopy(start)
+            S = gram_sums(kept, Z[40:44 + k])
+            assert kept.t == 40 and np.array_equal(kept.gram, start.gram)
+            ingest(kept, Z[40:40 + k], X[40:40 + k])
+            assert np.array_equal(kept.gram, S[k - 1])
+            assert kept.t == 40 + k
+
+    @staticmethod
+    def wide_rows(rng, k, dim):
+        """Rows whose magnitudes span 1e-8..1e8, where a pairwise sum and a
+        step-order sum of their products differ."""
+        return rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-8, 8, (k, 1))
+
+    @pytest.mark.parametrize("dim_z", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim_x", [1, 2, 3])
+    def test_rows_and_sums_have_one_row_bits(self, dim_z, dim_x):
+        rng = np.random.default_rng(10 * dim_z + dim_x)
+        k = 600  # crosses two 256-row block edges
+        Z, X = self.wide_rows(rng, k + 5, dim_z), self.wide_rows(rng, k + 5, dim_x)
+        start = ingest(fresh(dim_z=dim_z, dim_x=dim_x), Z[:5], X[:5])
+        one, grams = copy.deepcopy(start), []
+        for z, x in zip(Z[5:], X[5:]):
+            ingest(one, z, x)
+            grams.append(one.gram.copy())
+        rows = ingest(copy.deepcopy(start), Z[5:], X[5:])
+        assert np.array_equal(rows.gram, one.gram)
+        assert np.array_equal(rows.cross, one.cross)
+        assert rows.t == one.t == k + 5
+        assert np.array_equal(gram_sums(start, Z[5:]), np.array(grams))
+
+    def test_gram_is_exactly_symmetric(self):
+        rng = np.random.default_rng(4)
+        est = fresh(dim_z=5, dim_x=3)
+        for k in rng.integers(1, 400, 12).tolist():
+            ingest(est, self.wide_rows(rng, k, 5), self.wide_rows(rng, k, 3))
+            assert np.array_equal(est.gram, est.gram.T)
+            V = est.covariance(0.37)
+            assert np.array_equal(V, V.T)
 
     def test_dimension_mismatch(self):
         for z, x_next in (([1.0], [0.0]),
@@ -133,6 +165,44 @@ class TestIngest:
             ingest(st_, rng.standard_normal(3), rng.standard_normal(2))
         assert np.min(np.linalg.eigvalsh(st_.gram)) >= -1e-10
         assert st_.t == count
+
+
+class TestRunnerCovariances:
+    """V_t = lambda I + S as the runners build it is exactly symmetric, so
+    ``logdet_pd`` takes it as it is, with the bits of a symmetrised one."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 2), (4, 1)])
+    def test_logdet_pd_has_symmetrised_bits(self, n, m):
+        rng = np.random.default_rng(n + 7 * m)
+        p, k = n + m, 300
+        Z = rng.standard_normal((k, p)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+        X = rng.standard_normal((k + 1, n))
+        lam = rng.uniform(0.5, 50.0, k)
+        est = ingest(fresh(dim_z=p, dim_x=n), Z[:20], X[1:21])
+        S = gram_sums(est, Z[20:])
+        stacks = [
+            0.01 * np.eye(p) + S,  # the warm-up's, rho I + S after each row
+            lam[21:, None, None] * np.eye(p) + S[:-1],  # ASLO's block criterion
+            np.array([est.covariance(v) for v in lam[:5]]),  # ASLO's block opening
+        ]
+        stacks += [V for _, _, V in covariance_blocks(X[:-1, :n], Z[:, n:], lam)]
+        for V in stacks:
+            assert np.array_equal(V, V.swapaxes(-1, -2))
+            assert np.array_equal(logdet_pd(V), np.linalg.slogdet(sym(V))[1])
+            assert np.array_equal(logdet_pd(V[0]), np.linalg.slogdet(sym(V[0]))[1])
+
+    def test_ellipsoid_parts_have_their_functions_bits(self):
+        rng = np.random.default_rng(5)
+        anchor = rng.standard_normal((4, 2))
+        for variant in ("anchored", "unanchored"):
+            est = fresh(dim_z=4, dim_x=2, anchor=anchor if variant == "anchored" else None,
+                        eps=0.3)
+            ingest(est, rng.standard_normal((50, 4)), rng.standard_normal((50, 2)))
+            ell = ellipsoid(est, 0.05, 2.5, 1.0, variant, theta_bound=4.0)
+            assert np.array_equal(ell.center, estimate(est, 2.5))
+            assert np.array_equal(ell.shape, est.covariance(2.5))
+            assert ell.radius == confidence_radius(est, 0.05, 2.5, 1.0, variant,
+                                                   theta_bound=4.0)
 
 
 class TestEstimate:
