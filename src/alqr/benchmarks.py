@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import AlqrError, ConfigurationError
+from .linalg import spectral_radius
 from .lqr import SystemModel, _split_theta, solve_dare
 
 
@@ -65,8 +66,6 @@ def perturbed_gain(model: SystemModel, rel_error: float = 0.2, seed: int = 0):
     The offset direction is redrawn (deterministically) until the perturbed
     model is stabilizable and its gain stabilizes the true plant.
     """
-    from .linalg import spectral_radius
-
     for k in range(32):
         theta = perturbed_theta(model, rel_error, seed=seed + 1000 * k)
         A, B = _split_theta(theta, model.n)

@@ -4,7 +4,12 @@ The state stores the raw Gram matrix S_t = sum z z' and cross moments
 C_t = sum z x', each entry summed in step order; the regularized covariance
 V_t = lambda_t I + S_t is reassembled per query because lambda_t drifts over
 time.  z_i z_j and z_j z_i are the same product, summed in the same order,
-so S_t and every V_t are exactly symmetric.  All logs natural.
+so S_t and every V_t are exactly symmetric.  ``ellipsoid`` answers a
+policy update's questions (centre, shape and radius) from one V_t, and the
+anchored radius reads the anchor error the state holds.  ``gram_sums`` is
+the one prefix routine over S_t: the runners' speculative blocks and the
+replay of a recorded trajectory (``covariance_blocks``) both read it.  All
+logs natural.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .linalg import _eye, chol_solve, logdet_pd, row_blocks
-from .schedules import check_domain
+from .schedules import _lambda_form, check_domain, p_bar
 
 
 @dataclass
@@ -53,19 +58,14 @@ class ConfidenceEllipsoid:
     radius: float
 
 
-def _step_sums(a, b, carry):
-    """carry + a_0 b_0' + ... + a_j b_j' for each row j, added in step order."""
-    S = a[:, :, None] * b[:, None, :]
-    S[0] += carry
-    return np.cumsum(S, axis=0, out=S)
-
-
 def gram_sums(state: EstimatorState, z) -> np.ndarray:
     """S[j] = state.gram + z_0 z_0' + ... + z_j z_j' for each row of z, in step
     order: what ``state.gram`` holds after ingesting z_0..z_j, bit for bit,
     without ingesting them."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    return _step_sums(z, z, state.gram)
+    S = z[:, :, None] * z[:, None, :]
+    S[0] += state.gram
+    return np.cumsum(S, axis=0, out=S)
 
 
 def ingest(state: EstimatorState, z, x_next) -> EstimatorState:
@@ -104,32 +104,19 @@ def covariance_blocks(x, u, lambda_t):
     """Replay the covariances of a recorded trajectory, a block at a time.
 
     Yields (lo, z, V) per block of steps s = lo..lo+k-1 with z[j] = (x_s, u_s)
-    and V[j] = lambda_s I + S, where S sums z_r z_r' over r < s.  The Gram
-    sums add in step order from zero, carried across blocks, so V[j] has the
-    bits of ``covariance`` at that step of the run.  ``lambda_t`` is one
-    value per step or a single value for all of them.
+    and V[j] = lambda_s I + S, where S sums z_r z_r' over r < s.  A replay
+    ``EstimatorState`` carries the Gram across blocks, and each block's
+    ``gram_sums`` over it add in step order from zero, so V[j] has the bits
+    of ``covariance`` at that step of the run.  ``lambda_t`` is an array of
+    one value per step.
     """
-    T = u.shape[0]
-    p = x.shape[1] + u.shape[1]
-    lam = np.broadcast_to(np.asarray(lambda_t, dtype=float), (T,))
-    carry = np.zeros((p, p))
-    for lo, hi in row_blocks(T):
+    replay = EstimatorState(dim_z=x.shape[1] + u.shape[1], dim_x=x.shape[1])
+    for lo, hi in row_blocks(u.shape[0]):
         z = np.hstack([x[lo:hi], u[lo:hi]])
-        V, carry = step_covariances(z, lam[lo:hi], carry)
-        yield lo, z, V
-
-
-def step_covariances(z, lambda_t, carry):
-    """Covariances of consecutive steps with rows z_0..z_{k-1} and their Gram.
-
-    Returns (V, S): V[j] = lambda_j I + carry + z_0 z_0' + ... + z_{j-1} z_{j-1}'
-    and S = carry + z_0 z_0' + ... + z_{k-1} z_{k-1}', summed in step order,
-    so with ``carry`` the Gram before z_0, V[j] has the bits of
-    ``covariance`` at that step.  ``lambda_t`` holds one value per row.
-    """
-    S = _step_sums(z, z, carry)
-    before = np.concatenate([carry[None], S[:-1]])
-    return lambda_t[:, None, None] * _eye(z.shape[1]) + before, S[-1]
+        S = gram_sums(replay, z)
+        before = np.concatenate([replay.gram[None], S[:-1]])
+        replay.gram = S[-1]
+        yield lo, z, lambda_t[lo:hi, None, None] * _eye(replay.dim_z) + before
 
 
 def estimate(state: EstimatorState, lambda_t: float) -> np.ndarray:
@@ -149,24 +136,27 @@ def _center(state: EstimatorState, lambda_t: float, V) -> np.ndarray:
 
 def confidence_radius(state: EstimatorState, delta: float, lambda_t: float,
                       sigma_w: float, variant: str = "anchored",
-                      eps: float | None = None, theta_bound: float | None = None) -> float:
+                      theta_bound: float | None = None) -> float:
     """Ellipsoid radius r_t = (sigma sqrt(2 n log(n det V / (delta det lambda I))) + sqrt(lambda) c)^2.
 
-    c = eps for the anchored variant and c = theta_bound for the unanchored one.
+    c = ``state.anchor_error`` for the anchored variant, which refuses a state
+    without one, and c = theta_bound for the unanchored one, which refuses a
+    missing bound.
     """
     return _radius(state, state.covariance(lambda_t), delta, lambda_t, sigma_w, variant,
-                   eps, theta_bound)
+                   theta_bound)
 
 
-def _radius(state: EstimatorState, V, delta, lambda_t, sigma_w, variant, eps,
+def _radius(state: EstimatorState, V, delta, lambda_t, sigma_w, variant,
             theta_bound) -> float:
     """``confidence_radius`` from V = ``state.covariance(lambda_t)``."""
     check_domain("delta", delta)
     check_domain("radius_variant", variant)
     if variant == "anchored":
-        c = state.anchor_error if eps is None else eps
+        c = state.anchor_error
         if c is None:
-            raise ConfigurationError("anchored radius needs eps", field="eps")
+            raise ConfigurationError("anchored radius needs the state's anchor_error",
+                                     field="anchor_error")
     else:
         c = theta_bound
         if c is None:
@@ -178,14 +168,14 @@ def _radius(state: EstimatorState, V, delta, lambda_t, sigma_w, variant, eps,
 
 
 def ellipsoid(state: EstimatorState, delta: float, lambda_t: float, sigma_w: float,
-              variant: str = "anchored", eps: float | None = None,
+              variant: str = "anchored",
               theta_bound: float | None = None) -> ConfidenceEllipsoid:
     """The ellipsoid's centre, shape V_t and radius, from one V_t."""
     V = state.covariance(lambda_t)
     return ConfidenceEllipsoid(
         center=_center(state, lambda_t, V),
         shape=V,
-        radius=_radius(state, V, delta, lambda_t, sigma_w, variant, eps, theta_bound),
+        radius=_radius(state, V, delta, lambda_t, sigma_w, variant, theta_bound),
     )
 
 
@@ -212,8 +202,6 @@ def estimation_error_bound(tau: int, params) -> float:
     lambda_tau is ``lambda_t``'s; abar/G and sqrt(lambda_tau) eps_bar are
     evaluated in log10, since theory-mode G overflows doubles.
     """
-    from .schedules import _lambda_form, p_bar
-
     if tau < 1:
         raise ConfigurationError("tau must be >= 1", field="tau")
     sigma = params.sigma_w

@@ -296,10 +296,10 @@ def _stage_costs(model: SystemModel, x, u) -> np.ndarray:
 
 
 def _holds_truth(est, model: SystemModel, params: schedules.ScheduleParams,
-                 lam: float, variant: str, eps) -> bool:
+                 lam: float, variant: str) -> bool:
     """Whether the confidence ellipsoid at regularizer lam contains Theta*."""
     ell = estimation.ellipsoid(est, params.delta, lam, model.sigma_w, variant,
-                               eps=eps, theta_bound=model.theta_bound)
+                               theta_bound=model.theta_bound)
     return bool(estimation.ellipsoid_contains(ell, model.theta_star))
 
 
@@ -366,8 +366,11 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
     A block opens with its first step's criterion (V_t, log det and
     ``should_update``) evaluated as a step alone would, and synthesis if it
     fires (a new gain's ``_Plan`` is formed there, its sub-blocks anchored
-    at that row); the gain in force is then rolled out over the block.  A
-    firing at step t, tau_prev being the one before (0 at the first), sets
+    at that row); the gain in force is then rolled out over the block.
+    A firing takes Theta_hat, r_t and V_t from one ``estimation.ellipsoid``,
+    whose anchored radius reads the estimator's anchor error (``anchor_eps``);
+    |V_t|, the mu cap and synthesis read that V_t, which has the bits of the
+    criterion's.  A firing at step t, tau_prev being the one before (0 at the first), sets
     the block size to (t - tau_prev) // 4 rows, at least 1, and it doubles while
     no step fires, at most ``linalg._BLOCK`` rows and never past the next
     checkpoint.  Epochs grow slowly, and each block pays a fixed cost (a
@@ -423,10 +426,9 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         logdetV = logdet_pd(V)
         fire = (current is None) or schedules.should_update(logdetV, logdet_tau, beta_in_force)
         if fire:
-            theta_hat = estimation.estimate(est, lam)
-            r = estimation.confidence_radius(est, params.delta, lam, model.sigma_w,
-                                             params.radius_variant, eps=anchor_eps,
-                                             theta_bound=model.theta_bound)
+            ell = estimation.ellipsoid(est, params.delta, lam, model.sigma_w,
+                                       params.radius_variant, theta_bound=model.theta_bound)
+            theta_hat, r, V = ell.center, ell.radius, ell.shape
             normV = spectral_norm(V)
             mu_t = synthesis.mu(r, model.theta_bound, normV, params.mu_mode)
             if mu_override is not None:
@@ -483,8 +485,7 @@ def run_aslo(model: SystemModel, Theta_0, anchor_eps: float, T: int,
         policy_id[lo:end] = current.epoch_index
         if end in checkpoints:
             containment.append((end, _holds_truth(
-                est, model, params, float(lam_arr[end - 1]), params.radius_variant,
-                anchor_eps)))
+                est, model, params, float(lam_arr[end - 1]), params.radius_variant)))
         if end == hi:
             size = min(2 * size, _BLOCK)
         lo = end
@@ -551,7 +552,7 @@ def run_fixed_policy(model: SystemModel, K, T: int, seed: int,
         estimation.ingest(est, np.hstack([x[lo:t], u[lo:t]]), x[lo + 1:t + 1])
         if t in checkpoints:
             containment.append((t, _holds_truth(
-                est, model, params, schedules.lambda_t(t, params), variant, eps)))
+                est, model, params, schedules.lambda_t(t, params), variant)))
         lo = t
     return _stage_costs(model, x, u), est, containment
 

@@ -17,6 +17,7 @@ import numpy as np
 from .estimation import covariance_blocks
 from .exceptions import ConfigurationError, IncompleteTrajectoryError
 from .linalg import matvec_rows, quad_rows, row_blocks, solve
+from .schedules import p_bar
 
 R_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6")
 
@@ -131,8 +132,6 @@ def term_bounds(T: int, params, traj_stats: dict) -> dict:
     traj_stats carries X_T (max state norm), Z_T (max |z_t|^2), r_T, lambda_T,
     lambda_1; beta defaults to the criterion's value.
     """
-    from .schedules import p_bar
-
     nu, sig = params.nu, params.sigma_w
     tb, kap = params.theta_bound, params.kappa
     n, m, delta = params.n, params.m, params.delta

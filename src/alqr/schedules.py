@@ -20,6 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, ScheduleError
 from .linalg import eigvalsh, sym
+from .lqr import kappa_gamma, nu_bound
 log = logging.getLogger(__name__)
 
 
@@ -348,8 +349,6 @@ def build_schedule(model, nu=None, cert0=None, delta=0.1, phi=None,
     (1 in theory mode, 1/kappa^2 in practical mode), None meaning 1; the
     params hold the resolved product.
     """
-    from .lqr import kappa_gamma, nu_bound
-
     for name, value in (("criterion", criterion), ("delta", delta), ("chi", chi),
                         ("lambda_scale", lambda_scale), ("noise_scale", noise_scale),
                         ("beta", beta), ("constants_mode", constants_mode),

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from alqr.estimation import (
 )
 from alqr.exceptions import ConfigurationError
 from alqr.harness import ExperimentConfig, shared_setup
-from alqr.linalg import logdet_pd, sym
+from alqr.linalg import _BLOCK, logdet_pd, sym
 from alqr.schedules import build_schedule, lambda_t, p_bar
 
 
@@ -45,24 +46,26 @@ def fresh(dim_z=2, dim_x=1, anchor=None, eps=None):
 
 class TestCovarianceBlocks:
     def test_replays_online_covariances_bit_for_bit(self):
-        rng = np.random.default_rng(0)
-        T, n, m = 2100, 2, 1
-        x = rng.standard_normal((T + 1, n)) * rng.exponential(3.0, (T + 1, 1))
-        u = rng.standard_normal((T, m))
-        lam = rng.uniform(1.0, 3.0, T)
-        st_ = fresh(dim_z=n + m, dim_x=n)
-        before = []
-        for s in range(T):
-            before.append(st_.covariance(lam[s]))
-            ingest(st_, np.concatenate([x[s], u[s]]), x[s + 1])
-        blocks = list(covariance_blocks(x, u, lam))
-        assert len(blocks) > 2
-        assert [lo for lo, _, _ in blocks] == np.cumsum(
-            [0] + [len(z) for _, z, _ in blocks[:-1]]).tolist()
-        assert np.array_equal(np.concatenate([z for _, z, _ in blocks]),
-                              np.hstack([x[:-1], u]))
-        assert np.array_equal(np.concatenate([V for _, _, V in blocks]),
-                              np.array(before))
+        # T = 256 is one block, 257 one row past it, 2100 nine blocks
+        for (n, m), T in itertools.product([(1, 1), (2, 1), (3, 2), (4, 1)],
+                                           [256, 257, 2100]):
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((T + 1, n)) * rng.exponential(3.0, (T + 1, 1))
+            u = rng.standard_normal((T, m))
+            lam = rng.uniform(1.0, 3.0, T)
+            st_ = fresh(dim_z=n + m, dim_x=n)
+            before = []
+            for s in range(T):
+                before.append(st_.covariance(lam[s]))
+                ingest(st_, np.concatenate([x[s], u[s]]), x[s + 1])
+            blocks = list(covariance_blocks(x, u, lam))
+            assert len(blocks) == -(-T // _BLOCK)
+            assert [lo for lo, _, _ in blocks] == np.cumsum(
+                [0] + [len(z) for _, z, _ in blocks[:-1]]).tolist()
+            assert np.array_equal(np.concatenate([z for _, z, _ in blocks]),
+                                  np.hstack([x[:-1], u]))
+            assert np.array_equal(np.concatenate([V for _, _, V in blocks]),
+                                  np.array(before)), (n, m, T)
 
 
 class TestIngest:
@@ -281,6 +284,20 @@ class TestConfidenceRadius:
     def test_delta_domain(self):
         with pytest.raises(ConfigurationError):
             confidence_radius(fresh(anchor=np.zeros((2, 1)), eps=1.0), 1.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("radius", [confidence_radius, ellipsoid])
+    def test_refusals(self, radius):
+        # the anchored radius reads the state's anchor error, and refuses a
+        # state without one, even with a theta_bound at hand
+        with pytest.raises(ConfigurationError) as exc:
+            radius(fresh(anchor=np.zeros((2, 1))), 0.1, 1.0, 1.0, "anchored",
+                   theta_bound=2.0)
+        assert exc.value.field == "anchor_error"
+        # the unanchored radius refuses a missing theta_bound, even with an
+        # anchor error at hand
+        with pytest.raises(ConfigurationError) as exc:
+            radius(fresh(anchor=np.zeros((2, 1)), eps=1.0), 0.1, 1.0, 1.0, "unanchored")
+        assert exc.value.field == "theta_bound"
 
 
 class TestEllipsoidContains:

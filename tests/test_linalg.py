@@ -344,3 +344,15 @@ class TestLapackLayer:
                         and {a.name for a in node.names} & self.LAPACK):
                     found.append(f"{path.name}:{node.lineno}: from numpy.linalg import")
         assert found == []
+
+    def test_package_imports_at_module_level(self):
+        # no module of the package imports another inside a function: none
+        # of them guards an import cycle
+        found = []
+        for path in sorted(Path(alqr.__file__).parent.glob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                              for node in ast.walk(func)
+                              if isinstance(node, ast.ImportFrom) and node.level > 0]
+        assert found == []

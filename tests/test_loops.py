@@ -287,14 +287,14 @@ class TestRunAslo:
                                                      bench2x2_anchor, monkeypatch):
         theta0, eps = bench2x2_anchor
         real = synthesis.synthesize_policy
-        real_estimate = estimation.estimate
+        real_ellipsoid = estimation.ellipsoid
         steps, calls = [], []
 
-        def estimate(est, lam):
+        def spy(est, *args, **kwargs):
             # a firing at step t estimates Theta from the est.t = t - 1 rows
             # ingested before it, just before its synthesis
             steps.append(est.t + 1)
-            return real_estimate(est, lam)
+            return real_ellipsoid(est, *args, **kwargs)
 
         def fail_once(*args, **kwargs):
             # the first firing from t = 50 on fails; early epochs fire every step
@@ -303,7 +303,7 @@ class TestRunAslo:
                 raise SynthesisError("injected failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "estimate", estimate)
+        monkeypatch.setattr(estimation, "ellipsoid", spy)
         monkeypatch.setattr(synthesis, "synthesize_policy", fail_once)
         rec, hist, _ = run_aslo(bench2x2, theta0, eps, T=400,
                                 params=bench2x2_params, seed=3)
@@ -360,6 +360,41 @@ class TestRunAslo:
                                  params=bench2x2_params, seed=seed)
             worst = max(worst, rec.max_state_norm())
         assert worst <= 1e3
+
+    @pytest.mark.parametrize("criterion, variant, checkpoints", [
+        ("det_double", "anchored", ()),
+        ("det_double", "unanchored", ()),
+        ("adaptive_beta", "anchored", ()),
+        ("adaptive_beta", "unanchored", ()),
+        ("det_double", "anchored", (1, 150)),
+    ])
+    def test_a_firing_reads_one_ellipsoid(self, bench2x2, bench2x2_params, bench2x2_anchor,
+                                          monkeypatch, criterion, variant, checkpoints):
+        # Theta_hat, r_t and V_t of each firing come from one ellipsoid: the
+        # run never asks estimate or confidence_radius, and it has the bits of
+        # an unpatched run
+        theta0, eps = bench2x2_anchor
+        params = replace(bench2x2_params, criterion=criterion, radius_variant=variant)
+
+        def run():
+            return run_aslo(bench2x2, theta0, eps, T=200, params=params, seed=5,
+                            checkpoints=checkpoints)
+
+        rec, hist, ledger = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a firing asked the estimator twice")
+
+        monkeypatch.setattr(estimation, "estimate", refuse)
+        monkeypatch.setattr(estimation, "confidence_radius", refuse)
+        got, got_hist, got_ledger = run()
+        assert_same_record(got, rec)
+        assert len(got_hist) == len(hist) > 1
+        for p, ref in zip(got_hist, hist):
+            for name in vars(ref):
+                assert np.array_equal(getattr(p, name), getattr(ref, name)), name
+        assert np.array_equal(got_ledger.R, ledger.R)
+        assert got_ledger.policy_runs == ledger.policy_runs
 
 
 def per_step_rollout(model, K, T, seed, params, x0=None):
@@ -772,7 +807,7 @@ class TestComputedAfterTheLoop:
             t = s + 1
             if t in (500, 1000, T):
                 ell = ellipsoid(replay, params.delta, schedules.lambda_t(t, params),
-                                model.sigma_w, "anchored", eps=eps)
+                                model.sigma_w, "anchored")
                 expect.append((t, replay.gram.copy(), replay.cross.copy(),
                                ellipsoid_contains(ell, model.theta_star)))
         assert containment == [(t, ok) for t, _, _, ok in expect]
@@ -990,7 +1025,7 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
             theta_hat = estimate(est, lam)
             if params.radius_variant == "anchored":
                 r = confidence_radius(est, params.delta, lam, model.sigma_w,
-                                      "anchored", eps=anchor_eps)
+                                      "anchored")
             else:
                 r = confidence_radius(est, params.delta, lam, model.sigma_w,
                                       "unanchored", theta_bound=model.theta_bound)
@@ -1034,7 +1069,7 @@ def per_step_aslo(model, Theta_0, anchor_eps, T, params, seed, x0=None,
         err_arr[s] = current.est_error
         if t in checkpoints:
             ell = ellipsoid(est, params.delta, lam, model.sigma_w, params.radius_variant,
-                            eps=anchor_eps, theta_bound=model.theta_bound)
+                            theta_bound=model.theta_bound)
             containment.append((t, ellipsoid_contains(ell, model.theta_star)))
     mu_steps = np.array([p.mu for p in history])[policy_id]
     q = np.empty(T)

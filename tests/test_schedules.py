@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alqr import schedules
-from alqr.estimation import step_covariances
+from alqr.estimation import EstimatorState, gram_sums
 from alqr.exceptions import ConfigurationError
 from alqr.harness import ExperimentConfig, shared_setup
 from alqr.lqr import SystemModel, stability_certificate
@@ -361,17 +361,18 @@ class TestAnynumCondition:
 
 
 def gram_stack(seed, k, p, scale, lam, carry_rows):
-    """k covariances lam_j I + S_j from step_covariances, S summed over
-    carry_rows earlier rows and the rows before each; returns (V, lam, terms).
+    """k covariances lam_j I + S_j from gram_sums, S summed over carry_rows
+    earlier rows and the rows before each; returns (V, lam, terms).
     The rows are correlated, so min diag V can lie far above its least
     eigenvalue."""
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     mix = scale * (10.0 ** rng.uniform(-3.0, 0.0, p))[:, None] * Q
-    _, carry = step_covariances(rng.standard_normal((carry_rows + 1, p)) @ mix,
-                                np.ones(carry_rows + 1), np.zeros((p, p)))
+    est = EstimatorState(dim_z=p, dim_x=1)
+    est.gram = gram_sums(est, rng.standard_normal((carry_rows + 1, p)) @ mix)[-1]
     lams = lam * rng.choice([1.0, 1.0, 1.5, 2.0], size=k)
-    V, _ = step_covariances(rng.standard_normal((k, p)) @ mix, lams, carry)
+    S = gram_sums(est, rng.standard_normal((k, p)) @ mix)
+    V = lams[:, None, None] * np.eye(p) + np.concatenate([est.gram[None], S[:-1]])
     return V, lams, carry_rows + 1 + k
 
 
